@@ -6,12 +6,12 @@ from .analytics import (AbsorptionProbabilities, CompositeConstants,
                         ConvergenceReport, LimitConstants, LimitEstimate,
                         LimitLawDescriptor, SurvivalMoments,
                         absorption_probabilities, composed_pgf,
-                        composite_constants, conditional_pgf, constants_at,
-                        constants_table, convergence_conditions,
+                        composite_constants, composite_law, conditional_pgf,
+                        constants_at, constants_table, convergence_conditions,
                         limit_constants, limit_law, pgf_from_constants,
                         subsequence_b_values, survival_and_moments)
 from .classifier import RegimeLabel, classify
-from .environment import (EnvSequence, ThetaModel, step_pgf,
+from .environment import (EnvSequence, ThetaLaw, ThetaModel, step_pgf,
                           step_pgf_weight_one, validate_model)
 from .errors import (ConditioningOnNull, CutoffExceeded, DomainError,
                      GwThetaError, NoLimitLaw, PopulationOverflow,

@@ -6,12 +6,11 @@ descriptors."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
-from .environment import ThetaModel, step_pgf_weight_one
-from .errors import (ConditioningOnNull, DomainError, NoLimitLaw,
-                     UndeterminedLimit)
+from .environment import ThetaLaw, ThetaModel
+from .errors import DomainError, NoLimitLaw, UndeterminedLimit
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +35,10 @@ class CompositeConstants:
             return None
         return math.exp(self.log_D)
 
+    def law(self, theta: float, r: float) -> ThetaLaw:
+        """The n-step law F_n with these constants."""
+        return ThetaLaw(theta, r, self.A, self.C, self.log_D)
+
 
 def constants_iter(model: ThetaModel, up_to: int):
     """Yield CompositeConstants for n = 0, 1, ..., up_to in one O(n) pass."""
@@ -47,7 +50,7 @@ def constants_iter(model: ThetaModel, up_to: int):
         A = A * a
         C = C + A_prev * c
         if log_D is not None:
-            lg = model.log_r_minus_c(n)
+            lg = model.log_r_minus(n, c)
             log_D = None if lg is None else log_D + (A_prev - A) * lg
         B = C / A if A > 0.0 else math.inf
         yield CompositeConstants(n, A, C, log_D, B)
@@ -61,6 +64,11 @@ def composite_constants(model: ThetaModel, n: int) -> CompositeConstants:
     for out in constants_iter(model, n):
         pass
     return out
+
+
+def composite_law(model: ThetaModel, n: int) -> ThetaLaw:
+    """The law of Z_n, F_n = f_1 o ... o f_n, at generation n >= 0."""
+    return composite_constants(model, n).law(model.theta, model.r)
 
 
 def constants_at(model: ThetaModel, ns: Iterable[int]) -> dict:
@@ -85,23 +93,14 @@ def constants_at(model: ThetaModel, ns: Iterable[int]) -> dict:
 def pgf_from_constants(theta: float, r: float, cc: CompositeConstants,
                        s: float) -> float:
     """F_n(s) from composite constants."""
-    if not 0.0 <= s <= r:
-        raise DomainError(f"s = {s} outside [0, {r}]")
-    if theta == 0.0:
-        return r - (r - s) ** cc.A * math.exp(cc.log_D)
-    if s == r and theta > 0.0:
-        # (r-s)^(-theta) = +inf; for theta < 0 it is 0 and the general
-        # expression below is already correct
-        return r
-    return r - (cc.A * (r - s) ** (-theta) + cc.C) ** (-1.0 / theta)
+    return cc.law(theta, r).pgf(s)
 
 
 def composed_pgf(model: ThetaModel, n: int, s: float) -> float:
     """F_n(s) = f_1 o ... o f_n (s) via the closed form."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return pgf_from_constants(model.theta, model.r,
-                              composite_constants(model, n), s)
+    return composite_law(model, n).pgf(s)
 
 
 @dataclass(frozen=True)
@@ -116,35 +115,20 @@ class SurvivalMoments:
 def restricted_mean_from_constants(theta: float, r: float,
                                    cc: CompositeConstants,
                                    case_label: str) -> float:
-    """Closed-form F_n'(1) per case.
-
-    The general derivative for theta != 0 is
-        F_n'(s) = A_n (r-s)^(-theta-1) (A_n (r-s)^(-theta) + C_n)^(-1/theta-1)
-    which at s=1, r>1 simplifies to A_n (A_n + C_n (r-1)^theta)^(-1/theta-1);
-    there is no theta^(-1) prefactor (the s=1 value A_n under the proper
-    boundary condition pins this down).  For theta in (-1,0) or theta=0 with
-    r=1 the derivative diverges at s=1."""
-    A, C = cc.A, cc.C
-    if case_label == "a":
-        return A ** (-1.0 / theta)
-    if case_label in ("b", "d"):
-        return A * (A + C * (r - 1.0) ** theta) ** (-1.0 / theta - 1.0)
-    if case_label == "f":
-        return A * (r - 1.0) ** (A - 1.0) * math.exp(cc.log_D)
-    # cases (c) and (e): F_n'(1) = +inf
-    return math.inf
+    """Closed-form F_n'(1); +inf in the cases (c) and (e).  The case is
+    implied by (theta, r), so case_label is not consulted."""
+    return cc.law(theta, r).restricted_mean()
 
 
 def survival_and_moments(model: ThetaModel, n: int) -> SurvivalMoments:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    cc = composite_constants(model, n)
-    theta, r = model.theta, model.r
-    p_zero = pgf_from_constants(theta, r, cc, 0.0)
-    p_one = pgf_from_constants(theta, r, cc, 1.0)
+    law = composite_law(model, n)
+    p_zero = law.pgf(0.0)
+    p_one = law.pgf(1.0)
     p_delta = max(0.0, 1.0 - p_one)
     p_alive = max(0.0, p_one - p_zero)
-    mean = restricted_mean_from_constants(theta, r, cc, model.case_label)
+    mean = law.restricted_mean()
     if math.isinf(mean):
         mean_cond = math.inf
     elif p_alive > 0.0:
@@ -156,17 +140,7 @@ def survival_and_moments(model: ThetaModel, n: int) -> SurvivalMoments:
 
 def conditional_pgf(model: ThetaModel, n: int, s: float) -> float:
     """E(s^{Z_n} | tau > n) = (F_n(s) - F_n(0)) / (F_n(1) - F_n(0))."""
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"s = {s} outside [0, 1]")
-    cc = composite_constants(model, n)
-    theta, r = model.theta, model.r
-    f0 = pgf_from_constants(theta, r, cc, 0.0)
-    f1 = pgf_from_constants(theta, r, cc, 1.0)
-    p_alive = f1 - f0
-    if p_alive <= 1e-300:
-        raise ConditioningOnNull(
-            f"P(tau > {n}) = {p_alive} is numerically zero")
-    return (pgf_from_constants(theta, r, cc, s) - f0) / p_alive
+    return composite_law(model, n).conditional_pgf(s)
 
 
 # ---------------------------------------------------------------------------
@@ -708,28 +682,19 @@ def _series_verdict(s_quarter: float, s_half: float, s_full: float) -> str:
     return UNDETERMINED
 
 
-def _step_pgf_value_at_one(theta: float, r: float, a: float,
-                           c: float) -> float:
-    if theta == 0.0:
-        return r - (r - c) ** (1.0 - a) * (r - 1.0) ** a
-    if r == 1.0:
-        return 1.0 if theta > 0.0 else 1.0 - c ** (-1.0 / theta)
-    return r - (a * (r - 1.0) ** (-theta) + c) ** (-1.0 / theta)
-
-
 def convergence_conditions(model: ThetaModel, horizon: int) -> ConvergenceReport:
     """Partial-sum diagnostics for the almost-sure-convergence conditions:
     sum(1 - p_n(1)) (Church-Lindvall), sum(1 - a_n), the defective variant
     with the normalized one-step laws, and sum (1-a_n) ln 1/(1-c_n)."""
     if horizon < 10:
         raise DomainError("horizon must be >= 10")
-    theta, r = model.theta, model.r
     marks = (horizon // 4, horizon // 2, horizon)
     sums = {"cl": 0.0, "one_minus_a": 0.0, "A1": 0.0, "tilde": 0.0}
     snap = {key: [] for key in sums}
     for n in range(1, horizon + 1):
-        a, c = model.step(n)
-        p1 = step_pgf_weight_one(model, n)
+        law = model.step_law(n)
+        a = law.a
+        p1 = law.weight_one()
         sums["cl"] += 1.0 - p1
         sums["one_minus_a"] += abs(1.0 - a)
         log1mc = model.c_seq.log_one_minus(n)
@@ -737,14 +702,7 @@ def convergence_conditions(model: ThetaModel, horizon: int) -> ConvergenceReport
             sums["A1"] += -(1.0 - a) * log1mc
         else:
             sums["A1"] = math.inf
-        f1 = _step_pgf_value_at_one(theta, r, a, c)
-        if theta == 0.0:
-            lg = model.log_r_minus_c(n)
-            fprime0 = a * math.exp((1.0 - a) * lg + (a - 1.0) * math.log(r))
-        else:
-            fprime0 = (a * r ** (-theta - 1.0)
-                       * (a * r ** (-theta) + c) ** (-1.0 / theta - 1.0))
-        sums["tilde"] += 1.0 - fprime0 / f1
+        sums["tilde"] += 1.0 - p1 / law.pgf(1.0)
         if n in marks:
             for key in sums:
                 snap[key].append(sums[key])
@@ -779,11 +737,9 @@ def constants_table(model: ThetaModel, ns: Sequence[int]) -> list[dict]:
         row = {"n": n, "A_n": cc.A, "C_n": cc.C,
                "D_n": cc.D, "B_n": cc.B}
         if n >= 1:
-            f0 = pgf_from_constants(model.theta, model.r, cc, 0.0)
-            f1 = pgf_from_constants(model.theta, model.r, cc, 1.0)
-            row["F_n(0)"] = f0
-            row["F_n(1)"] = f1
-            row["mean_restricted"] = restricted_mean_from_constants(
-                model.theta, model.r, cc, model.case_label)
+            law = cc.law(model.theta, model.r)
+            row["F_n(0)"] = law.pgf(0.0)
+            row["F_n(1)"] = law.pgf(1.0)
+            row["mean_restricted"] = law.restricted_mean()
         rows.append(row)
     return rows

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .analytics import (DETERMINED, INFINITE, OSCILLATING, UNDETERMINED,
-                        LimitConstants)
-from .environment import BOUND_SLACK, ThetaModel
+from .analytics import DETERMINED, INFINITE, OSCILLATING, LimitConstants
+from .environment import ThetaModel
 
 # regimes
 SUPERCRITICAL = "supercritical"

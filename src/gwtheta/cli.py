@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import secrets
 import sys

@@ -1,5 +1,6 @@
 """Parametric model definition: theta, r, the environment sequences (a_n, c_n),
-and the one-step generating functions.
+and the theta-family law type shared by the one-step and n-step generating
+functions.
 
 The admissible parameter region splits into six rows keyed by (theta, r):
 
@@ -16,10 +17,10 @@ with t = theta.  theta = -1 is rejected outright.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Optional
 
-from .errors import DomainError, RejectedParameter
+from .errors import ConditioningOnNull, DomainError, RejectedParameter
 
 # Slack absorbed on the closed interval bounds of cases (b), (d), (f); values
 # like (1-a_n)(r-1)^-theta rarely round exactly.
@@ -210,6 +211,75 @@ class EnvSequence:
                            spec.get("tail_rule", "repeat_last"))
 
 
+@dataclass(frozen=True)
+class ThetaLaw:
+    """A theta-family law, given by its generating function on [0, r]:
+
+        g(s) = r - (a (r-s)^(-theta) + c)^(-1/theta)        theta != 0
+        g(s) = r - d (r-s)^a,  d = exp(log_d)               theta == 0
+
+    The family is closed under composition: the one-step law f_n has
+    (a, c) = (a_n, c_n) and d = (r - c_n)^(1 - a_n), the n-step law F_n has
+    (A_n, C_n, D_n).  log_d is unused (and may be None) when theta != 0, c
+    is unused when theta == 0.  Mass 1 - g(1) sits on the absorbing symbol.
+    """
+
+    theta: float
+    r: float
+    a: float
+    c: float
+    log_d: Optional[float]
+
+    def pgf(self, s: float) -> float:
+        """g(s) for s in [0, r]."""
+        r, theta = self.r, self.theta
+        if not 0.0 <= s <= r:
+            raise DomainError(f"s = {s} outside [0, {r}]")
+        if theta == 0.0:
+            return r - (r - s) ** self.a * math.exp(self.log_d)
+        if s == r and theta > 0.0:
+            # (r-s)^(-theta) = +inf; for theta < 0 it vanishes instead and
+            # the general expression below is already correct
+            return r
+        return r - (self.a * (r - s) ** (-theta) + self.c) ** (-1.0 / theta)
+
+    def weight_one(self) -> float:
+        """g'(0), the probability of exactly one offspring."""
+        a, r, theta = self.a, self.r, self.theta
+        if theta == 0.0:
+            return a * math.exp(self.log_d + (a - 1.0) * math.log(r))
+        return a * (a + self.c * r ** theta) ** (-1.0 / theta - 1.0)
+
+    def restricted_mean(self) -> float:
+        """g'(1), the mean restricted to the proper counts.
+
+        For theta != 0, g'(s) = a (r-s)^(-theta-1) (a (r-s)^(-theta) + c)^
+        (-1/theta-1), which at s = 1 < r is a (a + c (r-1)^theta)^(-1/theta-1).
+        At r = 1 it is a^(-1/theta) for theta > 0 and diverges for
+        theta <= 0."""
+        a, r, theta = self.a, self.r, self.theta
+        if r == 1.0:
+            return a ** (-1.0 / theta) if theta > 0.0 else math.inf
+        if theta == 0.0:
+            return a * (r - 1.0) ** (a - 1.0) * math.exp(self.log_d)
+        return a * (a + self.c * (r - 1.0) ** theta) ** (-1.0 / theta - 1.0)
+
+    def p_alive(self) -> float:
+        """g(1) - g(0), the mass on the positive counts."""
+        return self.pgf(1.0) - self.pgf(0.0)
+
+    def conditional_pgf(self, s: float) -> float:
+        """(g(s) - g(0)) / (g(1) - g(0)), the law given a positive count."""
+        if not 0.0 <= s <= 1.0:
+            raise DomainError(f"s = {s} outside [0, 1]")
+        f0 = self.pgf(0.0)
+        p_alive = self.pgf(1.0) - f0
+        if p_alive <= 1e-300:
+            raise ConditioningOnNull(
+                f"positive-count mass {p_alive} is numerically zero")
+        return (self.pgf(s) - f0) / p_alive
+
+
 def _case_label(theta: float, r: float) -> str:
     if theta == -1.0:
         raise RejectedParameter("theta = -1 is a trivial case and is rejected",
@@ -237,6 +307,9 @@ def _check_index(case: str, theta: float, r: float, a: float, c: float,
 
     if not (a > 0.0) or not math.isfinite(a):
         bad("a_n > 0")
+    if not math.isfinite(c):
+        # NaN passes every comparison below
+        bad("c_n finite")
     if case != "a" and not a < 1.0:
         # boundary a_n >= 1 is permitted only in case (a)
         bad("a_n < 1")
@@ -275,8 +348,9 @@ def _check_index(case: str, theta: float, r: float, a: float, c: float,
 class ThetaModel:
     """Immutable model; safe to share across workers.
 
-    Access (a_n, c_n) through :meth:`a` and :meth:`c`: indices beyond the
-    eagerly checked horizon are re-validated lazily on each access.
+    Access (a_n, c_n) through :meth:`step` or :meth:`step_law`: indices
+    beyond the eagerly checked horizon are re-validated lazily on each
+    access.
     """
 
     theta: float
@@ -286,20 +360,6 @@ class ThetaModel:
     case_label: str
     check_horizon: int
 
-    def a(self, n: int) -> float:
-        a = self.a_seq.value(n)
-        if n > self.check_horizon:
-            _check_index(self.case_label, self.theta, self.r, a,
-                         self.c_seq.value(n), n)
-        return a
-
-    def c(self, n: int) -> float:
-        c = self.c_seq.value(n)
-        if n > self.check_horizon:
-            _check_index(self.case_label, self.theta, self.r,
-                         self.a_seq.value(n), c, n)
-        return c
-
     def step(self, n: int) -> tuple[float, float]:
         """(a_n, c_n) with a single lazy validation."""
         a = self.a_seq.value(n)
@@ -308,13 +368,23 @@ class ThetaModel:
             _check_index(self.case_label, self.theta, self.r, a, c, n)
         return a, c
 
-    def log_r_minus_c(self, n: int):
-        """ln(r - c_n), computed exactly near c_n = 1 when r = 1; None when
-        r - c_n <= 0."""
+    def log_r_minus(self, n: int, c: float):
+        """ln(r - c_n) given c = c_n, computed exactly near c_n = 1 when
+        r = 1; None when r - c_n <= 0."""
         if self.r == 1.0:
             return self.c_seq.log_one_minus(n)
-        base = self.r - self.c(n)
+        base = self.r - c
         return math.log(base) if base > 0.0 else None
+
+    def step_law(self, n: int) -> "ThetaLaw":
+        """The one-step law f_n, with a single lazy validation."""
+        a, c = self.step(n)
+        if self.theta != 0.0:
+            return ThetaLaw(self.theta, self.r, a, c, None)
+        lg = self.log_r_minus(n, c)
+        if lg is None:
+            raise DomainError(f"r - c_{n} <= 0")
+        return ThetaLaw(self.theta, self.r, a, c, (1.0 - a) * lg)
 
     def to_dict(self) -> dict:
         return {"theta": self.theta, "r": self.r,
@@ -346,27 +416,9 @@ def validate_model(theta: float, r: float, a_seq: EnvSequence,
 
 def step_pgf(model: ThetaModel, n: int, s: float) -> float:
     """One-step generating function f_n(s) on [0, r]."""
-    if not 0.0 <= s <= model.r:
-        raise DomainError(f"s = {s} outside [0, {model.r}]")
-    a, c = model.step(n)
-    r, theta = model.r, model.theta
-    if theta == 0.0:
-        if s == r:
-            return r
-        lg = model.log_r_minus_c(n)
-        return r - math.exp((1.0 - a) * lg + a * math.log(r - s))
-    if s == r and theta > 0.0:
-        # (r-s)^(-theta) = +inf; for theta < 0 it vanishes instead and the
-        # general expression below is already correct
-        return r
-    return r - (a * (r - s) ** (-theta) + c) ** (-1.0 / theta)
+    return model.step_law(n).pgf(s)
 
 
 def step_pgf_weight_one(model: ThetaModel, n: int) -> float:
     """p_n(1) = f_n'(0), the probability of exactly one offspring."""
-    a, c = model.step(n)
-    r, theta = model.r, model.theta
-    if theta == 0.0:
-        lg = model.log_r_minus_c(n)
-        return a * math.exp((1.0 - a) * (lg - math.log(r)))
-    return a * (a + c * r ** theta) ** (-1.0 / theta - 1.0)
+    return model.step_law(n).weight_one()

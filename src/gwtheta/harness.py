@@ -15,19 +15,18 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import analytics as an
-from .analytics import (LimitLawDescriptor, composite_constants, constants_at,
-                        convergence_conditions, limit_constants, limit_law,
-                        pgf_from_constants, restricted_mean_from_constants)
+from .analytics import (composite_constants, composite_law, constants_at,
+                        convergence_conditions, limit_constants, limit_law)
 from .classifier import classify
 from .environment import EnvSequence, ThetaModel, validate_model
 from .errors import ScenarioInfeasible
-from .simulator import (DELTA, replicate_rng, run_ensemble,
+from .simulator import (heavy_tail_log_sf, replicate_rng, run_ensemble,
                         sample_heavy_tail_log, simulate_trajectory)
 
 
@@ -237,20 +236,6 @@ def _ratio(name, statistic, tol, detail=""):
     return _approx(name, statistic, 1.0, tol, detail=detail)
 
 
-def _survival(model: ThetaModel, cc) -> float:
-    th, r = model.theta, model.r
-    return (pgf_from_constants(th, r, cc, 1.0)
-            - pgf_from_constants(th, r, cc, 0.0))
-
-
-def _conditional_transform(model: ThetaModel, cc, s: float) -> float:
-    """E(s^{Z_n} | tau > n) from exact composite values."""
-    th, r = model.theta, model.r
-    f0 = pgf_from_constants(th, r, cc, 0.0)
-    f1 = pgf_from_constants(th, r, cc, 1.0)
-    return (pgf_from_constants(th, r, cc, s) - f0) / (f1 - f0)
-
-
 def _conditional_mean_limit(theta: float, r: float) -> float:
     """Limit of E(Z_n | tau > n) in the defective A = 0 sub-cases, from the
     exact derivative F_n'(1) ~ A_n (r-1)^(-theta-1) C^(-1/theta-1) divided by
@@ -275,14 +260,13 @@ _GRID = tuple(j / 10.0 for j in range(11))
 def _checks_t1(sc, model, cfg, limits, law):
     n_big = cfg.horizon or _ANALYTIC_N
     cc = composite_constants(model, n_big)
+    F = cc.law(model.theta, model.r)
     theta = model.theta
     checks = [
         _ratio("restricted_mean_identity",
-               restricted_mean_from_constants(theta, 1.0, cc, "a")
-               * cc.A ** (1.0 / theta), 1e-9,
+               F.restricted_mean() * cc.A ** (1.0 / theta), 1e-9,
                detail="E(Z_n) A_n^(1/theta) = 1 exactly"),
-        _approx("extinction_prob_vs_limit",
-                pgf_from_constants(theta, 1.0, cc, 0.0),
+        _approx("extinction_prob_vs_limit", F.pgf(0.0),
                 an.absorption_probabilities(model, limits).q, 2e-3),
     ]
     reps = cfg.replicates or 10 ** 5
@@ -303,16 +287,13 @@ def _checks_t1(sc, model, cfg, limits, law):
 
 def _checks_t2(sc, model, cfg, limits, law):
     n_big = cfg.horizon or _ANALYTIC_N
-    cc = composite_constants(model, n_big)
-    theta = model.theta
+    F = composite_law(model, n_big)
     A = law.param("A")
     checks = [
         _ratio("mean_vs_limit",
-               restricted_mean_from_constants(theta, 1.0, cc, "a")
-               / A ** (-1.0 / theta), _RATE_TOL),
+               F.restricted_mean() / A ** (-1.0 / model.theta), _RATE_TOL),
         _approx("pgf_grid_sup_diff",
-                max(abs(pgf_from_constants(theta, 1.0, cc, s)
-                        - law.evaluate(s)) for s in _GRID),
+                max(abs(F.pgf(s) - law.evaluate(s)) for s in _GRID),
                 0.0, _RATE_TOL, detail="F_n(s) vs limit pgf"),
     ]
     rep = convergence_conditions(model, n_big)
@@ -340,12 +321,13 @@ def _t3_style_checks(model, cc, law, tol, tag=""):
     """Survival rate and conditional Laplace transform for the critical-type
     limit (used by T3 and the diverging subsequence of T5)."""
     theta = model.theta
-    surv = _survival(model, cc)
-    checks = [_ratio(f"survival_rate{tag}", surv * cc.C ** (1.0 / theta),
-                     tol, detail="P(Z_n>0) ~ C_n^(-1/theta)")]
+    F = cc.law(theta, model.r)
+    checks = [_ratio(f"survival_rate{tag}",
+                     F.p_alive() * cc.C ** (1.0 / theta), tol,
+                     detail="P(Z_n>0) ~ C_n^(-1/theta)")]
     for lam in (0.5, 1.0, 2.0):
         lam_n = lam * cc.B ** (-1.0 / theta)
-        emp = _conditional_transform(model, cc, math.exp(-lam_n))
+        emp = F.conditional_pgf(math.exp(-lam_n))
         checks.append(_approx(f"laplace_cond_lambda_{lam}{tag}", emp,
                               law.evaluate(lam), tol,
                               detail="exact transform at scaled argument"))
@@ -355,17 +337,17 @@ def _t3_style_checks(model, cc, law, tol, tag=""):
 def _t4_style_checks(model, cc, law, tol, tag=""):
     theta = model.theta
     B = law.param("B")
-    surv = _survival(model, cc)
+    F = cc.law(theta, model.r)
+    surv = F.p_alive()
     checks = [
         _ratio(f"survival_rate{tag}",
                surv * ((1.0 + B) * cc.A) ** (1.0 / theta), tol,
                detail="P(Z_n>0) ~ ((1+B) A_n)^(-1/theta)"),
         _ratio(f"conditional_mean{tag}",
-               restricted_mean_from_constants(theta, 1.0, cc, "a") / surv
-               / (1.0 + B) ** (1.0 / theta), tol),
+               F.restricted_mean() / surv / (1.0 + B) ** (1.0 / theta), tol),
         _approx(f"conditional_pgf_sup_diff{tag}",
-                max(abs(_conditional_transform(model, cc, s)
-                        - law.evaluate(s)) for s in _GRID),
+                max(abs(F.conditional_pgf(s) - law.evaluate(s))
+                    for s in _GRID),
                 0.0, tol),
     ]
     return checks
@@ -395,13 +377,14 @@ def _checks_t5(sc, model, cfg, limits, law_unused):
     # claimed constants: survival ~ (2 k_n)^(-1/theta) along 2^m and
     # ~ (3 k_n)^(-1/theta) along 2^m - 1
     k_up, k_down = sub_up[-1], sub_down[-1]
+    surv_up = cs[k_up].law(theta, model.r).p_alive()
+    surv_down = cs[k_down].law(theta, model.r).p_alive()
     checks.append(_ratio("survival_constant_up",
-                         _survival(model, cs[k_up])
-                         * (2.0 * k_up) ** (1.0 / theta), 0.02,
+                         surv_up * (2.0 * k_up) ** (1.0 / theta), 0.02,
                          detail=f"k_n = 2^{m}"))
     checks.append(_ratio(
         "survival_constant_down",
-        _survival(model, cs[k_down]) * (3.0 * k_down) ** (1.0 / theta),
+        surv_down * (3.0 * k_down) ** (1.0 / theta),
         0.02,
         detail=f"k_n = 2^{m}-1; claimed constant, known not to hold: at "
                "k_n = 2^m-1 the composite sum C only covers dyadic "
@@ -410,8 +393,7 @@ def _checks_t5(sc, model, cfg, limits, law_unused):
                "is (2 k_n)^(-1/theta); the ratio here settles at "
                "(3/2)^(1/theta)"))
     checks.append(_ratio("survival_constant_down_measured",
-                         _survival(model, cs[k_down])
-                         * (2.0 * k_down) ** (1.0 / theta), 0.02,
+                         surv_down * (2.0 * k_down) ** (1.0 / theta), 0.02,
                          detail=f"k_n = 2^{m}-1, true constant"))
     checks += _t3_style_checks(model, cs[k_up], law_up, 0.02, tag="_up")
     checks += _t4_style_checks(model, cs[k_down], law_down, 0.02,
@@ -423,20 +405,12 @@ def _checks_t5(sc, model, cfg, limits, law_unused):
     return checks, 0, (k_up, k_down)
 
 
-def _sibuya_log_sf(log_z: float, a: float) -> float:
-    """ln P(Y > e^{log_z}) for the heavy-tail law with pgf 1 - (1-s)^a."""
-    j = math.floor(math.exp(min(log_z, 60.0)))
-    if log_z <= 60.0:
-        return (math.lgamma(j + 1.0 - a) - math.lgamma(j + 1.0)
-                - math.lgamma(1.0 - a))
-    return -a * log_z - math.lgamma(1.0 - a)
-
-
 def _checks_t6(sc, model, cfg, limits, law):
     n_big = cfg.horizon or 2000
     cc = composite_constants(model, n_big)
+    F = cc.law(model.theta, model.r)
     checks = [
-        _approx("survival_equals_D_n", _survival(model, cc),
+        _approx("survival_equals_D_n", F.p_alive(),
                 math.exp(cc.log_D), 1e-12,
                 detail="P(Z_n>0) = D_n identity"),
     ]
@@ -459,23 +433,25 @@ def _checks_t6(sc, model, cfg, limits, law):
         D = law.param("D")
         for x in (0.25, 0.5, 1.0, 2.0):
             # P(A_n ln Z_n <= x) = 1 - D_n P(Y > e^{x/A_n}), Y the
-            # conditional heavy-tail law with parameter A_n
+            # conditional heavy-tail law with parameter A_n; its asymptotic
+            # tail beyond e^60
             log_z = x / cc.A
-            exact = 1.0 - math.exp(cc.log_D
-                                   + _sibuya_log_sf(log_z, cc.A))
+            if log_z <= 60.0:
+                log_sf = heavy_tail_log_sf(math.floor(math.exp(log_z)), cc.A)
+            else:
+                log_sf = -cc.A * log_z - math.lgamma(1.0 - cc.A)
+            exact = 1.0 - math.exp(cc.log_D + log_sf)
             checks.append(_approx(f"cdf_x_{x}", exact, law.evaluate(x),
                                   _RATE_TOL))
         return checks, 0, (n_big,)
     if tid == "T6iii":
-        sup = max(abs(_conditional_transform(model, cc, s)
-                      - law.evaluate(s)) for s in _GRID)
+        sup = max(abs(F.conditional_pgf(s) - law.evaluate(s))
+                  for s in _GRID)
         checks.append(_approx("conditional_pgf_sup_diff", sup, 0.0,
                               _RATE_TOL))
         return checks, 0, (n_big,)
     # T6iv
-    theta, r = model.theta, model.r
-    sup = max(abs(pgf_from_constants(theta, r, cc, s) - law.evaluate(s))
-              for s in _GRID)
+    sup = max(abs(F.pgf(s) - law.evaluate(s)) for s in _GRID)
     checks.append(_approx("pgf_sup_diff", sup, 0.0, _RATE_TOL))
     rep = convergence_conditions(model, max(n_big, 1000))
     checks.append(Check("conditions_a0_A1_hold", 1.0, 1.0, 0.0,
@@ -486,67 +462,60 @@ def _checks_t6(sc, model, cfg, limits, law):
     return checks, 0, (n_big,)
 
 
-def _defective_zero_a_checks(model, cc, law, rate_target, mean_limit, tol):
-    """Shared T7i/T8i/T9i/T10i structure: survival rate, conditional mean,
-    conditional pgf grid."""
-    surv = _survival(model, cc)
+def _defective_zero_a_checks(F, law, rate_target, mean_limit, tol):
+    """Shared T7i/T8i/T9i/T10i structure on the n-step law F: survival rate,
+    conditional mean, conditional pgf grid."""
+    surv = F.p_alive()
     checks = [
         _ratio("absorption_rate", surv / rate_target, tol,
                detail="P(tau>n) / asymptotic expression"),
         _approx("conditional_pgf_sup_diff",
-                max(abs(_conditional_transform(model, cc, s)
-                        - law.evaluate(s)) for s in _GRID),
+                max(abs(F.conditional_pgf(s) - law.evaluate(s))
+                    for s in _GRID),
                 0.0, tol),
     ]
     if mean_limit is not None:
-        mean = restricted_mean_from_constants(model.theta, model.r, cc,
-                                              model.case_label)
-        checks.append(_ratio("conditional_mean", mean / surv / mean_limit,
-                             tol))
+        checks.append(_ratio("conditional_mean",
+                             F.restricted_mean() / surv / mean_limit, tol))
     return checks
 
 
-def _restricted_law_checks(model, cc, law, limits, tol):
-    """Shared T7ii/T8ii/T9ii structure: restricted pgf convergence, limit
-    mean, and closed-form absorption probabilities."""
-    theta, r = model.theta, model.r
+def _restricted_law_checks(model, F, law, limits, tol):
+    """Shared T7ii/T8ii/T9ii structure on the n-step law F: restricted pgf
+    convergence, limit mean, and closed-form absorption probabilities."""
     checks = [
         _approx("restricted_pgf_sup_diff",
-                max(abs(pgf_from_constants(theta, r, cc, s)
-                        - law.evaluate(s)) for s in _GRID),
+                max(abs(F.pgf(s) - law.evaluate(s)) for s in _GRID),
                 0.0, tol,
                 detail="E(s^{Z_n}; tau_Delta > n) vs limit"),
     ]
     ab = an.absorption_probabilities(model, limits)
-    f0 = pgf_from_constants(theta, r, cc, 0.0)
-    f1 = pgf_from_constants(theta, r, cc, 1.0)
-    checks.append(_approx("q_vs_Fn0", ab.q, f0, tol))
-    checks.append(_approx("q_delta_vs_defect", ab.q_delta, 1.0 - f1, tol))
+    checks.append(_approx("q_vs_Fn0", ab.q, F.pgf(0.0), tol))
+    checks.append(_approx("q_delta_vs_defect", ab.q_delta, 1.0 - F.pgf(1.0),
+                          tol))
     return checks
 
 
 def _checks_t7_t8(sc, model, cfg, limits, law):
     n_big = cfg.horizon or _ANALYTIC_N
     cc = composite_constants(model, n_big)
+    F = cc.law(model.theta, model.r)
     theta, r = model.theta, model.r
     if law.theorem_id in ("T7i", "T8i"):
         C = law.param("C")
         rate = (cc.A * ((r - 1.0) ** (-theta) - r ** (-theta)) / theta
                 * C ** (-1.0 / theta - 1.0))
         checks = _defective_zero_a_checks(
-            model, cc, law, rate, _conditional_mean_limit(theta, r),
-            _RATE_TOL)
+            F, law, rate, _conditional_mean_limit(theta, r), _RATE_TOL)
         reps = min(cfg.replicates or 20000, 10 ** 5)
         n_mc = 30
-        cc_mc = composite_constants(model, n_mc)
+        F_mc = composite_law(model, n_mc)
         stats = run_ensemble(model, n_mc, reps,
                              scenario_seed(cfg.seed, sc.id), cfg.workers,
                              mode="generational")
         for name, est_se, target in (
-                ("zero", stats.zero_freq,
-                 pgf_from_constants(theta, r, cc_mc, 0.0)),
-                ("delta", stats.delta_freq,
-                 1.0 - pgf_from_constants(theta, r, cc_mc, 1.0))):
+                ("zero", stats.zero_freq, F_mc.pgf(0.0)),
+                ("delta", stats.delta_freq, 1.0 - F_mc.pgf(1.0))):
             se = max(est_se[1], 1e-9)
             checks.append(_approx(f"mc_{name}_freq", est_se[0], target,
                                   4.0 * se * cfg.tolerance_scale,
@@ -555,27 +524,27 @@ def _checks_t7_t8(sc, model, cfg, limits, law):
         return checks, reps, (n_big, n_mc)
     # (ii) variants
     A, C = law.param("A"), law.param("C")
-    checks = _restricted_law_checks(model, cc, law, limits, _RATE_TOL)
+    checks = _restricted_law_checks(model, F, law, limits, _RATE_TOL)
     target_mean = A * (A + C * (r - 1.0) ** theta) ** (-1.0 / theta - 1.0)
-    mean = restricted_mean_from_constants(theta, r, cc, model.case_label)
-    checks.append(_ratio("restricted_mean", mean / target_mean, _RATE_TOL))
+    checks.append(_ratio("restricted_mean", F.restricted_mean() / target_mean,
+                         _RATE_TOL))
     return checks, 0, (n_big,)
 
 
 def _checks_t9(sc, model, cfg, limits, law):
     n_big = cfg.horizon or _ANALYTIC_N
     cc = composite_constants(model, n_big)
+    F = cc.law(model.theta, model.r)
     r = model.r
     if law.theorem_id == "T9i":
         rate = ((math.log(r) - math.log(r - 1.0)) * cc.A
                 * math.exp(cc.log_D))
         checks = _defective_zero_a_checks(
-            model, cc, law, rate, _conditional_mean_limit(0.0, r),
-            _RATE_TOL)
+            F, law, rate, _conditional_mean_limit(0.0, r), _RATE_TOL)
         return checks, 0, (n_big,)
     # T9ii: closed forms q = r - r^A D, q_delta = 1 - r + (r-1)^A D with
     # D = (r - sigma)^(1 - A) for the constant environment
-    checks = _restricted_law_checks(model, cc, law, limits, _RATE_TOL)
+    checks = _restricted_law_checks(model, F, law, limits, _RATE_TOL)
     sigma = sc.free_params.get("sigma", 0.5)
     A_exact = 1.0 / 3.0
     D_exact = (r - sigma) ** (1.0 - A_exact)
@@ -585,21 +554,18 @@ def _checks_t9(sc, model, cfg, limits, law):
     checks.append(_approx("q_closed_form", ab.q, q_exact, 1e-3))
     checks.append(_approx("q_delta_closed_form", ab.q_delta, qd_exact,
                           1e-3))
-    mean = restricted_mean_from_constants(0.0, r, cc, "f")
-    checks.append(_ratio("restricted_mean",
-                         mean / (A_exact * (r - 1.0) ** (A_exact - 1.0)
-                                 * D_exact), _RATE_TOL))
+    mean_exact = A_exact * (r - 1.0) ** (A_exact - 1.0) * D_exact
+    checks.append(_ratio("restricted_mean", F.restricted_mean() / mean_exact,
+                         _RATE_TOL))
     reps = cfg.replicates or 10 ** 5
     n_mc = 200
-    cc_mc = composite_constants(model, n_mc)
+    F_mc = composite_law(model, n_mc)
     stats = run_ensemble(model, n_mc, reps,
                          scenario_seed(cfg.seed, sc.id), cfg.workers,
                          mode="generational")
     for name, est_se, target in (
-            ("zero", stats.zero_freq,
-             pgf_from_constants(0.0, r, cc_mc, 0.0)),
-            ("delta", stats.delta_freq,
-             1.0 - pgf_from_constants(0.0, r, cc_mc, 1.0))):
+            ("zero", stats.zero_freq, F_mc.pgf(0.0)),
+            ("delta", stats.delta_freq, 1.0 - F_mc.pgf(1.0))):
         se = max(est_se[1], 1e-9)
         checks.append(_approx(f"mc_{name}_freq", est_se[0], target,
                               4.0 * se * cfg.tolerance_scale,
@@ -611,20 +577,19 @@ def _checks_t9(sc, model, cfg, limits, law):
 def _checks_t10(sc, model, cfg, limits, law):
     n_big = cfg.horizon or _ANALYTIC_N
     cc = composite_constants(model, n_big)
-    theta = model.theta
-    alpha = -1.0 / theta
+    F = cc.law(model.theta, model.r)
+    alpha = -1.0 / model.theta
     if law.theorem_id == "T10i":
         C = law.param("C")
         rate = cc.A * alpha * C ** (alpha - 1.0)
-        checks = _defective_zero_a_checks(model, cc, law, rate, None,
-                                          _RATE_TOL)
+        checks = _defective_zero_a_checks(F, law, rate, None, _RATE_TOL)
         ab = an.absorption_probabilities(model, limits)
         checks.append(_approx("q_delta_closed_form", ab.q_delta,
                               C ** alpha, 1e-3))
         return checks, 0, (n_big,)
     # T10ii: E(Z_n; tau_Delta > n) = inf -- divergence witnessed through
     # truncated means at growing cutoffs
-    checks = _restricted_law_checks(model, cc, law, limits, _RATE_TOL)
+    checks = _restricted_law_checks(model, F, law, limits, _RATE_TOL)
     from .errors import CutoffExceeded
     from .series import extend_pmf, population_pmf
     n_small = 6
@@ -642,8 +607,7 @@ def _checks_t10(sc, model, cfg, limits, law):
                                "cutoffs (divergence check; the restricted "
                                "mean is infinite)"))
     checks.append(Check("restricted_mean_is_inf", 1.0, 1.0, 0.0,
-                        math.isinf(restricted_mean_from_constants(
-                            theta, 1.0, cc, "c"))))
+                        math.isinf(F.restricted_mean())))
     return checks, 0, (n_big, n_small)
 
 

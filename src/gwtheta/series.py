@@ -3,9 +3,9 @@
 Every generating function in the family has the shape
     g(s) = r - (a (r-s)^(-theta) + c)^(-1/theta)        (theta != 0)
     g(s) = r - d (r-s)^a                                (theta == 0)
-so one coefficient engine serves both the one-step laws and the composed
-population laws.  Coefficients of the outer fractional power come from the
-standard power recurrence for h = u^gamma given the series u.
+(a ThetaLaw), so one coefficient engine serves both the one-step laws and
+the composed population laws.  Coefficients of the outer fractional power
+come from the standard power recurrence for h = u^gamma given the series u.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import composite_constants
-from .environment import ThetaModel
+from .analytics import composite_law
+from .environment import ThetaLaw, ThetaModel
 from .errors import CutoffExceeded, DomainError, GwThetaError
 
 log = logging.getLogger(__name__)
@@ -33,15 +33,15 @@ class Pmf:
 
     weights[j] = P(j) for j = 0..cutoff; tail_mass is the proper mass above
     the cutoff; defect_mass = 1 - g(1) is the mass on the absorbing symbol.
-    source carries (theta, r, a, c, log_d) so the law can be re-expanded to a
-    larger cutoff without external context.
+    source is the law itself, so it can be re-expanded to a larger cutoff
+    without external context.
     """
 
     weights: np.ndarray
     tail_mass: float
     defect_mass: float
     cutoff: int
-    source: tuple
+    source: ThetaLaw
 
     def __post_init__(self):
         self.weights.setflags(write=False)
@@ -57,21 +57,6 @@ class Pmf:
     def mean_truncated(self) -> float:
         j = np.arange(len(self.weights))
         return float(np.dot(j, self.weights))
-
-
-def _g_at_one(theta: float, r: float, a: float, c: float,
-              log_d) -> float:
-    """g(1) in closed form; 1 - g(1) is the defect mass."""
-    if theta == 0.0:
-        if r == 1.0:
-            return 1.0
-        return r - math.exp(log_d + a * math.log(r - 1.0))
-    if r == 1.0:
-        # (r-1)^(-theta) is +inf for theta > 0 and 0 for theta < 0
-        if theta > 0.0:
-            return 1.0
-        return 1.0 - c ** (-1.0 / theta)
-    return r - (a * (r - 1.0) ** (-theta) + c) ** (-1.0 / theta)
 
 
 def _coeffs_theta(theta: float, r: float, a: float, c: float,
@@ -119,35 +104,38 @@ def _coeffs_theta_zero(r: float, a: float, log_d: float,
     return p
 
 
-def _build(theta: float, r: float, a: float, c: float, log_d,
-           tail_tol: float, max_cutoff: int) -> Pmf:
+def _coeffs(law: ThetaLaw, J: int) -> np.ndarray:
+    """Taylor weights p_0..p_J of the law, negative round-off clipped."""
+    if law.theta == 0.0:
+        p = _coeffs_theta_zero(law.r, law.a, law.log_d, J)
+    else:
+        p = _coeffs_theta(law.theta, law.r, law.a, law.c, J)
+    worst = float(p.min())
+    if worst < 0.0:
+        if worst < -NEGATIVE_CLIP:
+            raise GwThetaError(
+                f"negative pmf coefficient {worst} at cutoff {J}; "
+                "true coefficients are nonnegative, so the parameters "
+                "(or their validation) are inconsistent")
+        log.debug("clipped negative round-off of magnitude %g", -worst)
+        p = np.where(p < 0.0, 0.0, p)
+    return p
+
+
+def _build(law: ThetaLaw, tail_tol: float, max_cutoff: int) -> Pmf:
     if tail_tol <= 0.0:
         raise DomainError("tail_tol must be > 0")
     if max_cutoff < 1:
         raise DomainError("max_cutoff must be >= 1")
-    g1 = _g_at_one(theta, r, a, c, log_d)
+    g1 = law.pgf(1.0)
     defect = max(0.0, 1.0 - g1)
     J = min(64, max_cutoff)
     prev_tail = None
     while True:
-        if theta == 0.0:
-            p = _coeffs_theta_zero(r, a, log_d, J)
-        else:
-            p = _coeffs_theta(theta, r, a, c, J)
-        worst = float(p.min())
-        if worst < 0.0:
-            if worst < -NEGATIVE_CLIP:
-                raise GwThetaError(
-                    f"negative pmf coefficient {worst} at cutoff {J}; "
-                    "true coefficients are nonnegative, so the parameters "
-                    "(or their validation) are inconsistent")
-            log.debug("clipped negative round-off of magnitude %g", -worst)
-            p = np.where(p < 0.0, 0.0, p)
+        p = _coeffs(law, J)
         tail = g1 - math.fsum(p)
         if tail <= tail_tol:
-            pmf = Pmf(p, max(0.0, tail), defect, J,
-                      (theta, r, a, c, log_d))
-            return pmf
+            return Pmf(p, max(0.0, tail), defect, J, law)
         hopeless = False
         if J >= 1024 and prev_tail is not None and tail > 0.0:
             # projected cutoff from the observed per-doubling tail decay;
@@ -158,10 +146,10 @@ def _build(theta: float, r: float, a: float, c: float, log_d,
                 hopeless = True
             else:
                 doublings = math.log(tail_tol / tail) / math.log(rho)
-                hopeless = J * 2.0 ** doublings > max_cutoff
+                # compared in log2: 2^doublings overflows for slow tails
+                hopeless = doublings > math.log2(max_cutoff / J)
         if J >= max_cutoff or hopeless:
-            partial = Pmf(p, max(0.0, tail), defect, J,
-                          (theta, r, a, c, log_d))
+            partial = Pmf(p, max(0.0, tail), defect, J, law)
             raise CutoffExceeded(
                 f"tail mass {tail:.3e} cannot reach tail_tol {tail_tol:.3e} "
                 f"within the cutoff budget {max_cutoff} (heavy-tailed law; "
@@ -188,24 +176,19 @@ def pmf_from_theta_pgf(theta: float, r: float, a_coef: float,
             if c_coef >= r:
                 raise DomainError("c_coef must be < r when theta = 0")
             log_d = (1.0 - a_coef) * math.log(r - c_coef)
-        return _build(0.0, r, a_coef, 0.0, log_d, tail_tol, max_cutoff)
+        return _build(ThetaLaw(0.0, r, a_coef, 0.0, log_d), tail_tol,
+                      max_cutoff)
     if c_coef < 0.0:
         raise DomainError("c_coef must be >= 0")
-    return _build(theta, r, a_coef, c_coef, None, tail_tol, max_cutoff)
+    return _build(ThetaLaw(theta, r, a_coef, c_coef, None), tail_tol,
+                  max_cutoff)
 
 
 def step_pmf(model: ThetaModel, n: int,
              tail_tol: float = DEFAULT_TAIL_TOL,
              max_cutoff: int = DEFAULT_MAX_CUTOFF) -> Pmf:
     """Offspring pmf at generation n (the law with pgf f_n)."""
-    a, c = model.step(n)
-    if model.theta == 0.0:
-        lg = model.log_r_minus_c(n)
-        if lg is None:
-            raise DomainError(f"r - c_{n} <= 0")
-        return _build(0.0, model.r, a, 0.0, (1.0 - a) * lg,
-                      tail_tol, max_cutoff)
-    return _build(model.theta, model.r, a, c, None, tail_tol, max_cutoff)
+    return _build(model.step_law(n), tail_tol, max_cutoff)
 
 
 def population_pmf(model: ThetaModel, n: int,
@@ -215,14 +198,10 @@ def population_pmf(model: ThetaModel, n: int,
     is closed under composition, so no convolution over generations)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    cc = composite_constants(model, n)
-    if model.theta == 0.0:
-        if cc.log_D is None:
-            raise DomainError("composite log D undefined for this model")
-        return _build(0.0, model.r, cc.A, 0.0, cc.log_D,
-                      tail_tol, max_cutoff)
-    return _build(model.theta, model.r, cc.A, cc.C, None,
-                  tail_tol, max_cutoff)
+    law = composite_law(model, n)
+    if law.theta == 0.0 and law.log_d is None:
+        raise DomainError("composite log D undefined for this model")
+    return _build(law, tail_tol, max_cutoff)
 
 
 def extend_pmf(pmf: Pmf, cutoff: int) -> Pmf:
@@ -230,17 +209,8 @@ def extend_pmf(pmf: Pmf, cutoff: int) -> Pmf:
     unchanged; only the tail is resolved further)."""
     if cutoff <= pmf.cutoff:
         return pmf
-    theta, r, a, c, log_d = pmf.source
-    g1 = 1.0 - pmf.defect_mass
-    if theta == 0.0:
-        p = _coeffs_theta_zero(r, a, log_d, cutoff)
-    else:
-        p = _coeffs_theta(theta, r, a, c, cutoff)
-    p = np.where((p < 0.0) & (p >= -NEGATIVE_CLIP), 0.0, p)
-    if float(p.min()) < 0.0:
-        raise GwThetaError(
-            f"negative pmf coefficient {p.min()} at cutoff {cutoff}")
-    tail = max(0.0, g1 - math.fsum(p))
+    p = _coeffs(pmf.source, cutoff)
+    tail = max(0.0, 1.0 - pmf.defect_mass - math.fsum(p))
     return Pmf(p, tail, pmf.defect_mass, cutoff, pmf.source)
 
 

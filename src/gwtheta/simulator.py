@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .analytics import CompositeConstants, LimitLawDescriptor, composite_constants
-from .environment import ThetaModel
+from .analytics import (CompositeConstants, LimitLawDescriptor,
+                        composite_constants, composite_law)
+from .environment import ThetaLaw, ThetaModel
 from .errors import CutoffExceeded, DomainError
-from .series import Pmf, extend_pmf, population_pmf, step_pmf
+from .series import (DEFAULT_MAX_CUTOFF, Pmf, extend_pmf, population_pmf,
+                     step_pmf)
 
 DELTA = "delta"                  # absorbing symbol
 _DELTA_CODE = -1                 # internal integer encoding
@@ -59,71 +61,62 @@ def _replicate_streams(base_seed: int, indices):
 # Law samplers
 # ---------------------------------------------------------------------------
 
-def _sibuya_log_tail(j: float, a: float) -> float:
-    """ln P(Y > j) for the law with pgf 1 - (1-s)^a (heavy tail, a in (0,1))."""
+def heavy_tail_log_sf(j: float, a: float) -> float:
+    """ln P(Y > j) for the law with pgf 1 - (1-s)^a (heavy tail, a in (0,1)):
+    P(Y > j) = Gamma(j+1-a) / (Gamma(j+1) Gamma(1-a))."""
     return (math.lgamma(j + 1.0 - a) - math.lgamma(j + 1.0)
             - math.lgamma(1.0 - a))
 
 
-def sample_heavy_tail_index(u: float, a: float) -> int:
-    """Inverse-transform draw from the pgf 1 - (1-s)^a given uniform u.
-
-    P(Y > j) = binom-tail Gamma(j+1-a)/(Gamma(j+1)Gamma(1-a)); inverted by
-    binary search in log space, switching to the asymptotic tail
-    P(Y > j) ~ j^(-a)/Gamma(1-a) beyond 2^40.
-    """
-    # want the smallest j >= 1 with P(Y > j) <= 1 - u
+def _heavy_tail_search(u: float, a: float):
+    """Inverse transform of the pgf 1 - (1-s)^a at uniform u: the smallest
+    j >= 1 with P(Y > j) <= 1 - u, by binary search in log space, as
+    (j, None); beyond 2^40 as (None, ln j) from the asymptotic tail
+    P(Y > j) ~ j^(-a) / Gamma(1-a)."""
     log_target = math.log1p(-u) if u < 1.0 else -math.inf
-    if _sibuya_log_tail(1.0, a) <= log_target:
-        return 1
+    if heavy_tail_log_sf(1.0, a) <= log_target:
+        return 1, None
     hi = 2
-    while hi <= 2 ** 40 and _sibuya_log_tail(float(hi), a) > log_target:
+    while hi <= 2 ** 40 and heavy_tail_log_sf(float(hi), a) > log_target:
         hi *= 2
     if hi > 2 ** 40:
         # asymptotic inversion: -a ln j - lgamma(1-a) = log_target
-        log_j = -(log_target + math.lgamma(1.0 - a)) / a
-        return int(math.ceil(math.exp(min(log_j, 700.0))))
+        return None, -(log_target + math.lgamma(1.0 - a)) / a
     lo = hi // 2           # tail(lo) > target >= tail(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _sibuya_log_tail(float(mid), a) > log_target:
+        if heavy_tail_log_sf(float(mid), a) > log_target:
             lo = mid
         else:
             hi = mid
-    return hi
+    return hi, None
+
+
+def sample_heavy_tail_index(u: float, a: float) -> int:
+    """Inverse-transform draw from the pgf 1 - (1-s)^a given uniform u."""
+    j, log_j = _heavy_tail_search(u, a)
+    if j is None:
+        return int(math.ceil(math.exp(min(log_j, 700.0))))
+    return j
 
 
 def sample_heavy_tail_log(u: float, a: float) -> float:
     """ln of a draw from the pgf 1 - (1-s)^a; exact up to 2^40 and via the
     asymptotic tail inversion beyond (relative tail error O(1/j)).  Returns a
     float so draws far beyond any integer range stay usable in log scale."""
-    log_target = math.log1p(-u) if u < 1.0 else -math.inf
-    if _sibuya_log_tail(1.0, a) <= log_target:
-        return 0.0
-    hi = 2
-    while hi <= 2 ** 40 and _sibuya_log_tail(float(hi), a) > log_target:
-        hi *= 2
-    if hi > 2 ** 40:
-        return -(log_target + math.lgamma(1.0 - a)) / a
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _sibuya_log_tail(float(mid), a) > log_target:
-            lo = mid
-        else:
-            hi = mid
-    return math.log(hi)
+    j, log_j = _heavy_tail_search(u, a)
+    return log_j if j is None else math.log(j)
 
 
 class _MixtureHeavySampler:
-    """Exact sampler for pgf g(s) = 1 - d (1-s)^a (theta = 0, r = 1):
+    """Exact sampler for a law g(s) = 1 - d (1-s)^a (theta = 0, r = 1):
     0 with probability 1-d, else a heavy-tail index draw with parameter a."""
 
     emits_delta = False
 
-    def __init__(self, a: float, log_d: float):
-        self.a = a
-        self.p_zero = 1.0 - math.exp(log_d)
+    def __init__(self, law: ThetaLaw):
+        self.a = law.a
+        self.p_zero = law.pgf(0.0)
 
     def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
         u = rng.random(k)
@@ -178,7 +171,7 @@ class _PmfSampler:
 
 
 def _build_sampling_pmf(builder, *args, tail_tol=_SAMPLING_TAIL_TOL,
-                        max_cutoff=2 ** 20):
+                        max_cutoff=DEFAULT_MAX_CUTOFF):
     """Best-effort pmf for sampling: an unreachable tail tolerance is fine,
     the sampler extends (or raises) only when a draw actually lands there."""
     try:
@@ -187,24 +180,19 @@ def _build_sampling_pmf(builder, *args, tail_tol=_SAMPLING_TAIL_TOL,
         return err.partial
 
 
-def _offspring_sampler(model: ThetaModel, n: int, max_cutoff: int):
+def _sampler(model: ThetaModel, n: int, max_cutoff: int, population: bool):
+    """Sampler of the one-step law f_n, or of the law F_n of Z_n when
+    population is set."""
     if model.theta == 0.0 and model.r == 1.0:
-        a, _ = model.step(n)
-        return _MixtureHeavySampler(a, (1.0 - a) * model.log_r_minus_c(n))
-    pmf = _build_sampling_pmf(step_pmf, model, n, max_cutoff=max_cutoff)
-    return _PmfSampler(pmf, max_cutoff)
-
-
-def _population_sampler(model: ThetaModel, n: int, max_cutoff: int):
-    if model.theta == 0.0 and model.r == 1.0:
-        cc = composite_constants(model, n)
-        return _MixtureHeavySampler(cc.A, cc.log_D)
-    pmf = _build_sampling_pmf(population_pmf, model, n, max_cutoff=max_cutoff)
+        law = composite_law(model, n) if population else model.step_law(n)
+        return _MixtureHeavySampler(law)
+    build_pmf = population_pmf if population else step_pmf
+    pmf = _build_sampling_pmf(build_pmf, model, n, max_cutoff=max_cutoff)
     return _PmfSampler(pmf, max_cutoff)
 
 
 def sample_offspring(pmf: Pmf, rng: np.random.Generator,
-                     max_cutoff: int = 2 ** 20):
+                     max_cutoff: int = DEFAULT_MAX_CUTOFF):
     """One inverse-transform draw from a Pmf: count, or DELTA."""
     value = int(_PmfSampler(pmf, max_cutoff).draw(rng, 1)[0])
     return DELTA if value == _DELTA_CODE else value
@@ -239,7 +227,7 @@ def _simulate_states(model: ThetaModel, horizon: int,
             continue
         sampler = samplers.get(n)
         if sampler is None:
-            sampler = _offspring_sampler(model, n, max_cutoff)
+            sampler = _sampler(model, n, max_cutoff, False)
             samplers[n] = sampler
         total = 0
         remaining = z
@@ -266,7 +254,7 @@ def _simulate_states(model: ThetaModel, horizon: int,
 
 def simulate_trajectory(model: ThetaModel, horizon: int, seed: int,
                         population_cap: int = POPULATION_CAP,
-                        max_cutoff: int = 2 ** 20,
+                        max_cutoff: int = DEFAULT_MAX_CUTOFF,
                         _samplers: dict = None) -> Trajectory:
     """Generation-by-generation path; deterministic in (model, horizon, seed)."""
     if horizon < 1:
@@ -288,12 +276,12 @@ def simulate_trajectory(model: ThetaModel, horizon: int, seed: int,
 
 
 def sample_zn_direct(model: ThetaModel, n: int, seed: int,
-                     max_cutoff: int = 2 ** 20):
+                     max_cutoff: int = DEFAULT_MAX_CUTOFF):
     """One draw of Z_n straight from the composite law (the family is closed
     under composition, so Z_n's law needs no generation loop)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    sampler = _population_sampler(model, n, max_cutoff)
+    sampler = _sampler(model, n, max_cutoff, True)
     value = int(sampler.draw(replicate_rng(seed, 0), 1)[0])
     return DELTA if value == _DELTA_CODE else value
 
@@ -371,7 +359,7 @@ def _run_chunk(model: ThetaModel, horizon: int, mode: str, base_seed: int,
     samplers = {}
     direct_sampler = None
     if mode == "direct":
-        direct_sampler = _population_sampler(model, horizon, max_cutoff)
+        direct_sampler = _sampler(model, horizon, max_cutoff, True)
     for rng in _replicate_streams(base_seed, range(start, start + count)):
         try:
             if mode == "direct":
@@ -412,7 +400,7 @@ def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
                  scaling: Optional[LimitLawDescriptor] = None,
                  s_grid: Sequence[float] = DEFAULT_S_GRID,
                  population_cap: int = POPULATION_CAP,
-                 max_cutoff: int = 2 ** 20) -> EnsembleStats:
+                 max_cutoff: int = DEFAULT_MAX_CUTOFF) -> EnsembleStats:
     """Ensemble statistics over independent replicates.
 
     Replicates are split into fixed-size chunks by index; chunk results are

@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
 from gwtheta.cli import main
-from gwtheta.environment import ThetaModel
+from gwtheta.environment import EnvSequence, ThetaModel
 from gwtheta.harness import scenario_model
 
 
@@ -124,3 +125,14 @@ def test_model_overrides_rejected_with_model_file(capsys, tmp_path):
     code, _, err = run(capsys, "classify", "--model", str(path),
                        "--theta", "0.5")
     assert code == 2 and "--theta" in err
+
+
+def test_nan_model_is_invalid(capsys, tmp_path):
+    spec = {"theta": 0.5, "r": 2.0,
+            "a": EnvSequence.from_table([0.5]).to_dict(),
+            "c": EnvSequence.from_table([math.nan]).to_dict()}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "analyze", "--model", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "invalid model" in err

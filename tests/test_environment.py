@@ -156,6 +156,22 @@ def test_bound_slack_absorbs_roundoff():
     _simple_model(1.0, 2.0, 0.5, c * 0.5 / 0.5)  # just inside slack
 
 
+# one admissible (theta, r, a_1) per case (a)..(f)
+CASE_ROWS = [(0.5, 1.0, 0.5), (0.5, 2.0, 0.5), (-0.5, 1.0, 0.5),
+             (-0.5, 2.0, 0.5), (0.0, 1.0, 0.5), (0.0, 2.0, 0.5)]
+
+
+@pytest.mark.parametrize("theta,r,a", CASE_ROWS,
+                         ids=["a", "b", "c", "d", "e", "f"])
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_c_rejected(theta, r, a, c):
+    with pytest.raises(RejectedParameter) as err:
+        validate_model(theta, r, EnvSequence.from_table([a]),
+                       EnvSequence.from_table([c]), check_horizon=1)
+    assert err.value.index == 1
+
+
 def test_lazy_validation_beyond_horizon():
     # table that turns invalid at n = 3; check_horizon = 2 defers the error
     a = EnvSequence.from_table([0.5, 0.5, -1.0])

@@ -2,8 +2,10 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gwtheta.environment import step_pgf_weight_one
+from gwtheta.analytics import composed_pgf
+from gwtheta.environment import ThetaLaw, step_pgf_weight_one
 from gwtheta.errors import CutoffExceeded, DomainError, GwThetaError
 from gwtheta.harness import scenario_model
 from gwtheta.series import (extend_pmf, pmf_from_theta_pgf, population_pmf,
@@ -148,3 +150,56 @@ def test_csv_export(tmp_path):
     assert lines[0] == "j,weight"
     assert lines[1].startswith("0,0.5")
     assert lines[-1] == f"cutoff,{pmf.cutoff}"
+
+
+@pytest.mark.parametrize("r", [3.0, 1.5])
+def test_defect_mass_is_analytic_f_n_at_one(r):
+    model = scenario_model("Ex9ii", r=r)
+    for n in range(1, 201):
+        assert population_pmf(model, n).defect_mass == \
+            max(0.0, 1.0 - composed_pgf(model, n, 1.0)), n
+
+
+def _admissible(case, theta, r, a, t):
+    """(theta, r, a, c) in row `case` of the parameter table, with c placed
+    by t in [0, 1] within the admissible band."""
+    if case == "a":
+        lo = max(1.0 - a, 1e-3)
+        return theta, 1.0, a, lo + 2.0 * t
+    if case in ("b", "d"):
+        ends = ((1.0 - a) * r ** (-theta), (1.0 - a) * (r - 1.0) ** (-theta))
+        return theta, r, a, min(ends) + t * (max(ends) - min(ends))
+    if case == "c":
+        return theta, 1.0, a, (1.0 - a) * max(t, 1e-3)
+    if case == "e":
+        return 0.0, 1.0, a, 0.99 * t
+    return 0.0, r, a, t
+
+
+_unit = st.floats(0.0, 1.0)
+_case_params = st.one_of(
+    st.builds(_admissible, st.just("a"), st.floats(0.05, 1.0), st.just(1.0),
+              st.floats(0.05, 3.0), _unit),
+    st.builds(_admissible, st.just("b"), st.floats(0.05, 1.0),
+              st.floats(1.05, 4.0), st.floats(0.01, 0.99), _unit),
+    st.builds(_admissible, st.just("c"), st.floats(-0.95, -0.05),
+              st.just(1.0), st.floats(0.01, 0.99), _unit),
+    st.builds(_admissible, st.just("d"), st.floats(-0.95, -0.05),
+              st.floats(1.05, 4.0), st.floats(0.01, 0.99), _unit),
+    st.builds(_admissible, st.just("e"), st.just(0.0), st.just(1.0),
+              st.floats(0.01, 0.99), _unit),
+    st.builds(_admissible, st.just("f"), st.just(0.0), st.floats(1.05, 4.0),
+              st.floats(0.01, 0.99), _unit),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_case_params)
+def test_pmf_agrees_with_its_law(params):
+    theta, r, a, c = params
+    pmf = build_or_partial(theta, r, a, c, max_cutoff=2 ** 12)
+    log_d = (1.0 - a) * math.log(r - c) if theta == 0.0 else None
+    law = ThetaLaw(theta, r, a, c, log_d)
+    assert pmf.defect_mass == max(0.0, 1.0 - law.pgf(1.0))
+    assert pmf.weights[0] == pytest.approx(law.pgf(0.0), rel=1e-12)
+    assert pmf.weights[1] == pytest.approx(law.weight_one(), rel=1e-12)
