@@ -4,8 +4,15 @@ Every generating function in the family has the shape
     g(s) = r - (a (r-s)^(-theta) + c)^(-1/theta)        (theta != 0)
     g(s) = r - d (r-s)^a                                (theta == 0)
 (a ThetaLaw), so one coefficient engine serves both the one-step laws and
-the composed population laws.  Coefficients of the outer fractional power
-come from the standard power recurrence for h = u^gamma given the series u.
+the composed population laws.  It has two parts.  theta = 0 has an O(J)
+binomial closed form.  For theta != 0, weights p_0..p_{2^12} come from the
+O(J^2) power recurrence for h = u^gamma given the series u, and each dyadic
+block p_{2^k+1}..p_{2^(k+1)} above 2^12 from one trapezoidal Cauchy integral
+on |s| = rho with N = 8 2^(k+1) nodes and rho = r 10^(-16/N) (Bornemann,
+"Accuracy and stability of computing high-order derivatives of analytic
+functions by Cauchy integrals", Found. Comput. Math. 2011).  A block is
+computed whole and then cut at the cutoff, so a weight depends only on the
+law and its index; extending a pmf computes only the new weights.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ log = logging.getLogger(__name__)
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_MAX_CUTOFF = 2 ** 20
 NEGATIVE_CLIP = 1e-14
+RECURRENCE_MAX = 2 ** 12         # highest index from the power recurrence
+_NO_WEIGHTS = np.empty(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,13 +113,64 @@ def _coeffs_theta_zero(r: float, a: float, log_d: float,
     return p
 
 
-def _coeffs(law: ThetaLaw, J: int) -> np.ndarray:
-    """Taylor weights p_0..p_J of the law, negative round-off clipped."""
+def _cauchy_block(law: ThetaLaw, k: int) -> np.ndarray:
+    """Weights p_{B+1}..p_{2B}, B = 2^k, of a theta != 0 law from one
+    trapezoidal Cauchy integral on |s| = rho with N = 16 B nodes:
+
+        p_j = rho^(-j) / N  sum_m g(rho z^m) z^(-jm),   z = exp(2 pi i / N).
+
+    rho^N = r^N 1e-16 keeps the aliased terms p_{j+N} rho^N below eps, and
+    rho^(-j) <= 100 r^(-j) bounds the amplified round-off for j <= N/8
+    (Bornemann, Found. Comput. Math. 2011).  The sum runs as 16 strided
+    FFTs of length B (m = t + 16 q), accumulated in one length-B vector, so
+    memory is O(B).  The constant r of g only reaches j = 0 mod N and is
+    left out; principal branches are valid on |s| < r, where
+    Re(r - s) > 0 and so Re(a (r-s)^(-theta) + c) > 0 for theta in (-1, 1].
+    """
+    theta, r, a, c = law.theta, law.r, law.a, law.c
+    B = 2 ** k
+    N = 16 * B
+    log_ratio = -16.0 * math.log(10.0) / N          # ln(rho / r)
+    rho = r * math.exp(log_ratio)
+    r_minus_rho = -r * math.expm1(log_ratio)
+    j = np.arange(B + 1, 2 * B + 1)
+    q = np.arange(B)
+    acc = np.zeros(B, dtype=complex)
+    for t in range(16):
+        phi = (2.0 * math.pi / N) * (t + 16 * q)
+        # r - rho e^(i phi), without cancellation near phi = 0
+        w = (r_minus_rho + 2.0 * rho * np.sin(0.5 * phi) ** 2) \
+            - 1j * rho * np.sin(phi)
+        h = -(a * w ** (-theta) + c) ** (-1.0 / theta)
+        # FFT bin j mod B holds p_j for j = B+1..2B-1 at 1..B-1, p_{2B} at 0
+        f = np.roll(np.fft.fft(h), -1)
+        f *= np.exp((-2.0j * math.pi / N) * ((j * t) % N))
+        acc += f
+    return np.exp(-math.log(rho) * j) / N * acc.real
+
+
+def _extend_coeffs(law: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
+    """Taylor weights p_0..p_J of the law, keeping the weights p it already
+    has (indices 0..len(p)-1, computed here, possibly none).  Only the new
+    indices are computed, and only their negative round-off is clipped."""
+    K = len(p)
     if law.theta == 0.0:
-        p = _coeffs_theta_zero(law.r, law.a, law.log_d, J)
+        parts = [_coeffs_theta_zero(law.r, law.a, law.log_d, J)[K:]]
     else:
-        p = _coeffs_theta(law.theta, law.r, law.a, law.c, J)
-    worst = float(p.min())
+        parts = []
+        if K <= RECURRENCE_MAX:
+            # the recurrence cannot resume, so its prefix is recomputed
+            parts.append(_coeffs_theta(law.theta, law.r, law.a, law.c,
+                                       min(J, RECURRENCE_MAX))[K:])
+        lo = max(K, RECURRENCE_MAX + 1)
+        while lo <= J:
+            k = (lo - 1).bit_length() - 1       # 2^k < lo <= 2^(k+1)
+            B = 2 ** k
+            hi = min(J, 2 * B)
+            parts.append(_cauchy_block(law, k)[lo - B - 1:hi - B])
+            lo = hi + 1
+    new = np.concatenate(parts)
+    worst = float(new.min())
     if worst < 0.0:
         if worst < -NEGATIVE_CLIP:
             raise GwThetaError(
@@ -118,8 +178,13 @@ def _coeffs(law: ThetaLaw, J: int) -> np.ndarray:
                 "true coefficients are nonnegative, so the parameters "
                 "(or their validation) are inconsistent")
         log.debug("clipped negative round-off of magnitude %g", -worst)
-        p = np.where(p < 0.0, 0.0, p)
-    return p
+        new = np.where(new < 0.0, 0.0, new)
+    return np.concatenate([p, new])
+
+
+def _coeffs(law: ThetaLaw, J: int) -> np.ndarray:
+    """Taylor weights p_0..p_J of the law, negative round-off clipped."""
+    return _extend_coeffs(law, _NO_WEIGHTS, J)
 
 
 def _build(law: ThetaLaw, tail_tol: float, max_cutoff: int) -> Pmf:
@@ -131,8 +196,9 @@ def _build(law: ThetaLaw, tail_tol: float, max_cutoff: int) -> Pmf:
     defect = max(0.0, 1.0 - g1)
     J = min(64, max_cutoff)
     prev_tail = None
+    p = _NO_WEIGHTS
     while True:
-        p = _coeffs(law, J)
+        p = _extend_coeffs(law, p, J)
         tail = g1 - math.fsum(p)
         if tail <= tail_tol:
             return Pmf(p, max(0.0, tail), defect, J, law)
@@ -205,11 +271,11 @@ def population_pmf(model: ThetaModel, n: int,
 
 
 def extend_pmf(pmf: Pmf, cutoff: int) -> Pmf:
-    """Recompute the same law with a larger cutoff (prefix weights are
-    unchanged; only the tail is resolved further)."""
+    """The same law with a larger cutoff: the weights it has are kept and
+    only the new ones are computed, so the tail is resolved further."""
     if cutoff <= pmf.cutoff:
         return pmf
-    p = _coeffs(pmf.source, cutoff)
+    p = _extend_coeffs(pmf.source, pmf.weights, cutoff)
     tail = max(0.0, 1.0 - pmf.defect_mass - math.fsum(p))
     return Pmf(p, tail, pmf.defect_mass, cutoff, pmf.source)
 

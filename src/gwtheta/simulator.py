@@ -34,10 +34,14 @@ _MASK64 = (1 << 64) - 1
 
 
 def replicate_rng(base_seed: int, replicate_index: int) -> np.random.Generator:
-    """Counter-based stream keyed by (base_seed, replicate_index)."""
-    key = np.array([base_seed & _MASK64, replicate_index & _MASK64],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Counter-based stream keyed by (base_seed, replicate_index).  The
+    Philox is seeded with 0 and then re-keyed: built with a key alone it
+    would first draw OS entropy for a seed that the key overrides."""
+    bitgen = np.random.Philox(0)
+    state = bitgen.state
+    state["state"]["key"] = (base_seed & _MASK64, replicate_index & _MASK64)
+    bitgen.state = state
+    return np.random.Generator(bitgen)
 
 
 def _replicate_streams(base_seed: int, indices):
@@ -45,7 +49,7 @@ def _replicate_streams(base_seed: int, indices):
     the replicate_rng(base_seed, i) stream.  One Philox is re-keyed in place
     (counter zero, empty buffer) instead of constructing a generator per
     replicate; each one is valid only until the next is drawn."""
-    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     seed = base_seed & _MASK64
     zero = (0, 0, 0, 0)

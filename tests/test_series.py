@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gwtheta import series
 from gwtheta.analytics import composed_pgf
 from gwtheta.environment import ThetaLaw, step_pgf_weight_one
 from gwtheta.errors import CutoffExceeded, DomainError, GwThetaError
@@ -203,3 +206,94 @@ def test_pmf_agrees_with_its_law(params):
     assert pmf.defect_mass == max(0.0, 1.0 - law.pgf(1.0))
     assert pmf.weights[0] == pytest.approx(law.pgf(0.0), rel=1e-12)
     assert pmf.weights[1] == pytest.approx(law.weight_one(), rel=1e-12)
+
+
+# -- weights above RECURRENCE_MAX (Cauchy integral blocks) -------------------
+
+def linear_fractional_weights(a, c, J):
+    """theta = 1, r = 1: 1 - (a/(1-s) + c)^-1 = 1 - (1-s)/(a + c(1-s)), so
+    p_0 = 1 - 1/(a+c) and p_j = a/(a+c)^2 (c/(a+c))^(j-1) for j >= 1."""
+    d = a + c
+    p = (a / (d * d)) * (c / d) ** (np.arange(J + 1, dtype=float) - 1.0)
+    p[0] = 1.0 - 1.0 / d
+    return p
+
+
+def half_power_weights(a, c, J):
+    """theta = -1/2, r = 1: 1 - (a (1-s)^(1/2) + c)^2
+    = 1 - c^2 - a^2 (1-s) - 2ac (1-s)^(1/2), with the binomial series
+    (1-s)^(1/2) = sum_j b_j s^j, b_0 = 1, b_{j+1} = b_j (j - 1/2)/(j + 1)."""
+    b = np.ones(J + 1)
+    for j in range(J):
+        b[j + 1] = b[j] * (j - 0.5) / (j + 1.0)
+    p = -2.0 * a * c * b
+    p[0] += 1.0 - c * c - a * a
+    p[1] += a * a
+    return p
+
+
+@pytest.mark.parametrize("J", [2 ** 13, 2 ** 14, 2 ** 16])
+@pytest.mark.parametrize("theta,a,c,closed_form", [
+    (1.0, 0.5, 0.6, linear_fractional_weights),
+    (1.0, 0.05, 1.0, linear_fractional_weights),
+    (1.0, 0.9, 0.3, linear_fractional_weights),
+    (-0.5, 0.5, 0.3, half_power_weights),
+    (-0.5, 0.05, 0.9, half_power_weights),
+    (-0.5, 0.9, 0.05, half_power_weights),
+])
+def test_weights_above_recurrence_match_closed_form(theta, a, c, closed_form,
+                                                    J):
+    p = series._coeffs(ThetaLaw(theta, 1.0, a, c, None), J)
+    assert len(p) == J + 1
+    assert np.max(np.abs(p - closed_form(a, c, J))) <= 1e-13
+
+
+@pytest.mark.parametrize("theta,a,c", [(-0.95, 0.5, 0.3), (-0.3, 0.9, 0.05),
+                                       (0.05, 0.5, 0.6), (0.5, 0.1, 1.2),
+                                       (0.99, 0.95, 0.1)])
+def test_weights_above_recurrence_match_recurrence(theta, a, c):
+    J = 2 ** 13
+    p = series._coeffs(ThetaLaw(theta, 1.0, a, c, None), J)
+    q = series._coeffs_theta(theta, 1.0, a, c, J)
+    assert np.array_equal(p[:series.RECURRENCE_MAX + 1],
+                          q[:series.RECURRENCE_MAX + 1])
+    assert np.max(np.abs(p - q)) <= 1e-13
+
+
+def test_weights_depend_on_index_only():
+    # a weight is the same whatever cutoff, or chain of cutoffs, led to it
+    law = ThetaLaw(-0.5, 1.0, 0.4, 0.35, None)
+    full = series._coeffs(law, 2 ** 14)
+    for k in (2 ** 12, 5000, 2 ** 13):
+        assert np.array_equal(full[:k + 1], series._coeffs(law, k)), k
+    # tail tolerances that the doubling first meets at 2^12 and at 2^14
+    tol = [1.0 - 0.35 ** 2 - math.fsum(half_power_weights(0.4, 0.35,
+                                                          3 * J // 4))
+           for J in (2 ** 12, 2 ** 14)]
+    small = pmf_from_theta_pgf(-0.5, 1.0, 0.4, 0.35, tail_tol=tol[0],
+                               max_cutoff=2 ** 15)
+    direct = pmf_from_theta_pgf(-0.5, 1.0, 0.4, 0.35, tail_tol=tol[1],
+                                max_cutoff=2 ** 15)
+    assert (small.cutoff, direct.cutoff) == (2 ** 12, 2 ** 14)
+    extended = extend_pmf(small, 2 ** 14)
+    assert np.array_equal(extended.weights, direct.weights)
+    assert np.array_equal(extended.weights, full)
+    odd = extend_pmf(small, 5000)
+    assert np.array_equal(odd.weights, full[:5001])
+    again = extend_pmf(odd, 12000)
+    assert np.array_equal(again.weights, full[:12001])
+
+
+def test_extension_memory_is_per_block():
+    # one complex array over the 2^18 nodes of the last block would alone
+    # take 4 MB; the strided sum keeps the peak to a few block-length arrays
+    partial = build_or_partial(-0.5, 1.0, 0.5, 0.3, max_cutoff=2 ** 12)
+    assert partial.cutoff <= 2 ** 12
+    tracemalloc.start()
+    try:
+        extended = extend_pmf(partial, 2 ** 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert extended.cutoff == 2 ** 15
+    assert peak < 3 * 2 ** 20, peak

@@ -1,13 +1,16 @@
+import cProfile
 import math
+import pstats
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from gwtheta import simulator
 from gwtheta.analytics import composed_pgf, composite_constants
 from gwtheta.errors import DomainError
 from gwtheta.harness import scenario_model
-from gwtheta.series import pmf_from_theta_pgf
+from gwtheta.series import RECURRENCE_MAX, extend_pmf, pmf_from_theta_pgf
 from gwtheta.simulator import (DELTA, _replicate_streams, replicate_rng,
                                run_ensemble, sample_heavy_tail_index,
                                sample_heavy_tail_log, sample_offspring,
@@ -31,6 +34,27 @@ def test_replicate_streams_match_replicate_rng(seed):
         fresh = replicate_rng(seed, i)
         assert np.array_equal(rng.random(9), fresh.random(9)), i
         assert rng.integers(0, 2 ** 62) == fresh.integers(0, 2 ** 62), i
+
+
+@pytest.mark.parametrize("seed", [20240901, 2 ** 63 + 12345])
+def test_replicate_rng_matches_keyed_philox(seed):
+    # a Philox built from the key alone gives the reference stream of a
+    # (seed, index) key
+    for i in (0, 1, 977, 2 ** 63, 2 ** 64 - 1):
+        key = np.array([seed & (2 ** 64 - 1), i], dtype=np.uint64)
+        keyed = np.random.Generator(np.random.Philox(key=key))
+        rng = replicate_rng(seed, i)
+        assert np.array_equal(rng.random(9), keyed.random(9)), i
+        assert rng.integers(0, 2 ** 62) == keyed.integers(0, 2 ** 62), i
+
+
+def test_replicate_rng_draws_no_os_entropy():
+    profile = cProfile.Profile()
+    profile.runcall(lambda: [replicate_rng(5, i) for i in range(1000)])
+    entropy_calls = sum(row[1] for (_, _, fn), row
+                        in pstats.Stats(profile).stats.items()
+                        if "getrandbits" in fn)
+    assert entropy_calls == 0
 
 
 def test_sample_offspring_chi_square():
@@ -136,6 +160,28 @@ def test_run_ensemble_reproducible_across_workers():
     b = run_ensemble(model, 5, 9000, base_seed=77, workers=3)
     assert a.zero_freq == b.zero_freq
     assert a.empirical_pgf == b.empirical_pgf
+
+
+def test_run_ensemble_reproducible_across_workers_above_recurrence(
+        monkeypatch):
+    # small chunks, so several chunks extend their own sampler's pmf past
+    # RECURRENCE_MAX, into the Cauchy integral blocks
+    monkeypatch.setattr(simulator, "CHUNK", 512)
+    cutoffs = []
+
+    def recording_extend(pmf, cutoff):
+        cutoffs.append(cutoff)
+        return extend_pmf(pmf, cutoff)
+    model = scenario_model("Ex10ii")
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "extend_pmf", recording_extend)
+        one = run_ensemble(model, 30, 3000, 1, workers=1, mode="direct",
+                           max_cutoff=2 ** 14)
+    assert max(cutoffs) == 2 ** 14
+    assert sum(c > RECURRENCE_MAX for c in cutoffs) >= 4
+    two = run_ensemble(model, 30, 3000, 1, workers=2, mode="direct",
+                       max_cutoff=2 ** 14)
+    assert one == two
 
 
 def test_run_ensemble_scaled_samples():
