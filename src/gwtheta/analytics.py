@@ -6,8 +6,11 @@ descriptors."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .environment import ThetaLaw, ThetaModel
 from .errors import DomainError, NoLimitLaw, UndeterminedLimit
@@ -40,30 +43,87 @@ class CompositeConstants:
         return ThetaLaw(theta, r, self.A, self.C, self.log_D)
 
 
+_ORIGIN = CompositeConstants(0, 1.0, 0.0, 0.0, 0.0)
+
+# generations per block of the constants scan: memory is O(_BLOCK) at any n
+_BLOCK = 2 ** 14
+
+
+class _Block(NamedTuple):
+    """Generations n0 <= n < n0 + len(a) of the constants scan: the step
+    parameters, ln(r - c_n) (NaN where r - c_n <= 0) and the composite
+    constants.  log_D stops short at the first NaN of lg: D_n is undefined
+    from there on."""
+
+    n0: int
+    a: np.ndarray
+    c: np.ndarray
+    lg: np.ndarray
+    A: np.ndarray
+    C: np.ndarray
+    log_D: np.ndarray
+    B: np.ndarray
+
+    def at(self, n: int) -> CompositeConstants:
+        i = n - self.n0
+        log_D = float(self.log_D[i]) if i < self.log_D.size else None
+        return CompositeConstants(n, float(self.A[i]), float(self.C[i]),
+                                  log_D, float(self.B[i]))
+
+    def picks(self, ns: Sequence[int]) -> Sequence[int]:
+        """The generations of the sorted ns that fall in this block."""
+        return ns[bisect_left(ns, self.n0):bisect_left(ns,
+                                                       self.n0 + self.a.size)]
+
+    def window(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The entries of x for lo <= n < hi that fall in this block."""
+        return x[max(lo - self.n0, 0):max(hi - self.n0, 0)]
+
+
+def _blocks(model: ThetaModel, up_to: int):
+    """Yield the constants for n = 1..up_to in blocks of _BLOCK generations.
+
+    A_n = A_{n-1} a_n, C_n = C_{n-1} + A_{n-1} c_n and
+    ln D_n = ln D_{n-1} + (A_{n-1} - A_n) ln(r - c_n) are prefix products and
+    sums.  Each block prepends the running values of the last one, and
+    cumprod/cumsum accumulate left to right, so every entry equals the
+    one-generation-at-a-time recursion bit for bit."""
+    A_end, C_end, log_D_end = 1.0, 0.0, 0.0
+    for n0 in range(1, up_to + 1, _BLOCK):
+        a, c = model.steps(n0, min(n0 + _BLOCK, up_to + 1))
+        lg = model.log_r_minus_values(n0, c)
+        # overflow to inf and inf - inf = NaN behave as in float arithmetic
+        with np.errstate(all="ignore"):
+            A = np.cumprod(np.concatenate(([A_end], a)))
+            C = np.cumsum(np.concatenate(([C_end], A[:-1] * c)))[1:]
+            if log_D_end is None:
+                log_D = lg[:0]
+            else:
+                dead = np.flatnonzero(np.isnan(lg))
+                cut = dead[0] if dead.size else lg.size
+                log_D = np.cumsum(np.concatenate((
+                    [log_D_end], (A[:-1] - A[1:])[:cut] * lg[:cut])))[1:]
+            A = A[1:]
+            B = np.divide(C, A, out=np.full(A.size, math.inf), where=A > 0.0)
+        A_end, C_end = A[-1], C[-1]
+        log_D_end = log_D[-1] if log_D.size == a.size else None
+        yield _Block(n0, a, c, lg, A, C, log_D, B)
+
+
 def constants_iter(model: ThetaModel, up_to: int):
-    """Yield CompositeConstants for n = 0, 1, ..., up_to in one O(n) pass."""
-    A, C, log_D = 1.0, 0.0, 0.0
-    yield CompositeConstants(0, A, C, log_D, 0.0)
-    for n in range(1, up_to + 1):
-        a, c = model.step(n)
-        A_prev = A
-        A = A * a
-        C = C + A_prev * c
-        if log_D is not None:
-            lg = model.log_r_minus(n, c)
-            log_D = None if lg is None else log_D + (A_prev - A) * lg
-        B = C / A if A > 0.0 else math.inf
-        yield CompositeConstants(n, A, C, log_D, B)
+    """Yield CompositeConstants for n = 0, 1, ..., up_to in one O(n) pass.
+    An invalid index raises before the entries of its block are yielded."""
+    yield _ORIGIN
+    for blk in _blocks(model, up_to):
+        for n in range(blk.n0, blk.n0 + blk.a.size):
+            yield blk.at(n)
 
 
 def composite_constants(model: ThetaModel, n: int) -> CompositeConstants:
     """Exact recursion values at generation n >= 0."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    out = None
-    for out in constants_iter(model, n):
-        pass
-    return out
+    return constants_at(model, [n])[n]
 
 
 def composite_law(model: ThetaModel, n: int) -> ThetaLaw:
@@ -76,13 +136,10 @@ def constants_at(model: ThetaModel, ns: Iterable[int]) -> dict:
     wanted = sorted(set(int(n) for n in ns))
     if wanted and wanted[0] < 0:
         raise DomainError("indices must be >= 0")
-    out = {}
-    if not wanted:
-        return out
-    targets = set(wanted)
-    for cc in constants_iter(model, wanted[-1]):
-        if cc.n in targets:
-            out[cc.n] = cc
+    out = {0: _ORIGIN} if wanted and wanted[0] == 0 else {}
+    for blk in _blocks(model, wanted[-1] if wanted else 0):
+        for n in blk.picks(wanted):
+            out[n] = blk.at(n)
     return out
 
 
@@ -244,6 +301,21 @@ def _detect_positive_limit(cks: Sequence[float], tol: float,
     return LimitEstimate(UNDETERMINED, None, "no rule fired")
 
 
+def _fold_min_max(acc, x: np.ndarray):
+    """acc = (min, max) extended by x as min(m, v) and max(m, v) fold floats
+    one at a time: the first value seeds both, a NaN seed sticks and later
+    NaNs are passed over.  acc is None before the first value."""
+    if x.size == 0:
+        return acc
+    if acc is None:
+        acc = (x[0].item(), x[0].item())
+    lo, hi = acc
+    if math.isnan(lo):
+        return acc
+    return (min(lo, np.fmin.reduce(x).item()),
+            max(hi, np.fmax.reduce(x).item()))
+
+
 def _detect_log_limit(cks: Sequence[float], tol: float) -> LimitEstimate:
     """Limit detection for a sequence carried in log domain (used for D).
     Returns the limit of exp(x)."""
@@ -302,28 +374,21 @@ def limit_constants(model: ThetaModel, horizon: int,
         raise DomainError("horizon must be >= 10")
     if tol <= 0.0:
         raise DomainError("tol must be > 0")
-    marks = sorted({horizon // 8, horizon // 4, horizon // 2,
-                    3 * horizon // 4, horizon})
-    ck = {}
-    a_min1 = a_max1 = a_min2 = a_max2 = None
-    b_min1 = b_max1 = b_min2 = b_max2 = None
     half, quarter = horizon // 2, horizon // 4
-    for cc in constants_iter(model, horizon):
-        n = cc.n
-        if n in marks:
-            ck[n] = cc
-        if quarter < n <= half:
-            a_min1 = cc.A if a_min1 is None else min(a_min1, cc.A)
-            a_max1 = cc.A if a_max1 is None else max(a_max1, cc.A)
-            b_min1 = cc.B if b_min1 is None else min(b_min1, cc.B)
-            b_max1 = cc.B if b_max1 is None else max(b_max1, cc.B)
-        elif n > half:
-            a_min2 = cc.A if a_min2 is None else min(a_min2, cc.A)
-            a_max2 = cc.A if a_max2 is None else max(a_max2, cc.A)
-            b_min2 = cc.B if b_min2 is None else min(b_min2, cc.B)
-            b_max2 = cc.B if b_max2 is None else max(b_max2, cc.B)
-    order = [horizon // 8, horizon // 4, horizon // 2, 3 * horizon // 4,
-             horizon]
+    order = [horizon // 8, quarter, half, 3 * horizon // 4, horizon]
+    ck = {}
+    a_win = b_win1 = b_win2 = None
+    for blk in _blocks(model, horizon):
+        for n in blk.picks(order):
+            ck[n] = blk.at(n)
+        b_win1 = _fold_min_max(b_win1, blk.window(blk.B, quarter + 1,
+                                                  half + 1))
+        a_win = _fold_min_max(a_win, blk.window(blk.A, half + 1, horizon + 1))
+        b_win2 = _fold_min_max(b_win2, blk.window(blk.B, half + 1,
+                                                  horizon + 1))
+    a_min2, a_max2 = a_win
+    b_min1, b_max1 = b_win1
+    b_min2, b_max2 = b_win2
     ccs = [ck[n] for n in order]
 
     A_est = _detect_positive_limit([c.A for c in ccs], tol, a_max2 - a_min2)
@@ -688,24 +753,31 @@ def convergence_conditions(model: ThetaModel, horizon: int) -> ConvergenceReport
     with the normalized one-step laws, and sum (1-a_n) ln 1/(1-c_n)."""
     if horizon < 10:
         raise DomainError("horizon must be >= 10")
+    theta, r = model.theta, model.r
     marks = (horizon // 4, horizon // 2, horizon)
     sums = {"cl": 0.0, "one_minus_a": 0.0, "A1": 0.0, "tilde": 0.0}
     snap = {key: [] for key in sums}
-    for n in range(1, horizon + 1):
-        law = model.step_law(n)
-        a = law.a
+    for blk in _blocks(model, horizon):
+        a, lg = blk.a, blk.lg
+        if theta == 0.0:
+            dead = np.flatnonzero(np.isnan(lg))
+            if dead.size:
+                raise DomainError(f"r - c_{blk.n0 + int(dead[0])} <= 0")
+        law = ThetaLaw(theta, r, a, blk.c,
+                       (1.0 - a) * lg if theta == 0.0 else None)
         p1 = law.weight_one()
-        sums["cl"] += 1.0 - p1
-        sums["one_minus_a"] += abs(1.0 - a)
-        log1mc = model.c_seq.log_one_minus(n)
-        if log1mc is not None:
-            sums["A1"] += -(1.0 - a) * log1mc
-        else:
-            sums["A1"] = math.inf
-        sums["tilde"] += 1.0 - p1 / law.pgf(1.0)
-        if n in marks:
-            for key in sums:
-                snap[key].append(sums[key])
+        log1mc = (lg if r == 1.0
+                  else model.c_seq.log_one_minus_values(blk.n0, blk.c))
+        terms = {"cl": 1.0 - p1,
+                 "one_minus_a": np.abs(1.0 - a),
+                 "A1": np.where(np.isnan(log1mc), math.inf,
+                                -(1.0 - a) * log1mc),
+                 "tilde": 1.0 - p1 / law.pgf(1.0)}
+        at = [m - blk.n0 for m in blk.picks(marks)]
+        for key, term in terms.items():
+            partial = np.cumsum(np.concatenate(([sums[key]], term)))[1:]
+            sums[key] = partial[-1]
+            snap[key] += [partial[i].item() for i in at]
     verdicts = {key: _series_verdict(*snap[key]) for key in sums}
     if verdicts["one_minus_a"] == HOLDS:
         d2 = snap["one_minus_a"][2] - snap["one_minus_a"][1]

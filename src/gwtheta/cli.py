@@ -30,6 +30,7 @@ log = logging.getLogger("gwtheta")
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _fmt(x) -> str:
@@ -254,6 +255,12 @@ def main(argv=None) -> int:
     except (GwThetaError, OSError, KeyError, ValueError) as err:
         print(f"gwtheta: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as err:
+        # a defect, not bad input: one line, and an exit code of its own
+        log.debug("internal error", exc_info=True)
+        summary = f"{type(err).__name__}: {err}".splitlines()[0]
+        print(f"gwtheta: internal error: {summary}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -18,13 +18,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Optional
+
+import numpy as np
 
 from .errors import ConditioningOnNull, DomainError, RejectedParameter
 
 # Slack absorbed on the closed interval bounds of cases (b), (d), (f); values
 # like (1-a_n)(r-1)^-theta rarely round exactly.
 BOUND_SLACK = 1e-12
+
+# Below this index, products of up to three float64 indices are exact, so
+# array arithmetic on float indices rounds as value() does on Python ints.
+_FLOAT_INDEX_LIMIT = 2 ** 26
 
 SEQUENCE_FAMILIES = (
     "harmonic",
@@ -42,6 +49,30 @@ SEQUENCE_FAMILIES = (
 
 def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
+
+
+def _libm(fn, *args):
+    """fn(*args) on floats, or element-wise through Python floats when an
+    argument is a 1-d array: numpy's own exp, log, log1p, expm1 and **
+    kernels differ from libm in the last ulp for some inputs."""
+    for x in args:
+        if type(x) is np.ndarray:
+            size = x.size
+            break
+    else:
+        return fn(*args)
+    cols = [x.tolist() if type(x) is np.ndarray else repeat(x, size)
+            for x in args]
+    return np.fromiter(map(fn, *cols), float, size)
+
+
+def _libm_where(fn, x: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """fn(x) through libm where ok, NaN elsewhere."""
+    if ok.all():
+        return _libm(fn, x)
+    out = np.full(x.shape, math.nan)
+    out[ok] = _libm(fn, x[ok])
+    return out
 
 
 @dataclass(frozen=True)
@@ -128,15 +159,79 @@ class EnvSequence:
                 f"(tail_rule={self.tail_rule!r})")
         raise AssertionError(fam)
 
-    def log_one_minus(self, n: int):
-        """ln(1 - value(n)) without the catastrophic cancellation near 1;
-        None when value(n) >= 1."""
+    def values(self, n0: int, n1: int) -> np.ndarray:
+        """value(n) for n0 <= n < n1 as a float64 array, bit for bit."""
+        if n0 < 1:
+            raise DomainError(f"sequence index must be >= 1, got {n0}")
+        n = np.arange(n0, max(n0, n1))
+        # float indices while their products stay exact, Python ints beyond
+        k = n.astype(float if n1 <= _FLOAT_INDEX_LIMIT else object)
+        fam = self.family
+        if fam == "harmonic":
+            out = k / (k + 1)
+        elif fam == "convergent":
+            out = k * (k + 3) / ((k + 1) * (k + 2))
+        elif fam == "constant":
+            out = np.full(n.size, float(self._param("value")))
+        elif fam == "proportional_c":
+            sigma = float(self._param("sigma"))
+            out = (1.0 - self._param("a").values(n0, n1)) * sigma
+        elif fam == "negative_proportional_c":
+            sigma = float(self._param("sigma"))
+            out = (self._param("a").values(n0, n1) - 1.0) * sigma
+        elif fam == "alternating_ex3":
+            if self._param("role") == "a":
+                out = np.where(n == 1, 0.5, np.where(n % 2 == 0, 4.0, 0.25))
+            else:
+                out = np.where(n % 2 == 1, 1.0, 2.0)
+        elif fam == "superharmonic_ex4":
+            if self._param("role") == "a":
+                out = (k + 1) / k
+            else:
+                out = 1.0 / (k * k * (k + 1))
+        elif fam == "dyadic_ex5":
+            pow2 = (n & (n - 1)) == 0
+            if self._param("role") == "a":
+                pow2_next = ((n + 1) & n) == 0
+                # n = 1 takes the first branch, so n - 1 >= 1 in the second
+                out = np.where(pow2_next, k,
+                               np.where(pow2, 1.0 / np.maximum(k - 1, 1), 1.0))
+            else:
+                out = np.where(pow2 & (n > 2), 1.0, 1.0 / (k * k))
+        elif fam == "exp_tail_ex6":
+            sigma = float(self._param("sigma"))
+            tail = _libm(pow, n.astype(float), sigma)
+            out = np.minimum(-_libm(math.expm1, -tail),
+                             math.nextafter(1.0, 0.0))
+        elif fam == "table":
+            out = np.array(self.table[n0 - 1:n1 - 1], dtype=float)
+            rest = n.size - out.size
+            if rest:
+                if self.tail_rule != "repeat_last" or not self.table:
+                    self.value(n0 + out.size)       # raises DomainError
+                out = np.concatenate([out, np.full(rest, self.table[-1])])
+        else:
+            raise AssertionError(fam)
+        return np.asarray(out, dtype=float)
+
+    def log_one_minus(self, n: int, v: Optional[float] = None):
+        """ln(1 - v) for v = value(n), evaluated unless given, without the
+        catastrophic cancellation near 1; None when v >= 1."""
         if self.family == "exp_tail_ex6":
             return -float(n) ** float(self._param("sigma"))
-        v = self.value(n)
+        if v is None:
+            v = self.value(n)
         if v >= 1.0:
             return None
         return math.log1p(-v)
+
+    def log_one_minus_values(self, n0: int, v: np.ndarray) -> np.ndarray:
+        """log_one_minus(n, v[n - n0]) for n0 <= n < n0 + len(v), with NaN
+        where it is None."""
+        if self.family == "exp_tail_ex6":
+            n = np.arange(n0, n0 + v.size).astype(float)
+            return -_libm(pow, n, float(self._param("sigma")))
+        return _libm_where(math.log1p, -v, v < 1.0)
 
     # -- convenience constructors -------------------------------------------
 
@@ -222,6 +317,9 @@ class ThetaLaw:
     (a, c) = (a_n, c_n) and d = (r - c_n)^(1 - a_n), the n-step law F_n has
     (A_n, C_n, D_n).  log_d is unused (and may be None) when theta != 0, c
     is unused when theta == 0.  Mass 1 - g(1) sits on the absorbing symbol.
+
+    a, c and log_d may also be arrays of one length, a batch of laws with a
+    common theta and r: pgf and weight_one then evaluate them element-wise.
     """
 
     theta: float
@@ -236,19 +334,21 @@ class ThetaLaw:
         if not 0.0 <= s <= r:
             raise DomainError(f"s = {s} outside [0, {r}]")
         if theta == 0.0:
-            return r - (r - s) ** self.a * math.exp(self.log_d)
+            return r - _libm(pow, r - s, self.a) * _libm(math.exp, self.log_d)
         if s == r and theta > 0.0:
             # (r-s)^(-theta) = +inf; for theta < 0 it vanishes instead and
             # the general expression below is already correct
             return r
-        return r - (self.a * (r - s) ** (-theta) + self.c) ** (-1.0 / theta)
+        return r - _libm(pow, self.a * (r - s) ** (-theta) + self.c,
+                         -1.0 / theta)
 
     def weight_one(self) -> float:
         """g'(0), the probability of exactly one offspring."""
         a, r, theta = self.a, self.r, self.theta
         if theta == 0.0:
-            return a * math.exp(self.log_d + (a - 1.0) * math.log(r))
-        return a * (a + self.c * r ** theta) ** (-1.0 / theta - 1.0)
+            return a * _libm(math.exp,
+                             self.log_d + (a - 1.0) * math.log(r))
+        return a * _libm(pow, a + self.c * r ** theta, -1.0 / theta - 1.0)
 
     def restricted_mean(self) -> float:
         """g'(1), the mean restricted to the proper counts.
@@ -344,13 +444,37 @@ def _check_index(case: str, theta: float, r: float, a: float, c: float,
             bad("c_n <= 1")
 
 
+def _violations(case: str, theta: float, r: float, a: np.ndarray,
+                c: np.ndarray) -> np.ndarray:
+    """Mask of the indices _check_index rejects: the same comparisons,
+    element-wise, with the same NaN semantics."""
+    bad = ~(a > 0.0) | ~np.isfinite(a) | ~np.isfinite(c)
+    if case != "a":
+        bad |= ~(a < 1.0)
+    if case == "a":
+        bad |= ~(c > 0.0) | (c < 1.0 - a - BOUND_SLACK)
+    elif case in ("b", "d"):
+        lo = (1.0 - a) * r ** (-theta)
+        hi = (1.0 - a) * (r - 1.0) ** (-theta)
+        if case == "d":
+            lo, hi = hi, lo
+        bad |= (c < lo - BOUND_SLACK) | (c > hi + BOUND_SLACK)
+    elif case == "c":
+        bad |= ~(c > 0.0) | (c > 1.0 - a + BOUND_SLACK)
+    elif case == "e":
+        bad |= (c < 0.0) | ~(c < 1.0)
+    elif case == "f":
+        bad |= (c < -BOUND_SLACK) | (c > 1.0 + BOUND_SLACK)
+    return bad
+
+
 @dataclass(frozen=True)
 class ThetaModel:
     """Immutable model; safe to share across workers.
 
-    Access (a_n, c_n) through :meth:`step` or :meth:`step_law`: indices
-    beyond the eagerly checked horizon are re-validated lazily on each
-    access.
+    Access (a_n, c_n) through :meth:`step`, :meth:`steps` or
+    :meth:`step_law`: indices beyond the eagerly checked horizon are
+    re-validated lazily on each access.
     """
 
     theta: float
@@ -368,13 +492,41 @@ class ThetaModel:
             _check_index(self.case_label, self.theta, self.r, a, c, n)
         return a, c
 
+    def steps(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
+        """(a_n, c_n) for n0 <= n < n1 as arrays, validated like step(n):
+        the first index that fails raises the error step(n) raises."""
+        try:
+            a = self.a_seq.values(n0, n1)
+            c = self.c_seq.values(n0, n1)
+        except DomainError:
+            # a sequence ends inside the range: report the first failing
+            # index, which may be an invalid one before the end
+            for n in range(n0, n1):
+                self.step(n)
+            raise
+        k = max(0, self.check_horizon + 1 - n0)
+        if k < a.size:
+            bad = _violations(self.case_label, self.theta, self.r, a[k:],
+                              c[k:])
+            for i in np.flatnonzero(bad):
+                self.step(n0 + k + int(i))
+        return a, c
+
     def log_r_minus(self, n: int, c: float):
         """ln(r - c_n) given c = c_n, computed exactly near c_n = 1 when
         r = 1; None when r - c_n <= 0."""
         if self.r == 1.0:
-            return self.c_seq.log_one_minus(n)
+            return self.c_seq.log_one_minus(n, c)
         base = self.r - c
         return math.log(base) if base > 0.0 else None
+
+    def log_r_minus_values(self, n0: int, c: np.ndarray) -> np.ndarray:
+        """log_r_minus over c = c_{n0}, c_{n0+1}, ..., with NaN where it is
+        None."""
+        if self.r == 1.0:
+            return self.c_seq.log_one_minus_values(n0, c)
+        base = self.r - c
+        return _libm_where(math.log, base, base > 0.0)
 
     def step_law(self, n: int) -> "ThetaLaw":
         """The one-step law f_n, with a single lazy validation."""
@@ -409,8 +561,7 @@ def validate_model(theta: float, r: float, a_seq: EnvSequence,
     theta = float(theta)
     r = float(r)
     case = _case_label(theta, r)
-    for n in range(1, check_horizon + 1):
-        _check_index(case, theta, r, a_seq.value(n), c_seq.value(n), n)
+    ThetaModel(theta, r, a_seq, c_seq, case, 0).steps(1, check_horizon + 1)
     return ThetaModel(theta, r, a_seq, c_seq, case, check_horizon)
 
 

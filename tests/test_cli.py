@@ -136,3 +136,18 @@ def test_nan_model_is_invalid(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", "--model", str(path))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "invalid model" in err
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    import gwtheta.cli as cli
+
+    def broken(args):
+        raise ZeroDivisionError("float division by zero\nsecond line")
+    monkeypatch.setattr(cli, "_cmd_classify", broken)
+    code, out, err = run(capsys, "classify", "--scenario", "Ex1")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert len({cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_USAGE,
+                cli.EXIT_INTERNAL}) == 4
+    assert out == ""
+    assert err == ("gwtheta: internal error: ZeroDivisionError: float "
+                   "division by zero\n")

@@ -1,0 +1,220 @@
+"""The blockwise constants scan against the one-generation-at-a-time
+recursion it replaced, kept here as the oracle: every constant, the
+limit_constants evidence and the convergence partial sums must agree bit
+for bit, errors must surface at the same index, and memory stays O(block).
+"""
+
+import math
+import tracemalloc
+
+import pytest
+
+import gwtheta.analytics as analytics
+from gwtheta.analytics import (composite_constants, constants_iter,
+                               constants_table, convergence_conditions,
+                               limit_constants)
+from gwtheta.environment import EnvSequence, validate_model
+from gwtheta.errors import DomainError, RejectedParameter
+from gwtheta.harness import registry, scenario_model
+
+SCENARIOS = registry()
+IDS = [sc.id for sc in SCENARIOS]
+
+
+# -- the scalar oracle --------------------------------------------------------
+
+def oracle_constants(model, up_to):
+    """(n, A_n, C_n, log D_n, B_n) for n = 0..up_to, one step at a time."""
+    A, C, log_D = 1.0, 0.0, 0.0
+    yield 0, A, C, log_D, 0.0
+    for n in range(1, up_to + 1):
+        a, c = model.step(n)
+        A_prev = A
+        A = A * a
+        C = C + A_prev * c
+        if log_D is not None:
+            lg = model.log_r_minus(n, c)
+            log_D = None if lg is None else log_D + (A_prev - A) * lg
+        B = C / A if A > 0.0 else math.inf
+        yield n, A, C, log_D, B
+
+
+def oracle_evidence(model, horizon):
+    """The evidence dict of limit_constants, from running window folds."""
+    order = [horizon // 8, horizon // 4, horizon // 2, 3 * horizon // 4,
+             horizon]
+    half, quarter = horizon // 2, horizon // 4
+    ck = {}
+    a_min2 = a_max2 = b_min1 = b_max1 = b_min2 = b_max2 = None
+    for n, A, C, log_D, B in oracle_constants(model, horizon):
+        if n in order:
+            ck[n] = {"A": A, "C": C, "B": B, "log_D": log_D}
+        if quarter < n <= half:
+            b_min1 = B if b_min1 is None else min(b_min1, B)
+            b_max1 = B if b_max1 is None else max(b_max1, B)
+        elif n > half:
+            a_min2 = A if a_min2 is None else min(a_min2, A)
+            a_max2 = A if a_max2 is None else max(a_max2, A)
+            b_min2 = B if b_min2 is None else min(b_min2, B)
+            b_max2 = B if b_max2 is None else max(b_max2, B)
+    return {"checkpoints": {str(n): ck[n] for n in order},
+            "A_window": {"min": a_min2, "max": a_max2},
+            "B_window_first": {"min": b_min1, "max": b_max1},
+            "B_window_second": {"min": b_min2, "max": b_max2}}
+
+
+def oracle_partial_sums(model, horizon):
+    """The four convergence partial sums at N/4, N/2, N, term by term."""
+    marks = (horizon // 4, horizon // 2, horizon)
+    sums = {"cl": 0.0, "one_minus_a": 0.0, "A1": 0.0, "tilde": 0.0}
+    snap = {key: [] for key in sums}
+    for n in range(1, horizon + 1):
+        law = model.step_law(n)
+        a = law.a
+        p1 = law.weight_one()
+        sums["cl"] += 1.0 - p1
+        sums["one_minus_a"] += abs(1.0 - a)
+        log1mc = model.c_seq.log_one_minus(n)
+        if log1mc is not None:
+            sums["A1"] += -(1.0 - a) * log1mc
+        else:
+            sums["A1"] = math.inf
+        sums["tilde"] += 1.0 - p1 / law.pgf(1.0)
+        if n in marks:
+            for key in sums:
+                snap[key].append(sums[key])
+    return snap
+
+
+def scanned(model, up_to):
+    return [(cc.n, cc.A, cc.C, cc.log_D, cc.B)
+            for cc in constants_iter(model, up_to)]
+
+
+# -- bit identity -------------------------------------------------------------
+
+# 97 generations a block makes the carries between blocks do the work
+@pytest.fixture(params=[None, 97], ids=["default_block", "block97"])
+def block(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(analytics, "_BLOCK", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("sc", SCENARIOS, ids=IDS)
+def test_constants_match_oracle_at_every_n(sc, block):
+    # repr tells -0.0 from 0.0 and compares NaN equal to itself
+    want = list(oracle_constants(sc.model, 10 ** 4))
+    assert repr(scanned(sc.model, 10 ** 4)) == repr(want)
+    cc = composite_constants(sc.model, 10 ** 4)
+    assert repr((cc.n, cc.A, cc.C, cc.log_D, cc.B)) == repr(want[-1])
+
+
+@pytest.mark.parametrize("sc", SCENARIOS, ids=IDS)
+def test_limit_evidence_matches_oracle(sc, block):
+    got = limit_constants(sc.model, 10 ** 4).evidence
+    assert repr(got) == repr(oracle_evidence(sc.model, 10 ** 4))
+
+
+@pytest.mark.parametrize("sc", SCENARIOS, ids=IDS)
+def test_convergence_sums_match_oracle(sc, block):
+    got = convergence_conditions(sc.model, 10 ** 4).partial_sums
+    assert repr(got) == repr(oracle_partial_sums(sc.model, 10 ** 4))
+
+
+def test_log_d_undefined_from_first_nonpositive_gap(block):
+    # Ex3 has c_1 = 1 = r, so D_n is undefined from n = 1 on
+    model = scenario_model("Ex3")
+    assert repr(scanned(model, 300)) == repr(list(oracle_constants(model,
+                                                                   300)))
+    assert composite_constants(model, 300).log_D is None
+
+
+def test_overflow_and_nan_match_oracle(block):
+    # A_n = 2^n overflows near n = 1024, and B_n = C_n / A_n = inf / inf
+    # is NaN: the window folds keep Python's min/max semantics
+    model = validate_model(1.0, 1.0, EnvSequence.constant(2.0),
+                           EnvSequence.constant(0.5))
+    assert repr(scanned(model, 1500)) == repr(list(oracle_constants(model,
+                                                                    1500)))
+    assert repr(limit_constants(model, 1500).evidence) == \
+        repr(oracle_evidence(model, 1500))
+
+
+def test_limit_constants_memory_is_o_block():
+    model = scenario_model("Ex1")
+    tracemalloc.start()
+    try:
+        limit_constants(model, 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+# -- errors at the same index -------------------------------------------------
+
+def _error(fn, *args):
+    with pytest.raises((RejectedParameter, DomainError)) as info:
+        fn(*args)
+    err = info.value
+    return (type(err), str(err), getattr(err, "index", None),
+            getattr(err, "constraint", None))
+
+
+CONSUMERS = [
+    lambda m, n: limit_constants(m, n),
+    lambda m, n: constants_table(m, [n]),
+    lambda m, n: convergence_conditions(m, n),
+]
+
+
+@pytest.mark.parametrize("bad_seq,index", [("a", 700), ("c", 20000)])
+def test_bad_entry_beyond_check_horizon(bad_seq, index, block):
+    # a_700 = -1 or c_20000 = 0.2 < 1 - a_n, both past check_horizon = 100
+    a = [0.5] * 30000
+    c = [0.6] * 30000
+    if bad_seq == "a":
+        a[index - 1] = -1.0
+    else:
+        c[index - 1] = 0.2
+    model = validate_model(1.0, 1.0, EnvSequence.from_table(a),
+                           EnvSequence.from_table(c))
+    want = _error(model.step, index)
+    assert want[0] is RejectedParameter and want[2] == index
+    for consume in CONSUMERS:
+        assert _error(consume, model, 30000) == want
+
+
+def test_strict_table_ends_with_domain_error(block):
+    a = EnvSequence.from_table([0.5] * 300, tail_rule="error")
+    model = validate_model(1.0, 1.0, a, EnvSequence.constant(0.6))
+    want = _error(model.step, 301)
+    assert want[0] is DomainError and "index 301" in want[1]
+    for consume in CONSUMERS:
+        assert _error(consume, model, 1000) == want
+    assert composite_constants(model, 300).n == 300
+
+
+def test_bad_entry_before_strict_end_is_reported_first(block):
+    values = [0.5] * 300
+    values[249] = 2.0              # a_250 >= 1 is invalid in case (c)
+    a = EnvSequence.from_table(values, tail_rule="error")
+    model = validate_model(-0.5, 1.0, a, EnvSequence.constant(0.3))
+    want = _error(model.step, 250)
+    assert want[0] is RejectedParameter and want[3] == "a_n < 1"
+    for consume in CONSUMERS:
+        assert _error(consume, model, 1000) == want
+
+
+def test_eager_validation_reports_the_same_errors():
+    values = [0.5] * 50
+    values[29] = math.nan
+    with pytest.raises(RejectedParameter) as err:
+        validate_model(1.0, 1.0, EnvSequence.from_table(values),
+                       EnvSequence.constant(0.6))
+    assert err.value.index == 30
+    assert err.value.constraint == "a_n > 0"
+    short = EnvSequence.from_table([0.5] * 50, tail_rule="error")
+    with pytest.raises(DomainError, match="index 51"):
+        validate_model(1.0, 1.0, short, EnvSequence.constant(0.6))

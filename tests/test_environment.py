@@ -1,12 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gwtheta.environment import (BOUND_SLACK, EnvSequence, ThetaModel,
-                                 step_pgf, step_pgf_weight_one,
-                                 validate_model)
+                                 _check_index, _violations, step_pgf,
+                                 step_pgf_weight_one, validate_model)
 from gwtheta.errors import DomainError, RejectedParameter
 
 
@@ -85,6 +86,149 @@ def test_unknown_family_rejected():
 def test_sequence_index_must_be_positive():
     with pytest.raises(DomainError):
         EnvSequence.harmonic().value(0)
+
+
+# -- values(): value() over a range as an array -------------------------------
+
+H, V = EnvSequence.harmonic(), EnvSequence.convergent()
+SEQUENCES = {
+    "harmonic": H,
+    "convergent": V,
+    "constant": EnvSequence.constant(0.3),
+    "proportional_c": EnvSequence.proportional_c(0.75, V),
+    "proportional_c_nested": EnvSequence.proportional_c(
+        1.2, EnvSequence.proportional_c(0.5, H)),
+    "negative_proportional_c": EnvSequence.negative_proportional_c(
+        1.0, EnvSequence.superharmonic_ex4("a")),
+    "alternating_a": EnvSequence.alternating_ex3("a"),
+    "alternating_c": EnvSequence.alternating_ex3("c"),
+    "superharmonic_a": EnvSequence.superharmonic_ex4("a"),
+    "superharmonic_c": EnvSequence.superharmonic_ex4("c"),
+    "dyadic_a": EnvSequence.dyadic_ex5("a"),
+    "dyadic_c": EnvSequence.dyadic_ex5("c"),
+    "exp_tail_0": EnvSequence.exp_tail_ex6(0.0),
+    "exp_tail_1": EnvSequence.exp_tail_ex6(1.0),
+    "exp_tail_0.3": EnvSequence.exp_tail_ex6(0.3),
+    "table_repeat_last": EnvSequence.from_table([0.1, 0.2, 0.35]),
+    "table_error": EnvSequence.from_table([0.1 * k for k in range(1, 2001)],
+                                          tail_rule="error"),
+}
+
+
+def _bits(xs):
+    """Exact float images: hex tells -0.0 from 0.0 and NaN from a number."""
+    return [float(x).hex() for x in xs]
+
+
+@pytest.mark.parametrize("seq", SEQUENCES.values(), ids=SEQUENCES.keys())
+def test_values_equal_value_bit_for_bit(seq):
+    want = [seq.value(n) for n in range(1, 2001)]
+    assert _bits(seq.values(1, 2001)) == _bits(want)
+    assert _bits(seq.values(777, 1234)) == _bits(want[776:1233])
+    assert seq.values(5, 5).size == 0
+
+
+@pytest.mark.parametrize("role", ["a", "c"])
+def test_dyadic_values_around_powers_of_two(role):
+    seq = EnvSequence.dyadic_ex5(role)
+    for k in range(1, 23):
+        ns = (2 ** k - 1, 2 ** k, 2 ** k + 1)
+        assert _bits(seq.values(ns[0], ns[-1] + 1)) == \
+            _bits(seq.value(n) for n in ns)
+
+
+@pytest.mark.parametrize("seq", SEQUENCES.values(), ids=SEQUENCES.keys())
+def test_values_equal_value_at_large_indices(seq):
+    # 3e6: n^2 (n+1) no longer fits in int64; 2^26: products of three float
+    # indices stop being exact, and Python ints take over
+    for n0 in (3 * 10 ** 6 - 2, 2 ** 26 - 2):
+        if seq.family == "table":
+            continue
+        assert _bits(seq.values(n0, n0 + 5)) == \
+            _bits(seq.value(n) for n in range(n0, n0 + 5))
+
+
+def test_superharmonic_c_does_not_wrap():
+    n = 3 * 10 ** 6
+    got = EnvSequence.superharmonic_ex4("c").values(n, n + 1)[0]
+    assert got == 1.0 / (n * n * (n + 1))
+    assert got == pytest.approx(1 / 2.7e19, rel=1e-6)
+
+
+def test_values_raise_as_value_does():
+    strict = SEQUENCES["table_error"]
+    for n0 in (1990, 2001, 2050):
+        with pytest.raises(DomainError) as want:
+            strict.value(max(n0, 2001))
+        with pytest.raises(DomainError) as got:
+            strict.values(n0, 2100)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(DomainError, match="got 0"):
+        EnvSequence.harmonic().values(0, 5)
+
+
+# one theta and r strategy per admissible row (a)..(f)
+ROWS = {
+    "a": (st.floats(0.05, 1.0), st.just(1.0)),
+    "b": (st.floats(0.05, 1.0), st.floats(1.1, 4.0)),
+    "c": (st.floats(-0.95, -0.05), st.just(1.0)),
+    "d": (st.floats(-0.95, -0.05), st.floats(1.1, 4.0)),
+    "e": (st.just(0.0), st.just(1.0)),
+    "f": (st.just(0.0), st.floats(1.1, 4.0)),
+}
+SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0]
+
+
+def _edges(case, theta, r, a):
+    """The bounds _check_index compares c against, one ulp either side."""
+    if case == "a":
+        bounds = [0.0, 1.0 - a - BOUND_SLACK]
+    elif case in ("b", "d"):
+        bounds = [(1.0 - a) * r ** (-theta) - BOUND_SLACK,
+                  (1.0 - a) * (r - 1.0) ** (-theta) + BOUND_SLACK,
+                  (1.0 - a) * (r - 1.0) ** (-theta) - BOUND_SLACK,
+                  (1.0 - a) * r ** (-theta) + BOUND_SLACK]
+    elif case == "c":
+        bounds = [0.0, 1.0 - a + BOUND_SLACK]
+    elif case == "e":
+        bounds = [0.0, 1.0]
+    else:
+        bounds = [-BOUND_SLACK, 1.0 + BOUND_SLACK]
+    return [x for b in bounds
+            for x in (math.nextafter(b, -math.inf), b,
+                      math.nextafter(b, math.inf))]
+
+
+@st.composite
+def rows_of_steps(draw):
+    case = draw(st.sampled_from(sorted(ROWS)))
+    theta_st, r_st = ROWS[case]
+    theta, r = draw(theta_st), draw(r_st)
+    a_st = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     st.floats(-0.5, 2.0), st.sampled_from(SPECIALS),
+                     st.sampled_from([math.nextafter(1.0, 0.0),
+                                      math.nextafter(0.0, 1.0)]))
+    a = draw(st.lists(a_st, min_size=1, max_size=20))
+    c = [draw(st.one_of(st.sampled_from(_edges(case, theta, r, x)),
+                        st.sampled_from(SPECIALS), st.floats(-0.5, 3.0)))
+         for x in a]
+    return case, theta, r, a, c
+
+
+@settings(max_examples=300)
+@given(rows_of_steps())
+@example(("a", 1.0, 1.0, [0.5, 0.5], [0.5 - BOUND_SLACK, 0.5 - 2e-12]))
+@example(("a", 1.0, 1.0, [math.inf, math.nan], [0.5, 0.5]))
+def test_violation_mask_agrees_with_check_index(row):
+    case, theta, r, a, c = row
+    mask = _violations(case, theta, r, np.array(a), np.array(c))
+    for n, (x, y) in enumerate(zip(a, c), start=1):
+        try:
+            _check_index(case, theta, r, x, y, n)
+            rejected = False
+        except RejectedParameter:
+            rejected = True
+        assert bool(mask[n - 1]) == rejected, (n, x, y)
 
 
 # -- model validation ---------------------------------------------------------
