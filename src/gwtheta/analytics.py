@@ -40,6 +40,9 @@ class CompositeConstants:
 
     def law(self, theta: float, r: float) -> ThetaLaw:
         """The n-step law F_n with these constants."""
+        if theta == 0.0 and self.log_D is None:
+            raise DomainError(f"log D_{self.n} undefined: r - c_k <= 0 for "
+                              f"some k <= {self.n}")
         return ThetaLaw(theta, r, self.A, self.C, self.log_D)
 
 
@@ -248,6 +251,17 @@ class LimitConstants:
                 "D": self.D.to_dict(), "B": self.B.to_dict(),
                 "horizon_used": self.horizon_used, "evidence": self.evidence}
 
+    def law(self, theta: float, r: float) -> ThetaLaw:
+        """The theta-family law at the limit constants: (A, C) for
+        theta != 0, (A, ln D) for theta = 0.  Only the limits that law uses
+        are read, A first; an undetermined one raises UndeterminedLimit."""
+        A = self.A.finite_value("A")
+        if theta != 0.0:
+            return ThetaLaw(theta, r, A, self.C.finite_value("C"), None)
+        D = self.D.finite_value("D")
+        log_d = math.log(D) if D > 0.0 else -math.inf
+        return ThetaLaw(theta, r, A, 0.0, log_d)
+
 
 def _log_doubling_diffs(cks: Sequence[float]):
     """Doubling-window log increments; None if any value is nonpositive."""
@@ -442,38 +456,23 @@ def _clamp01(x: float) -> float:
 
 def absorption_probabilities(model: ThetaModel,
                              limits: LimitConstants) -> AbsorptionProbabilities:
-    """(q, q_Delta, Q) from the limit constants, by case."""
+    """(q, q_Delta, Q) = (g(0), 1 - g(1), g(0) + 1 - g(1)) of the law g at
+    the limit constants."""
     theta, r, case = model.theta, model.r, model.case_label
     if case == "a":
+        # extinction is certain when C or A is infinite; C is read first
         if limits.C.is_infinite:
             return AbsorptionProbabilities(1.0, 0.0)
-        C = limits.C.finite_value("C")
+        limits.C.finite_value("C")
         if limits.A.is_infinite:
             return AbsorptionProbabilities(1.0, 0.0)
-        A = limits.A.finite_value("A")
-        return AbsorptionProbabilities(
-            _clamp01(1.0 - (A + C) ** (-1.0 / theta)), 0.0)
-    if case in ("b", "d"):
-        A = limits.A.finite_value("A")
-        C = limits.C.finite_value("C")
-        q = r - (A * r ** (-theta) + C) ** (-1.0 / theta)
-        q_delta = 1.0 - r + (A * (r - 1.0) ** (-theta) + C) ** (-1.0 / theta)
-        return AbsorptionProbabilities(_clamp01(q), _clamp01(q_delta))
-    if case == "c":
-        alpha = -1.0 / theta
-        A = limits.A.finite_value("A")
-        C = limits.C.finite_value("C")
-        return AbsorptionProbabilities(_clamp01(1.0 - (A + C) ** alpha),
-                                       _clamp01(C ** alpha))
     if case == "e":
+        # D may be 0, and the A -> 0 limit law is degenerate at s = 1
         D = limits.D.finite_value("D")
         return AbsorptionProbabilities(_clamp01(1.0 - D), 0.0)
-    # case "f"
-    A = limits.A.finite_value("A")
-    D = limits.D.finite_value("D")
-    q = r - r ** A * D
-    q_delta = 1.0 - r + (r - 1.0) ** A * D
-    return AbsorptionProbabilities(_clamp01(q), _clamp01(q_delta))
+    law = limits.law(theta, r)
+    return AbsorptionProbabilities(_clamp01(law.pgf(0.0)),
+                                   _clamp01(1.0 - law.pgf(1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +489,14 @@ _ZERO_LIMIT = 1e-9  # determined limit values at or below this count as zero
 @dataclass(frozen=True)
 class LimitLawDescriptor:
     """A limit law: its transform kind, parameters, and the normalization
-    applied to Z_n before comparing against it."""
+    applied to Z_n before comparing against it.  A law that is a plain pgf
+    of the theta family carries it as `law`."""
 
     theorem_id: str
     kind: str
     parameters: tuple
     scaling: str
+    law: Optional[ThetaLaw] = None
 
     def param(self, name: str) -> float:
         for key, val in self.parameters:
@@ -508,70 +509,46 @@ class LimitLawDescriptor:
                 "parameters": dict(self.parameters), "scaling": self.scaling}
 
     def evaluate(self, x: float) -> float:
+        """The transform at x: the pgf of `law` when there is one; else a
+        Laplace transform in lambda >= 0 (T1, T3, T5i), a cdf (T6i, T6ii)
+        or an A -> 0 conditional pgf (T7i, T8i, T9i)."""
+        if self.law is not None:
+            return self.law.pgf(x)
         tid = self.theorem_id
         if tid == "T1":
             theta, C = self.param("theta"), self.param("C")
             if x == 0.0:
                 return 1.0
             return 1.0 - (x ** (-theta) + C) ** (-1.0 / theta)
-        if tid == "T2":
-            theta, A, C = (self.param("theta"), self.param("A"),
-                           self.param("C"))
-            if x == 1.0:
-                return 1.0
-            return 1.0 - (A * (1.0 - x) ** (-theta) + C) ** (-1.0 / theta)
         if tid in ("T3", "T5i"):
             theta = self.param("theta")
             if x == 0.0:
                 return 1.0
             return 1.0 - (1.0 + x ** (-theta)) ** (-1.0 / theta)
-        if tid in ("T4", "T5ii"):
-            # pgf of the conditional limit: 1 - ((w+B)/(1+B))^(-1/theta)
-            # with w = (1-s)^(-theta); it vanishes at s=0 and has mean
-            # (1+B)^(1/theta)
-            theta, B = self.param("theta"), self.param("B")
-            if x == 1.0:
-                return 1.0
-            w = (1.0 - x) ** (-theta)
-            return 1.0 - ((w + B) / (1.0 + B)) ** (-1.0 / theta)
         if tid == "T6i":
             return 1.0 - math.exp(-x)
         if tid == "T6ii":
             return 1.0 - math.exp(-x) * self.param("D")
-        if tid == "T6iii":
-            return 1.0 - (1.0 - x) ** self.param("A")
-        if tid == "T6iv":
-            return 1.0 - (1.0 - x) ** self.param("A") * self.param("D")
         if tid == "T7i":
             theta, r = self.param("theta"), self.param("r")
             return (((r - x) ** (-theta) - r ** (-theta))
                     / ((r - 1.0) ** (-theta) - r ** (-theta)))
-        if tid == "T7ii":
-            theta, r = self.param("theta"), self.param("r")
-            A, C = self.param("A"), self.param("C")
-            return r - (A * (r - x) ** (-theta) + C) ** (-1.0 / theta)
         if tid == "T8i":
             alpha, r = self.param("alpha"), self.param("r")
             ia = 1.0 / alpha
             return (r ** ia - (r - x) ** ia) / (r ** ia - (r - 1.0) ** ia)
-        if tid == "T8ii":
-            alpha, r = self.param("alpha"), self.param("r")
-            A, C = self.param("A"), self.param("C")
-            return r - (A * (r - x) ** (1.0 / alpha) + C) ** alpha
         if tid == "T9i":
             r = self.param("r")
             return ((math.log(r) - math.log(r - x))
                     / (math.log(r) - math.log(r - 1.0)))
-        if tid == "T9ii":
-            r, A, D = self.param("r"), self.param("A"), self.param("D")
-            return r - (r - x) ** A * D
-        if tid == "T10i":
-            return 1.0 - (1.0 - x) ** (1.0 / self.param("alpha"))
-        if tid == "T10ii":
-            alpha = self.param("alpha")
-            A, C = self.param("A"), self.param("C")
-            return 1.0 - (A * (1.0 - x) ** (1.0 / alpha) + C) ** alpha
         raise AssertionError(tid)
+
+
+def _conditional_law(theta: float, B: float) -> ThetaLaw:
+    """The T4/T5ii limit of Z_n given Z_n > 0: 1 - ((w + B)/(1 + B))^(-1/theta)
+    with w = (1-s)^(-theta), which vanishes at s = 0 and has mean
+    (1+B)^(1/theta)."""
+    return ThetaLaw(theta, 1.0, 1.0 / (1.0 + B), B / (1.0 + B), None)
 
 
 def _is_zero(est: LimitEstimate) -> bool:
@@ -598,7 +575,8 @@ def limit_law(model: ThetaModel, limits: LimitConstants,
             if hi - lo <= 0.05 * max(1.0, abs(hi)):
                 return LimitLawDescriptor(
                     "T5ii", PGF, (("theta", theta), ("B", tail[-1])),
-                    "pgf of Z_kn conditioned on Z_kn > 0")
+                    "pgf of Z_kn conditioned on Z_kn > 0",
+                    _conditional_law(theta, tail[-1]))
             raise NoLimitLaw(
                 "B does not settle along the supplied subsequence")
         if not (limits.C.is_determined or limits.C.is_infinite):
@@ -612,11 +590,13 @@ def limit_law(model: ThetaModel, limits: LimitConstants,
             if limits.A.is_infinite:
                 return LimitLawDescriptor(
                     "T4", PGF, (("theta", theta), ("B", 0.0)),
-                    "pgf of Z_n conditioned on Z_n > 0")
+                    "pgf of Z_n conditioned on Z_n > 0",
+                    _conditional_law(theta, 0.0))
             A = limits.A.finite_value("A")
             return LimitLawDescriptor(
                 "T2", PGF, (("theta", theta), ("A", A), ("C", C)),
-                "pgf of Z_n (no scaling; almost-sure limit)")
+                "pgf of Z_n (no scaling; almost-sure limit)",
+                limits.law(theta, r))
         # C = +inf
         if limits.B.is_infinite:
             return LimitLawDescriptor(
@@ -626,7 +606,8 @@ def limit_law(model: ThetaModel, limits: LimitConstants,
         if limits.B.is_determined:
             return LimitLawDescriptor(
                 "T4", PGF, (("theta", theta), ("B", limits.B.value)),
-                "pgf of Z_n conditioned on Z_n > 0")
+                "pgf of Z_n conditioned on Z_n > 0",
+                _conditional_law(theta, limits.B.value))
         if limits.B.status == OSCILLATING:
             raise NoLimitLaw(
                 "loosely subcritical regime: supply an explicit subsequence")
@@ -647,10 +628,12 @@ def limit_law(model: ThetaModel, limits: LimitConstants,
         if d_zero:
             return LimitLawDescriptor(
                 "T6iii", PGF, (("A", A),),
-                "pgf of Z_n conditioned on Z_n > 0")
+                "pgf of Z_n conditioned on Z_n > 0",
+                ThetaLaw(0.0, 1.0, A, 0.0, 0.0))
         return LimitLawDescriptor(
             "T6iv", PGF, (("A", A), ("D", D)),
-            "pgf of Z_n (no scaling; almost-sure limit)")
+            "pgf of Z_n (no scaling; almost-sure limit)",
+            limits.law(theta, r))
 
     if case == "b":
         C = limits.C.finite_value("C")
@@ -661,7 +644,8 @@ def limit_law(model: ThetaModel, limits: LimitConstants,
         A = limits.A.finite_value("A")
         return LimitLawDescriptor(
             "T7ii", PGF, (("theta", theta), ("r", r), ("A", A), ("C", C)),
-            "restricted pgf E(s^{Z_n}; tau_Delta > n) (no scaling)")
+            "restricted pgf E(s^{Z_n}; tau_Delta > n) (no scaling)",
+            limits.law(theta, r))
 
     if case == "d":
         alpha = -1.0 / theta
@@ -673,7 +657,8 @@ def limit_law(model: ThetaModel, limits: LimitConstants,
         A = limits.A.finite_value("A")
         return LimitLawDescriptor(
             "T8ii", PGF, (("alpha", alpha), ("r", r), ("A", A), ("C", C)),
-            "restricted pgf E(s^{Z_n}; tau_Delta > n) (no scaling)")
+            "restricted pgf E(s^{Z_n}; tau_Delta > n) (no scaling)",
+            limits.law(theta, r))
 
     if case == "f":
         D = limits.D.finite_value("D")
@@ -684,7 +669,8 @@ def limit_law(model: ThetaModel, limits: LimitConstants,
         A = limits.A.finite_value("A")
         return LimitLawDescriptor(
             "T9ii", PGF, (("r", r), ("A", A), ("D", D)),
-            "restricted pgf E(s^{Z_n}; tau_Delta > n) (no scaling)")
+            "restricted pgf E(s^{Z_n}; tau_Delta > n) (no scaling)",
+            limits.law(theta, r))
 
     # case "c"
     alpha = -1.0 / theta
@@ -692,11 +678,14 @@ def limit_law(model: ThetaModel, limits: LimitConstants,
     if _is_zero(limits.A):
         return LimitLawDescriptor(
             "T10i", PGF, (("alpha", alpha), ("C", C)),
-            "pgf of Z_n conditioned on tau > n")
+            "pgf of Z_n conditioned on tau > n",
+            # 1 - (1-s)^(1/alpha), a theta = 0 law with a = -theta
+            ThetaLaw(0.0, 1.0, -theta, 0.0, 0.0))
     A = limits.A.finite_value("A")
     return LimitLawDescriptor(
         "T10ii", PGF, (("alpha", alpha), ("A", A), ("C", C)),
-        "restricted pgf E(s^{Z_n}; tau > n) (no scaling)")
+        "restricted pgf E(s^{Z_n}; tau > n) (no scaling)",
+        limits.law(theta, r))
 
 
 # ---------------------------------------------------------------------------

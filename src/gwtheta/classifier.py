@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .analytics import DETERMINED, INFINITE, OSCILLATING, LimitConstants
+from .analytics import (DETERMINED, INFINITE, OSCILLATING, LimitConstants,
+                        _is_zero)
 from .environment import ThetaModel
 
 # regimes
@@ -23,8 +24,6 @@ UNDETERMINED_REGIME = "undetermined"
 _EXACT_FAMILIES = {"harmonic", "convergent", "constant", "proportional_c",
                    "negative_proportional_c", "superharmonic_ex4",
                    "exp_tail_ex6"}
-
-_ZERO = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,10 +46,6 @@ def _confidence(model: ThetaModel) -> str:
         if hasattr(val, "family"):
             fams.add(val.family)
     return "exact_family" if fams <= _EXACT_FAMILIES else "numeric"
-
-
-def _is_zero(est) -> bool:
-    return est.status == DETERMINED and est.value <= _ZERO
 
 
 def _delta_never_hit(model: ThetaModel, limits: LimitConstants) -> bool:

@@ -288,10 +288,9 @@ def _checks_t1(sc, model, cfg, limits, law):
 def _checks_t2(sc, model, cfg, limits, law):
     n_big = cfg.horizon or _ANALYTIC_N
     F = composite_law(model, n_big)
-    A = law.param("A")
     checks = [
         _ratio("mean_vs_limit",
-               F.restricted_mean() / A ** (-1.0 / model.theta), _RATE_TOL),
+               F.restricted_mean() / law.law.restricted_mean(), _RATE_TOL),
         _approx("pgf_grid_sup_diff",
                 max(abs(F.pgf(s) - law.evaluate(s)) for s in _GRID),
                 0.0, _RATE_TOL, detail="F_n(s) vs limit pgf"),
@@ -523,10 +522,9 @@ def _checks_t7_t8(sc, model, cfg, limits, law):
                                   detail=f"4 SE at n={n_mc}, reps={reps}"))
         return checks, reps, (n_big, n_mc)
     # (ii) variants
-    A, C = law.param("A"), law.param("C")
     checks = _restricted_law_checks(model, F, law, limits, _RATE_TOL)
-    target_mean = A * (A + C * (r - 1.0) ** theta) ** (-1.0 / theta - 1.0)
-    checks.append(_ratio("restricted_mean", F.restricted_mean() / target_mean,
+    checks.append(_ratio("restricted_mean",
+                         F.restricted_mean() / law.law.restricted_mean(),
                          _RATE_TOL))
     return checks, 0, (n_big,)
 

@@ -264,10 +264,7 @@ def population_pmf(model: ThetaModel, n: int,
     is closed under composition, so no convolution over generations)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    law = composite_law(model, n)
-    if law.theta == 0.0 and law.log_d is None:
-        raise DomainError("composite log D undefined for this model")
-    return _build(law, tail_tol, max_cutoff)
+    return _build(composite_law(model, n), tail_tol, max_cutoff)
 
 
 def extend_pmf(pmf: Pmf, cutoff: int) -> Pmf:

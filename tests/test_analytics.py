@@ -1,13 +1,16 @@
 import math
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwtheta.analytics import (composed_pgf, composite_constants,
                                conditional_pgf, constants_at,
                                constants_table, pgf_from_constants,
                                restricted_mean_from_constants,
                                survival_and_moments)
-from gwtheta.environment import EnvSequence, step_pgf, validate_model
+from gwtheta.environment import (EnvSequence, ThetaModel, step_pgf,
+                                 validate_model)
 from gwtheta.errors import ConditioningOnNull, DomainError
 from gwtheta.harness import scenario_model
 
@@ -142,3 +145,87 @@ def test_constants_table_rows():
     assert [row["n"] for row in rows] == [10, 20]
     assert rows[0]["F_n(0)"] == pytest.approx(0.0, abs=1e-12)
     assert rows[1]["mean_restricted"] == pytest.approx(21.0, rel=1e-12)
+
+
+def test_undefined_log_d_is_a_domain_error():
+    # case (f) with c_n = r inside BOUND_SLACK: r - c_n = 0, so D_n and the
+    # theta = 0 law F_n are undefined
+    r = 1.0 + 1e-13
+    model = ThetaModel.from_dict({
+        "theta": 0.0, "r": r,
+        "a": EnvSequence.constant(0.5).to_dict(),
+        "c": EnvSequence.constant(r).to_dict()})
+    assert composite_constants(model, 3).log_D is None
+    for call in (lambda: composed_pgf(model, 3, 0.5),
+                 lambda: survival_and_moments(model, 3),
+                 lambda: conditional_pgf(model, 3, 0.5),
+                 lambda: constants_table(model, [1, 3])):
+        with pytest.raises(DomainError, match="log D_"):
+            call()
+    # theta != 0 laws do not use D: Ex3 has r - c_1 = 0 and still evaluates
+    ex3 = scenario_model("Ex3")
+    assert composite_constants(ex3, 5).log_D is None
+    assert 0.0 <= composed_pgf(ex3, 5, 0.5) <= 1.0
+
+
+# -- closed form against exact composition over random tables ---------------
+
+def _in_band(case, theta, r, a, t):
+    """c_n placed by t in [0, 1] inside the admissible band of row `case`."""
+    if case == "a":
+        return max(1.0 - a, 1e-3) + 2.0 * t
+    if case in ("b", "d"):
+        ends = ((1.0 - a) * r ** (-theta), (1.0 - a) * (r - 1.0) ** (-theta))
+        return min(ends) + t * (max(ends) - min(ends))
+    if case == "c":
+        return (1.0 - a) * max(t, 1e-3)
+    if case == "e":
+        return 0.99 * t
+    return t
+
+
+@st.composite
+def admissible_tables(draw):
+    """(theta, r, [a_1..a_n], [c_1..c_n]) with 1 <= n <= 8 in one of the six
+    cases.  |theta| stays >= 0.05: rounding in the base of (.)^(-1/theta) is
+    amplified by 1/|theta|, so a fixed absolute tolerance needs theta away
+    from 0."""
+    case = draw(st.sampled_from("abcdef"))
+    theta = draw({"a": st.floats(0.05, 1.0), "b": st.floats(0.05, 1.0),
+                  "c": st.floats(-0.99, -0.05), "d": st.floats(-0.99, -0.05)
+                  }.get(case, st.just(0.0)))
+    r = 1.0 if case in "ace" else draw(st.floats(1.05, 4.0))
+    a_range = st.floats(0.05, 3.0) if case == "a" else st.floats(0.01, 0.99)
+    steps = draw(st.lists(st.tuples(a_range, st.floats(0.0, 1.0)),
+                          min_size=1, max_size=8))
+    return (theta, r, [a for a, _ in steps],
+            [_in_band(case, theta, r, a, t) for a, t in steps])
+
+
+def mp_composed(theta, r, a, c, s):
+    """f_1 o ... o f_n (s) in 50-digit arithmetic, carried as u = r - x so
+    that x near r loses nothing to cancellation."""
+    with mpmath.workdps(50):
+        R, th = mpmath.mpf(r), mpmath.mpf(theta)
+        u = R - mpmath.mpf(s)
+        for ak, ck in zip(reversed(a), reversed(c)):
+            ak, ck = mpmath.mpf(ak), mpmath.mpf(ck)
+            if theta == 0.0:
+                u = (R - ck) ** (1 - ak) * u ** ak
+            elif u != 0 or theta < 0.0:
+                u = (ak * u ** (-th) + ck) ** (-1 / th)
+        return float(R - u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(admissible_tables())
+def test_closed_form_equals_exact_composition(table):
+    theta, r, a, c = table
+    model = validate_model(theta, r, EnvSequence.from_table(a, "error"),
+                           EnvSequence.from_table(c, "error"),
+                           check_horizon=len(a))
+    for n in range(1, len(a) + 1):
+        for s in (0.0, 0.3, 0.7, 1.0):
+            assert composed_pgf(model, n, s) == pytest.approx(
+                mp_composed(theta, r, a[:n], c[:n], s), rel=0.0,
+                abs=1e-13), (n, s)

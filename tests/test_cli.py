@@ -138,6 +138,20 @@ def test_nan_model_is_invalid(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and "invalid model" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "pmf"])
+def test_undefined_log_d_is_usage_error(capsys, tmp_path, command):
+    # case (f), c_n = r within BOUND_SLACK: D_n is undefined, not a defect
+    r = 1.0 + 1e-13
+    spec = {"theta": 0.0, "r": r,
+            "a": EnvSequence.constant(0.5).to_dict(),
+            "c": EnvSequence.constant(r).to_dict()}
+    path = tmp_path / "undefined_d.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, command, "--model", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("gwtheta: log D_") and len(err.splitlines()) == 1
+
+
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     import gwtheta.cli as cli
 

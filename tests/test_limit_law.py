@@ -42,6 +42,8 @@ def test_ex5_subsequence_dispatch():
 def test_descriptor_serialization():
     law = law_for("Ex2")
     d = law.to_dict()
+    # the descriptor's ThetaLaw is not part of the record
+    assert set(d) == {"theorem_id", "kind", "parameters", "scaling"}
     assert d["theorem_id"] == "T2"
     assert d["parameters"]["A"] == pytest.approx(1 / 3, rel=1e-3)
     assert "pgf" in d["kind"]
