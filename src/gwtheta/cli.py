@@ -14,11 +14,12 @@ import logging
 import os
 import secrets
 import sys
+from contextlib import contextmanager
 
 from .analytics import constants_table, limit_constants
 from .classifier import classify
 from .environment import ThetaModel
-from .errors import GwThetaError, RejectedParameter
+from .errors import DomainError, GwThetaError, RejectedParameter
 from .harness import (VerifyConfig, get_scenario, registry, scenario_model,
                       summary_table, verify_theorem)
 from .series import (DEFAULT_MAX_CUTOFF, DEFAULT_TAIL_TOL, population_pmf,
@@ -81,21 +82,28 @@ def _resolve_seed(args) -> int:
 
 
 def _default_workers() -> int:
-    return int(os.environ.get("GWTHETA_WORKERS", "1"))
+    value = os.environ.get("GWTHETA_WORKERS", "1")
+    try:
+        return int(value)
+    except ValueError:
+        raise DomainError(f"GWTHETA_WORKERS is not an integer: {value!r}")
 
 
+@contextmanager
 def _open_out(path):
-    return open(path, "w") if path and path != "-" else sys.stdout
+    """The file at path, or stdout for no path or "-"; only a file is
+    closed."""
+    if path and path != "-":
+        with open(path, "w") as fh:
+            yield fh
+    else:
+        yield sys.stdout
 
 
 def _emit(payload, path) -> None:
-    fh = _open_out(path)
-    try:
+    with _open_out(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +120,11 @@ def _cmd_analyze(args) -> int:
     if args.format == "csv":
         cols = ["n", "A_n", "C_n", "D_n", "B_n", "F_n(0)", "F_n(1)",
                 "mean_restricted"]
-        fh = _open_out(args.out)
-        try:
+        with _open_out(args.out) as fh:
             fh.write(",".join(cols) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(row.get(col, "")) for col in cols)
                          + "\n")
-        finally:
-            if fh is not sys.stdout:
-                fh.close()
     else:
         _emit(rows, args.out)
     return EXIT_OK
@@ -134,12 +138,8 @@ def _cmd_pmf(args) -> int:
     else:
         pmf = population_pmf(model, args.n, tail_tol=args.tail_tol,
                              max_cutoff=args.max_cutoff)
-    fh = _open_out(args.out)
-    try:
+    with _open_out(args.out) as fh:
         write_pmf_csv(pmf, fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return EXIT_OK
 
 
@@ -245,9 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except RejectedParameter as err:
         print(f"gwtheta: invalid model: {err}", file=sys.stderr)

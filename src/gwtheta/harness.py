@@ -25,9 +25,10 @@ from .analytics import (composite_constants, composite_law, constants_at,
                         convergence_conditions, limit_constants, limit_law)
 from .classifier import classify
 from .environment import EnvSequence, ThetaModel, validate_model
-from .errors import ScenarioInfeasible
+from .errors import CutoffExceeded, ScenarioInfeasible
+from .series import extend_pmf, population_pmf
 from .simulator import (heavy_tail_log_sf, replicate_rng, run_ensemble,
-                        sample_heavy_tail_log, simulate_trajectory)
+                        sample_heavy_tail_log, simulate_trajectories)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,12 @@ def _ratio(name, statistic, tol, detail=""):
     return _approx(name, statistic, 1.0, tol, detail=detail)
 
 
+def _sup_check(name, f, law, tol, detail=""):
+    """sup over the s grid of |f(s) - the limit law at s|, against 0."""
+    return _approx(name, max(abs(f(s) - law.evaluate(s)) for s in _GRID),
+                   0.0, tol, detail=detail)
+
+
 def _conditional_mean_limit(theta: float, r: float) -> float:
     """Limit of E(Z_n | tau > n) in the defective A = 0 sub-cases, from the
     exact derivative F_n'(1) ~ A_n (r-1)^(-theta-1) C^(-1/theta-1) divided by
@@ -291,9 +298,8 @@ def _checks_t2(sc, model, cfg, limits, law):
     checks = [
         _ratio("mean_vs_limit",
                F.restricted_mean() / law.law.restricted_mean(), _RATE_TOL),
-        _approx("pgf_grid_sup_diff",
-                max(abs(F.pgf(s) - law.evaluate(s)) for s in _GRID),
-                0.0, _RATE_TOL, detail="F_n(s) vs limit pgf"),
+        _sup_check("pgf_grid_sup_diff", F.pgf, law, _RATE_TOL,
+                   detail="F_n(s) vs limit pgf"),
     ]
     rep = convergence_conditions(model, n_big)
     checks.append(Check("church_lindvall_holds", 1.0, 1.0, 0.0,
@@ -302,13 +308,8 @@ def _checks_t2(sc, model, cfg, limits, law):
     reps = min(cfg.replicates or 2000, 20000)
     n_tr = 40
     seed = scenario_seed(cfg.seed, sc.id)
-    stable = 0
-    samplers = {}
-    for i in range(reps):
-        tr = simulate_trajectory(model, n_tr, seed + i, _samplers=samplers)
-        win = tr.states[n_tr // 2:]
-        if all(s == win[0] for s in win):
-            stable += 1
+    paths = simulate_trajectories(model, n_tr, range(seed, seed + reps))
+    stable = sum(len(set(tr.states[n_tr // 2:])) == 1 for tr in paths)
     checks.append(Check("stabilization_proxy", stable / reps, 1.0, 0.2,
                         stable / reps >= 0.8, kind="proxy",
                         detail="necessary condition only; fraction of "
@@ -344,24 +345,17 @@ def _t4_style_checks(model, cc, law, tol, tag=""):
                detail="P(Z_n>0) ~ ((1+B) A_n)^(-1/theta)"),
         _ratio(f"conditional_mean{tag}",
                F.restricted_mean() / surv / (1.0 + B) ** (1.0 / theta), tol),
-        _approx(f"conditional_pgf_sup_diff{tag}",
-                max(abs(F.conditional_pgf(s) - law.evaluate(s))
-                    for s in _GRID),
-                0.0, tol),
+        _sup_check(f"conditional_pgf_sup_diff{tag}", F.conditional_pgf,
+                   law, tol),
     ]
     return checks
 
 
-def _checks_t3(sc, model, cfg, limits, law):
+def _checks_t3_t4(sc, model, cfg, limits, law):
     n_big = cfg.horizon or _ANALYTIC_N
     cc = composite_constants(model, n_big)
-    return (_t3_style_checks(model, cc, law, _RATE_TOL), 0, (n_big,))
-
-
-def _checks_t4(sc, model, cfg, limits, law):
-    n_big = cfg.horizon or _ANALYTIC_N
-    cc = composite_constants(model, n_big)
-    return (_t4_style_checks(model, cc, law, _RATE_TOL), 0, (n_big,))
+    style = _t3_style_checks if sc.theorem_id == "T3" else _t4_style_checks
+    return (style(model, cc, law, _RATE_TOL), 0, (n_big,))
 
 
 def _checks_t5(sc, model, cfg, limits, law_unused):
@@ -444,14 +438,11 @@ def _checks_t6(sc, model, cfg, limits, law):
                                   _RATE_TOL))
         return checks, 0, (n_big,)
     if tid == "T6iii":
-        sup = max(abs(F.conditional_pgf(s) - law.evaluate(s))
-                  for s in _GRID)
-        checks.append(_approx("conditional_pgf_sup_diff", sup, 0.0,
-                              _RATE_TOL))
+        checks.append(_sup_check("conditional_pgf_sup_diff",
+                                 F.conditional_pgf, law, _RATE_TOL))
         return checks, 0, (n_big,)
     # T6iv
-    sup = max(abs(F.pgf(s) - law.evaluate(s)) for s in _GRID)
-    checks.append(_approx("pgf_sup_diff", sup, 0.0, _RATE_TOL))
+    checks.append(_sup_check("pgf_sup_diff", F.pgf, law, _RATE_TOL))
     rep = convergence_conditions(model, max(n_big, 1000))
     checks.append(Check("conditions_a0_A1_hold", 1.0, 1.0, 0.0,
                         rep.condition_a0 == "holds"
@@ -468,10 +459,8 @@ def _defective_zero_a_checks(F, law, rate_target, mean_limit, tol):
     checks = [
         _ratio("absorption_rate", surv / rate_target, tol,
                detail="P(tau>n) / asymptotic expression"),
-        _approx("conditional_pgf_sup_diff",
-                max(abs(F.conditional_pgf(s) - law.evaluate(s))
-                    for s in _GRID),
-                0.0, tol),
+        _sup_check("conditional_pgf_sup_diff", F.conditional_pgf, law,
+                   tol),
     ]
     if mean_limit is not None:
         checks.append(_ratio("conditional_mean",
@@ -483,16 +472,29 @@ def _restricted_law_checks(model, F, law, limits, tol):
     """Shared T7ii/T8ii/T9ii structure on the n-step law F: restricted pgf
     convergence, limit mean, and closed-form absorption probabilities."""
     checks = [
-        _approx("restricted_pgf_sup_diff",
-                max(abs(F.pgf(s) - law.evaluate(s)) for s in _GRID),
-                0.0, tol,
-                detail="E(s^{Z_n}; tau_Delta > n) vs limit"),
+        _sup_check("restricted_pgf_sup_diff", F.pgf, law, tol,
+                   detail="E(s^{Z_n}; tau_Delta > n) vs limit"),
     ]
     ab = an.absorption_probabilities(model, limits)
     checks.append(_approx("q_vs_Fn0", ab.q, F.pgf(0.0), tol))
     checks.append(_approx("q_delta_vs_defect", ab.q_delta, 1.0 - F.pgf(1.0),
                           tol))
     return checks
+
+
+def _mc_absorption_checks(sc, model, cfg, n_mc, reps):
+    """Generational Monte Carlo frequencies of Z_n = 0 and Z_n = Delta at
+    n_mc against F_n(0) and 1 - F_n(1), within 4 standard errors."""
+    F_mc = composite_law(model, n_mc)
+    stats = run_ensemble(model, n_mc, reps, scenario_seed(cfg.seed, sc.id),
+                         cfg.workers)
+    return [_approx(f"mc_{name}_freq", est, target,
+                    4.0 * max(se, 1e-9) * cfg.tolerance_scale,
+                    kind="distributional",
+                    detail=f"4 SE at n={n_mc}, reps={reps}")
+            for name, (est, se), target in (
+                ("zero", stats.zero_freq, F_mc.pgf(0.0)),
+                ("delta", stats.delta_freq, 1.0 - F_mc.pgf(1.0)))]
 
 
 def _checks_t7_t8(sc, model, cfg, limits, law):
@@ -508,18 +510,7 @@ def _checks_t7_t8(sc, model, cfg, limits, law):
             F, law, rate, _conditional_mean_limit(theta, r), _RATE_TOL)
         reps = min(cfg.replicates or 20000, 10 ** 5)
         n_mc = 30
-        F_mc = composite_law(model, n_mc)
-        stats = run_ensemble(model, n_mc, reps,
-                             scenario_seed(cfg.seed, sc.id), cfg.workers,
-                             mode="generational")
-        for name, est_se, target in (
-                ("zero", stats.zero_freq, F_mc.pgf(0.0)),
-                ("delta", stats.delta_freq, 1.0 - F_mc.pgf(1.0))):
-            se = max(est_se[1], 1e-9)
-            checks.append(_approx(f"mc_{name}_freq", est_se[0], target,
-                                  4.0 * se * cfg.tolerance_scale,
-                                  kind="distributional",
-                                  detail=f"4 SE at n={n_mc}, reps={reps}"))
+        checks += _mc_absorption_checks(sc, model, cfg, n_mc, reps)
         return checks, reps, (n_big, n_mc)
     # (ii) variants
     checks = _restricted_law_checks(model, F, law, limits, _RATE_TOL)
@@ -557,18 +548,7 @@ def _checks_t9(sc, model, cfg, limits, law):
                          _RATE_TOL))
     reps = cfg.replicates or 10 ** 5
     n_mc = 200
-    F_mc = composite_law(model, n_mc)
-    stats = run_ensemble(model, n_mc, reps,
-                         scenario_seed(cfg.seed, sc.id), cfg.workers,
-                         mode="generational")
-    for name, est_se, target in (
-            ("zero", stats.zero_freq, F_mc.pgf(0.0)),
-            ("delta", stats.delta_freq, 1.0 - F_mc.pgf(1.0))):
-        se = max(est_se[1], 1e-9)
-        checks.append(_approx(f"mc_{name}_freq", est_se[0], target,
-                              4.0 * se * cfg.tolerance_scale,
-                              kind="distributional",
-                              detail=f"4 SE at n={n_mc}, reps={reps}"))
+    checks += _mc_absorption_checks(sc, model, cfg, n_mc, reps)
     return checks, reps, (n_big, n_mc)
 
 
@@ -588,8 +568,6 @@ def _checks_t10(sc, model, cfg, limits, law):
     # T10ii: E(Z_n; tau_Delta > n) = inf -- divergence witnessed through
     # truncated means at growing cutoffs
     checks = _restricted_law_checks(model, F, law, limits, _RATE_TOL)
-    from .errors import CutoffExceeded
-    from .series import extend_pmf, population_pmf
     n_small = 6
     try:
         pmf = population_pmf(model, n_small, tail_tol=1e-30,
@@ -609,8 +587,8 @@ def _checks_t10(sc, model, cfg, limits, law):
     return checks, 0, (n_big, n_small)
 
 
-_SUITES = {"T1": _checks_t1, "T2": _checks_t2, "T3": _checks_t3,
-           "T4": _checks_t4, "T5": _checks_t5, "T6": _checks_t6,
+_SUITES = {"T1": _checks_t1, "T2": _checks_t2, "T3": _checks_t3_t4,
+           "T4": _checks_t3_t4, "T5": _checks_t5, "T6": _checks_t6,
            "T7": _checks_t7_t8, "T8": _checks_t7_t8, "T9": _checks_t9,
            "T10": _checks_t10}
 

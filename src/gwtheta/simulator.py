@@ -3,20 +3,22 @@ Z_n from its composite law, and parallel ensemble statistics.
 
 Reproducibility contract: every replicate owns a counter-based RNG stream
 keyed by (base_seed, replicate_index), so results are bit-identical for any
-worker count and for reruns with the same seed.
+worker count and for reruns with the same seed.  A draw depends on the law,
+the cutoff budget and the uniform alone, so a call shares its samplers.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .analytics import (CompositeConstants, LimitLawDescriptor,
-                        composite_constants, composite_law)
+from .analytics import LimitLawDescriptor, composite_constants, composite_law
 from .environment import ThetaLaw, ThetaModel
 from .errors import CutoffExceeded, DomainError
 from .series import (DEFAULT_MAX_CUTOFF, Pmf, extend_pmf, population_pmf,
@@ -139,15 +141,21 @@ class _MixtureHeavySampler:
 class _PmfSampler:
     """Inverse-transform sampler over (weights, tail, defect); a draw landing
     in the tail region extends the cutoff until resolved (prefix weights are
-    stable, so no probability is reassigned)."""
+    stable, so no probability is reassigned).  A draw depends on the law and
+    the cutoff budget alone, not on how far earlier draws extended it."""
 
     def __init__(self, pmf: Pmf, max_cutoff: int):
-        self.pmf = pmf
         self.max_cutoff = max_cutoff
-        self._cum = np.cumsum(pmf.weights)
         self._proper = 1.0 - pmf.defect_mass
         # with no defect mass _proper is 1 > u, so no draw can be DELTA
         self.emits_delta = pmf.defect_mass > 0.0
+        self._set_pmf(pmf)
+
+    def _set_pmf(self, pmf: Pmf) -> None:
+        # the running sum can round above 1 - defect; clamped there, every
+        # u >= 1 - defect falls past the table, and so is DELTA, at any cutoff
+        self.pmf = pmf
+        self._cum = np.minimum(np.cumsum(pmf.weights), self._proper)
 
     def _resolve_tail(self, u: float) -> int:
         while True:
@@ -156,9 +164,8 @@ class _PmfSampler:
                     f"draw fell in unresolved tail mass beyond cutoff "
                     f"{self.pmf.cutoff} (budget {self.max_cutoff})",
                     partial=self.pmf)
-            self.pmf = extend_pmf(self.pmf,
-                                  min(2 * self.pmf.cutoff, self.max_cutoff))
-            self._cum = np.cumsum(self.pmf.weights)
+            self._set_pmf(extend_pmf(self.pmf, min(2 * self.pmf.cutoff,
+                                                   self.max_cutoff)))
             if u < self._cum[-1]:
                 return int(np.searchsorted(self._cum, u, side="right"))
 
@@ -174,16 +181,6 @@ class _PmfSampler:
         return out
 
 
-def _build_sampling_pmf(builder, *args, tail_tol=_SAMPLING_TAIL_TOL,
-                        max_cutoff=DEFAULT_MAX_CUTOFF):
-    """Best-effort pmf for sampling: an unreachable tail tolerance is fine,
-    the sampler extends (or raises) only when a draw actually lands there."""
-    try:
-        return builder(*args, tail_tol=tail_tol, max_cutoff=max_cutoff)
-    except CutoffExceeded as err:
-        return err.partial
-
-
 def _sampler(model: ThetaModel, n: int, max_cutoff: int, population: bool):
     """Sampler of the one-step law f_n, or of the law F_n of Z_n when
     population is set."""
@@ -191,8 +188,31 @@ def _sampler(model: ThetaModel, n: int, max_cutoff: int, population: bool):
         law = composite_law(model, n) if population else model.step_law(n)
         return _MixtureHeavySampler(law)
     build_pmf = population_pmf if population else step_pmf
-    pmf = _build_sampling_pmf(build_pmf, model, n, max_cutoff=max_cutoff)
+    try:
+        pmf = build_pmf(model, n, tail_tol=_SAMPLING_TAIL_TOL,
+                        max_cutoff=max_cutoff)
+    except CutoffExceeded as err:
+        # an unreachable tail tolerance is fine: the sampler extends (or
+        # raises) only when a draw actually lands in the tail
+        pmf = err.partial
     return _PmfSampler(pmf, max_cutoff)
+
+
+class _SamplerTable:
+    """The samplers of one simulation call, each built on first use and kept
+    for the whole call: f_n's in ``step`` and F_n's in ``population``, both
+    keyed by n.  Draws do not depend on a sampler's history, so every chunk
+    and every path of the call can share them."""
+
+    def __init__(self, model: ThetaModel, max_cutoff: int):
+        self.model, self.max_cutoff = model, max_cutoff
+        self.step, self.population = {}, {}
+
+    def get(self, n: int, population: bool = False):
+        built = self.population if population else self.step
+        if n not in built:
+            built[n] = _sampler(self.model, n, self.max_cutoff, population)
+        return built[n]
 
 
 def sample_offspring(pmf: Pmf, rng: np.random.Generator,
@@ -219,9 +239,9 @@ class Trajectory:
     truncated: bool = False
 
 
-def _simulate_states(model: ThetaModel, horizon: int,
-                     rng: np.random.Generator, samplers: dict,
-                     population_cap: int, max_cutoff: int):
+def _simulate_states(samplers: _SamplerTable, horizon: int,
+                     rng: np.random.Generator, population_cap: int):
+    step = samplers.step
     states = [1]
     z = 1
     truncated = False
@@ -229,54 +249,55 @@ def _simulate_states(model: ThetaModel, horizon: int,
         if z == 0 or z == _DELTA_CODE or truncated:
             states.append(states[-1])
             continue
-        sampler = samplers.get(n)
+        sampler = step.get(n)
         if sampler is None:
-            sampler = _sampler(model, n, max_cutoff, False)
-            samplers[n] = sampler
+            sampler = samplers.get(n)
         total = 0
         remaining = z
-        hit_delta = False
         while remaining > 0:
             k = min(remaining, BATCH)
             draws = sampler.draw(rng, k)
             if sampler.emits_delta and (draws == _DELTA_CODE).any():
-                hit_delta = True
-                break                 # one defective draw absorbs everything
+                total = _DELTA_CODE   # one defective draw absorbs everything
+                break
             total += int(draws.sum())
             remaining -= k
             if total > population_cap:
                 truncated = True
                 break
-        if hit_delta:
-            z = _DELTA_CODE
-            states.append(DELTA)
-        else:
-            z = total
-            states.append(min(total, population_cap))
+        z = total
+        states.append(DELTA if z == _DELTA_CODE else min(z, population_cap))
     return states, truncated
+
+
+def simulate_trajectories(model: ThetaModel, horizon: int,
+                          seeds: Iterable[int],
+                          population_cap: int = POPULATION_CAP,
+                          max_cutoff: int = DEFAULT_MAX_CUTOFF) -> list:
+    """Generation-by-generation paths, one per seed, sharing one sampler
+    table; each path is deterministic in (model, horizon, seed)."""
+    if horizon < 1:
+        raise DomainError("horizon must be >= 1")
+    samplers = _SamplerTable(model, max_cutoff)
+    paths = []
+    for seed in seeds:
+        states, truncated = _simulate_states(
+            samplers, horizon, replicate_rng(seed, 0), population_cap)
+        tau = next((n for n, s in enumerate(states)
+                    if s == 0 or s == DELTA), None)
+        tau0 = tau if tau is not None and states[tau] == 0 else None
+        tau_delta = tau if tau is not None and tau0 is None else None
+        paths.append(Trajectory(tuple(states), tau0, tau_delta, tau, seed,
+                                truncated))
+    return paths
 
 
 def simulate_trajectory(model: ThetaModel, horizon: int, seed: int,
                         population_cap: int = POPULATION_CAP,
-                        max_cutoff: int = DEFAULT_MAX_CUTOFF,
-                        _samplers: dict = None) -> Trajectory:
+                        max_cutoff: int = DEFAULT_MAX_CUTOFF) -> Trajectory:
     """Generation-by-generation path; deterministic in (model, horizon, seed)."""
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
-    rng = replicate_rng(seed, 0)
-    samplers = _samplers if _samplers is not None else {}
-    states, truncated = _simulate_states(model, horizon, rng, samplers,
-                                         population_cap, max_cutoff)
-    tau0 = tau_delta = None
-    for n, s in enumerate(states):
-        if s == DELTA:
-            tau_delta = n
-            break
-        if s == 0:
-            tau0 = n
-            break
-    tau = tau0 if tau0 is not None else tau_delta
-    return Trajectory(tuple(states), tau0, tau_delta, tau, seed, truncated)
+    return simulate_trajectories(model, horizon, (seed,), population_cap,
+                                 max_cutoff)[0]
 
 
 def sample_zn_direct(model: ThetaModel, n: int, seed: int,
@@ -336,66 +357,78 @@ class EnsembleStats:
         }
 
 
-def _scaled_value(descriptor: LimitLawDescriptor, cc: CompositeConstants,
-                  theta: float, z: int):
+def _scaled_value(job: _Job, z: int):
     """Normalized sample per the descriptor's scaling recipe; None when the
     replicate does not enter the conditioned/scaled collection."""
-    tid = descriptor.theorem_id
+    tid = job.scaling.theorem_id
     if z == _DELTA_CODE:
         return None
     if tid == "T1":
-        return cc.A ** (1.0 / theta) * z
+        return job.cc.A ** (1.0 / job.model.theta) * z
     if tid in ("T6i", "T6ii"):
-        return cc.A * math.log(z) if z > 0 else None
+        return job.cc.A * math.log(z) if z > 0 else None
     if tid in ("T3", "T4", "T5i", "T5ii"):
         return float(z) if z > 0 else None
     return float(z)
 
 
-def _run_chunk(model: ThetaModel, horizon: int, mode: str, base_seed: int,
-               start: int, count: int, s_grid, descriptor, theta: float,
-               cc, population_cap: int, max_cutoff: int) -> dict:
-    n_zero = n_delta = n_surv = n_trunc = 0
-    pgf_sum = [0.0] * len(s_grid)
-    pgf_sq = [0.0] * len(s_grid)
-    scaled = []
-    errors = {}
-    samplers = {}
-    direct_sampler = None
-    if mode == "direct":
-        direct_sampler = _sampler(model, horizon, max_cutoff, True)
-    for rng in _replicate_streams(base_seed, range(start, start + count)):
+# what every chunk of one run_ensemble call shares
+_Job = namedtuple("_Job", "model horizon mode base_seed s_grid scaling cc "
+                          "population_cap max_cutoff")
+
+
+class _Tally:
+    """Outcome counts and empirical-pgf sums over replicates.  Chunks and the
+    run total start from the same zeros, and the total merges the chunks in
+    chunk order, so its sums do not depend on the worker count."""
+
+    def __init__(self, grid_size: int):
+        self.counts = Counter()     # zero, delta, survival, truncated
+        self.errors = Counter()     # by exception name
+        self.pgf_sum = [0.0] * grid_size
+        self.pgf_sq = [0.0] * grid_size
+        self.scaled = []
+
+    def merge(self, other: "_Tally") -> None:
+        self.counts.update(other.counts)
+        self.errors.update(other.errors)
+        self.pgf_sum = [a + b for a, b in zip(self.pgf_sum, other.pgf_sum)]
+        self.pgf_sq = [a + b for a, b in zip(self.pgf_sq, other.pgf_sq)]
+        self.scaled.extend(other.scaled)
+
+
+def _run_chunk(job: _Job, start: int, count: int,
+               samplers: Optional[_SamplerTable] = None) -> _Tally:
+    if samplers is None:           # a pool task builds its own table
+        samplers = _SamplerTable(job.model, job.max_cutoff)
+    tally = _Tally(len(job.s_grid))
+    counts, pgf_sum, pgf_sq = tally.counts, tally.pgf_sum, tally.pgf_sq
+    direct = (samplers.get(job.horizon, population=True)
+              if job.mode == "direct" else None)
+    for rng in _replicate_streams(job.base_seed, range(start, start + count)):
         try:
-            if mode == "direct":
-                z = int(direct_sampler.draw(rng, 1)[0])
+            if direct is not None:
+                z = int(direct.draw(rng, 1)[0])
             else:
                 states, truncated = _simulate_states(
-                    model, horizon, rng, samplers, population_cap,
-                    max_cutoff)
-                if truncated:
-                    n_trunc += 1
+                    samplers, job.horizon, rng, job.population_cap)
+                counts["truncated"] += truncated
                 last = states[-1]
                 z = _DELTA_CODE if last == DELTA else int(last)
         except CutoffExceeded:
-            errors["CutoffExceeded"] = errors.get("CutoffExceeded", 0) + 1
+            tally.errors["CutoffExceeded"] += 1
             continue
-        if z == _DELTA_CODE:
-            n_delta += 1
-        elif z == 0:
-            n_zero += 1
-        else:
-            n_surv += 1
-        for i, s in enumerate(s_grid):
+        counts["delta" if z == _DELTA_CODE
+               else "zero" if z == 0 else "survival"] += 1
+        for i, s in enumerate(job.s_grid):
             x = 0.0 if z == _DELTA_CODE else s ** z
             pgf_sum[i] += x
             pgf_sq[i] += x * x
-        if descriptor is not None:
-            val = _scaled_value(descriptor, cc, theta, z)
+        if job.scaling is not None:
+            val = _scaled_value(job, z)
             if val is not None:
-                scaled.append(val)
-    return {"zero": n_zero, "delta": n_delta, "surv": n_surv,
-            "trunc": n_trunc, "pgf_sum": pgf_sum, "pgf_sq": pgf_sq,
-            "scaled": scaled, "errors": errors}
+                tally.scaled.append(val)
+    return tally
 
 
 def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
@@ -409,40 +442,31 @@ def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
 
     Replicates are split into fixed-size chunks by index; chunk results are
     reduced in index order, so the result is bit-identical for any number of
-    workers."""
+    workers.  The chunks run in this process share one sampler table; each
+    pool task builds its own."""
     if replicates < 1:
         raise DomainError("replicates must be >= 1")
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
     if mode not in ("generational", "direct"):
         raise DomainError(f"unknown mode {mode!r}")
     cc = composite_constants(model, horizon) if scaling is not None else None
-    chunks = [(start, min(CHUNK, replicates - start))
-              for start in range(0, replicates, CHUNK)]
-    args = [(model, horizon, mode, base_seed, start, count, tuple(s_grid),
-             scaling, model.theta, cc, population_cap, max_cutoff)
-            for start, count in chunks]
-    if workers > 1 and len(chunks) > 1:
+    job = _Job(model, horizon, mode, base_seed, tuple(s_grid), scaling, cc,
+               population_cap, max_cutoff)
+    starts = range(0, replicates, CHUNK)
+    sizes = [min(CHUNK, replicates - start) for start in starts]
+    if workers > 1 and len(starts) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_chunk_star, args))
+            results = list(pool.map(_run_chunk, repeat(job), starts, sizes))
     else:
-        results = [_run_chunk(*a) for a in args]
-
-    n_zero = n_delta = n_surv = n_trunc = 0
-    pgf_sum = [0.0] * len(s_grid)
-    pgf_sq = [0.0] * len(s_grid)
-    scaled = []
-    errors = {}
+        samplers = _SamplerTable(model, max_cutoff)
+        results = [_run_chunk(job, start, size, samplers)
+                   for start, size in zip(starts, sizes)]
+    total = _Tally(len(job.s_grid))
     for res in results:            # fixed chunk order: deterministic reduce
-        n_zero += res["zero"]
-        n_delta += res["delta"]
-        n_surv += res["surv"]
-        n_trunc += res["trunc"]
-        for i in range(len(s_grid)):
-            pgf_sum[i] += res["pgf_sum"][i]
-            pgf_sq[i] += res["pgf_sq"][i]
-        scaled.extend(res["scaled"])
-        for key, val in res["errors"].items():
-            errors[key] = errors.get(key, 0) + val
-    n_ok = n_zero + n_delta + n_surv
+        total.merge(res)
+    counts = total.counts
+    n_ok = counts["zero"] + counts["delta"] + counts["survival"]
 
     def freq(count):
         p = count / n_ok if n_ok else 0.0
@@ -450,21 +474,18 @@ def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
         return (p, se)
 
     pgf = []
-    for i, s in enumerate(s_grid):
+    for i, s in enumerate(job.s_grid):
         if n_ok:
-            mean = pgf_sum[i] / n_ok
-            var = max(0.0, pgf_sq[i] / n_ok - mean * mean)
+            mean = total.pgf_sum[i] / n_ok
+            var = max(0.0, total.pgf_sq[i] / n_ok - mean * mean)
             pgf.append((s, mean, math.sqrt(var / n_ok)))
         else:
             pgf.append((s, 0.0, 0.0))
     return EnsembleStats(
         replicates=replicates, horizon=horizon, mode=mode,
-        base_seed=base_seed, zero_freq=freq(n_zero),
-        delta_freq=freq(n_delta), survival_freq=freq(n_surv),
-        empirical_pgf=tuple(pgf),
-        scaled_samples=(np.array(scaled) if scaling is not None else None),
-        error_counts=errors, truncated_count=n_trunc)
-
-
-def _run_chunk_star(args):
-    return _run_chunk(*args)
+        base_seed=base_seed, zero_freq=freq(counts["zero"]),
+        delta_freq=freq(counts["delta"]),
+        survival_freq=freq(counts["survival"]), empirical_pgf=tuple(pgf),
+        scaled_samples=(np.array(total.scaled) if scaling is not None
+                        else None),
+        error_counts=dict(total.errors), truncated_count=counts["truncated"])

@@ -165,3 +165,18 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert out == ""
     assert err == ("gwtheta: internal error: ZeroDivisionError: float "
                    "division by zero\n")
+
+
+def test_negative_workers_exit_2(capsys):
+    code, out, err = run(capsys, "simulate", "--scenario", "Ex1",
+                         "--horizon", "5", "--replicates", "10", "--seed",
+                         "1", "--workers", "-3")
+    assert code == 2 and out == ""
+    assert err == "gwtheta: workers must be >= 1\n"
+
+
+def test_non_integer_workers_variable_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("GWTHETA_WORKERS", "abc")
+    code, out, err = run(capsys, "classify", "--scenario", "Ex1")
+    assert code == 2 and out == ""
+    assert err == "gwtheta: GWTHETA_WORKERS is not an integer: 'abc'\n"

@@ -9,6 +9,7 @@ from gwtheta.environment import (BOUND_SLACK, EnvSequence, ThetaModel,
                                  _check_index, _violations, step_pgf,
                                  step_pgf_weight_one, validate_model)
 from gwtheta.errors import DomainError, RejectedParameter
+from gwtheta.harness import scenario_model
 
 
 def test_harmonic_and_convergent_values():
@@ -388,3 +389,41 @@ def test_case_e_constant_models_validate(a, c):
     p1 = step_pgf_weight_one(model, 1)
     assert 0.0 <= p1 <= 1.0
     assert 0.0 <= step_pgf(model, 1, 0.0) <= 1.0
+
+
+# models with every sequence family: the registry covers all but the table
+_ROUND_TRIP_SCENARIOS = ("Ex1", "Ex2", "Ex3", "Ex4a", "Ex4b", "Ex5", "Ex6i",
+                         "Ex8i", "Ex9i")
+
+
+@st.composite
+def _serializable_models(draw):
+    kind = draw(st.sampled_from(("scenario", "nested", "table")))
+    if kind == "scenario":
+        return scenario_model(draw(st.sampled_from(_ROUND_TRIP_SCENARIOS)))
+    unit = st.floats(0.05, 0.95)
+    if kind == "nested":
+        # case (a) with c = sigma (1 - a_n), a_n itself proportional_c
+        a = EnvSequence.proportional_c(draw(unit), EnvSequence.harmonic())
+        return validate_model(draw(st.floats(0.05, 1.0)), 1.0, a,
+                              EnvSequence.proportional_c(
+                                  draw(st.floats(1.0, 3.0)), a))
+    # case (c) tables of 200 entries, so steps(1, 200) stays in range
+    # under either tail rule
+    rule = draw(st.sampled_from(("repeat_last", "error")))
+    a = draw(st.lists(unit, min_size=1, max_size=6))
+    frac = draw(st.lists(st.floats(0.05, 1.0), min_size=len(a),
+                         max_size=len(a)))
+    c = [f * (1.0 - x) for x, f in zip(a, frac)]
+    return validate_model(draw(st.floats(-0.95, -0.05)), 1.0,
+                          EnvSequence.from_table((a * 200)[:200], rule),
+                          EnvSequence.from_table((c * 200)[:200], rule))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_serializable_models())
+def test_model_json_round_trip_is_exact(model):
+    again = ThetaModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    assert again == model
+    for got, want in zip(again.steps(1, 200), model.steps(1, 200)):
+        assert got.tobytes() == want.tobytes()

@@ -8,9 +8,11 @@ from scipy import stats as sps
 
 from gwtheta import simulator
 from gwtheta.analytics import composed_pgf, composite_constants
-from gwtheta.errors import DomainError
+from gwtheta.environment import ThetaLaw
+from gwtheta.errors import CutoffExceeded, DomainError
 from gwtheta.harness import scenario_model
-from gwtheta.series import RECURRENCE_MAX, extend_pmf, pmf_from_theta_pgf
+from gwtheta.series import (RECURRENCE_MAX, Pmf, extend_pmf,
+                            pmf_from_theta_pgf, population_pmf, step_pmf)
 from gwtheta.simulator import (DELTA, _replicate_streams, replicate_rng,
                                run_ensemble, sample_heavy_tail_index,
                                sample_heavy_tail_log, sample_offspring,
@@ -80,6 +82,90 @@ def test_defective_draws_hit_delta():
     frac = sum(1 for d in draws if d == DELTA) / len(draws)
     assert frac == pytest.approx(pmf.defect_mass, abs=0.02)
     assert frac > 0.0
+
+
+class _FixedUniforms:
+    """Stands in for a Generator: random(k) returns the next k of u."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, k):
+        head, self.u = self.u[:k], self.u[k:]
+        return head
+
+
+def test_pmf_sampler_rounding_sliver_is_delta():
+    # the running sum 0.25 + 0.2500000000000001 rounds above 1 - defect
+    # = 0.5, so u = 0.5 lands inside the table unless it is clamped
+    law = ThetaLaw(1.0, 1.0, 1.0, 1.0, None)
+    pmf = Pmf(np.array([0.25, 0.2500000000000001]), 0.0, 0.5, 1, law)
+    assert np.cumsum(pmf.weights)[-1] > 0.5
+    assert sample_offspring(pmf, _FixedUniforms([0.5])) == DELTA
+
+
+@pytest.mark.parametrize("sid", ["Ex10ii", "Ex7i"])
+def test_pmf_sampler_draws_do_not_depend_on_extension(sid):
+    # a sampler extended to its whole budget ahead of time draws what a
+    # fresh one draws, tail extensions and budget overruns included
+    model, budget = scenario_model(sid), 2 ** 14
+    fresh = simulator._sampler(model, 30, budget, True)
+    ahead = simulator._sampler(model, 30, budget, True)
+    while ahead.pmf.cutoff < budget:
+        ahead._set_pmf(extend_pmf(ahead.pmf, 2 * ahead.pmf.cutoff))
+    assert fresh.pmf.cutoff < budget
+
+    def draws(sampler, u):
+        out = []
+        for v in u:
+            try:
+                out.append(int(sampler.draw(_FixedUniforms([v]), 1)[0]))
+            except CutoffExceeded:
+                out.append(None)
+        return out
+    u = np.random.default_rng(2024).random(10 ** 4)
+    assert draws(fresh, u) == draws(ahead, u)
+
+
+# one model of each parameter row (a) .. (f); (e) has the mixture sampler
+_CASE_MODELS = {"a": "Ex1", "b": "Ex7i", "c": "Ex10i", "d": "Ex8i",
+                "e": "Ex6i", "f": "Ex9i"}
+
+
+@pytest.mark.parametrize("population", [False, True])
+@pytest.mark.parametrize("case", sorted(_CASE_MODELS))
+def test_sampler_chi_square_against_pmf(case, population):
+    model = scenario_model(_CASE_MODELS[case])
+    assert model.case_label == case
+    n, budget, size = 5, 2 ** 12, 20000
+    build = population_pmf if population else step_pmf
+    try:
+        pmf = build(model, n, max_cutoff=budget)
+    except CutoffExceeded as err:
+        pmf = err.partial
+    sampler = simulator._sampler(model, n, budget, population)
+    rng = replicate_rng(31 + population, 0)
+    draws = []
+    for _ in range(size):
+        try:
+            draws.append(int(sampler.draw(rng, 1)[0]))
+        except CutoffExceeded:
+            draws.append(budget + 1)         # beyond the budget: tail
+    draws = np.array(draws)
+    # single values with 5 expected draws or more, then the DELTA bucket,
+    # then the tail bucket holding every other value
+    bins = np.flatnonzero(pmf.weights * size >= 5.0)
+    obs = [np.count_nonzero(draws == j) for j in bins]
+    exp = list(pmf.weights[bins] * size)
+    obs.append(np.count_nonzero(draws == simulator._DELTA_CODE))
+    exp.append(pmf.defect_mass * size)
+    obs.append(size - sum(obs))
+    exp.append(size - sum(exp))
+    obs, exp = np.array(obs), np.array(exp)
+    empty = exp < 1e-9
+    assert not obs[empty].any()
+    result = sps.chisquare(obs[~empty], exp[~empty])
+    assert result.pvalue >= 1e-6, (obs, exp)
 
 
 def test_heavy_tail_index_sampler_matches_tail():
@@ -164,8 +250,9 @@ def test_run_ensemble_reproducible_across_workers():
 
 def test_run_ensemble_reproducible_across_workers_above_recurrence(
         monkeypatch):
-    # small chunks, so several chunks extend their own sampler's pmf past
-    # RECURRENCE_MAX, into the Cauchy integral blocks
+    # small chunks: at one worker every chunk shares one sampler, so each
+    # cutoff past RECURRENCE_MAX, into the Cauchy integral blocks, is
+    # reached once; at two workers each pool task extends its own
     monkeypatch.setattr(simulator, "CHUNK", 512)
     cutoffs = []
 
@@ -178,9 +265,18 @@ def test_run_ensemble_reproducible_across_workers_above_recurrence(
         one = run_ensemble(model, 30, 3000, 1, workers=1, mode="direct",
                            max_cutoff=2 ** 14)
     assert max(cutoffs) == 2 ** 14
-    assert sum(c > RECURRENCE_MAX for c in cutoffs) >= 4
+    assert sum(c > RECURRENCE_MAX for c in cutoffs) >= 2
+    assert len(set(cutoffs)) == len(cutoffs)
     two = run_ensemble(model, 30, 3000, 1, workers=2, mode="direct",
                        max_cutoff=2 ** 14)
+    assert one == two
+
+
+def test_run_ensemble_generational_reproducible_across_workers(monkeypatch):
+    monkeypatch.setattr(simulator, "CHUNK", 512)
+    model = scenario_model("Ex7i")
+    one = run_ensemble(model, 30, 3000, 2, workers=1)
+    two = run_ensemble(model, 30, 3000, 2, workers=2)
     assert one == two
 
 
@@ -205,6 +301,8 @@ def test_run_ensemble_validates_arguments():
         run_ensemble(model, 5, 0, base_seed=1)
     with pytest.raises(DomainError):
         run_ensemble(model, 5, 10, base_seed=1, mode="bogus")
+    with pytest.raises(DomainError):
+        run_ensemble(model, 5, 10, base_seed=1, workers=0)
 
 
 def test_ensemble_frequencies_sum_to_one():
