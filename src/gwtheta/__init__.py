@@ -14,8 +14,8 @@ from .classifier import RegimeLabel, classify
 from .environment import (EnvSequence, ThetaLaw, ThetaModel, step_pgf,
                           step_pgf_weight_one, validate_model)
 from .errors import (ConditioningOnNull, CutoffExceeded, DomainError,
-                     GwThetaError, NoLimitLaw, PopulationOverflow,
-                     RejectedParameter, ScenarioInfeasible, UndeterminedLimit)
+                     GwThetaError, NoLimitLaw, RejectedParameter,
+                     ScenarioInfeasible, UndeterminedLimit)
 from .harness import (Scenario, VerificationReport, VerifyConfig,
                       get_scenario, registry, run_all, scenario_model,
                       verify_theorem)

@@ -172,14 +172,6 @@ class SurvivalMoments:
     mean_conditional: float     # E(Z_n | tau > n)
 
 
-def restricted_mean_from_constants(theta: float, r: float,
-                                   cc: CompositeConstants,
-                                   case_label: str) -> float:
-    """Closed-form F_n'(1); +inf in the cases (c) and (e).  The case is
-    implied by (theta, r), so case_label is not consulted."""
-    return cc.law(theta, r).restricted_mean()
-
-
 def survival_and_moments(model: ThetaModel, n: int) -> SurvivalMoments:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -476,6 +468,71 @@ def absorption_probabilities(model: ThetaModel,
 
 
 # ---------------------------------------------------------------------------
+# Regimes
+# ---------------------------------------------------------------------------
+
+SUPERCRITICAL = "supercritical"
+ASYMPTOTICALLY_DEGENERATE = "asymptotically_degenerate"
+CRITICAL = "critical"
+STRICTLY_SUBCRITICAL = "strictly_subcritical"
+LOOSELY_SUBCRITICAL = "loosely_subcritical"
+INFINITE_MEAN = "infinite_mean"
+DEFECTIVE = "defective"
+UNDETERMINED_REGIME = "undetermined"
+
+_ZERO_LIMIT = 1e-9  # determined limit values at or below this count as zero
+
+
+def _is_zero(est: LimitEstimate) -> bool:
+    return est.is_determined and est.value <= _ZERO_LIMIT
+
+
+def regime(case: str, limits: LimitConstants) -> tuple:
+    """(regime, basis, sub_label) of the limits in parameter row `case`: the
+    quinary regime in row (a), the infinite-mean sub-labels i-iv in row (e)
+    and the defective sub-labels A=0 and A>0 in the other rows.  Never
+    guesses: a limit the row needs that is not determined gives the
+    undetermined regime, and the basis names it."""
+    A, C, D, B = limits.A, limits.C, limits.D, limits.B
+    if case == "a":
+        if C.is_determined:
+            if _is_zero(A):
+                return SUPERCRITICAL, "C < inf and A_n -> 0", None
+            if A.is_determined:
+                return (ASYMPTOTICALLY_DEGENERATE,
+                        "C < inf and A_n -> A in (0, inf)", None)
+            if A.is_infinite:
+                return STRICTLY_SUBCRITICAL, "C < inf and A_n -> inf", None
+            return (UNDETERMINED_REGIME, "C < inf but limit A undetermined",
+                    None)
+        if C.is_infinite:
+            if B.is_infinite:
+                return CRITICAL, "C = inf and B_n -> inf", None
+            if B.is_determined:
+                return STRICTLY_SUBCRITICAL, "C = inf and B_n -> B < inf", None
+            if B.status == OSCILLATING:
+                return (LOOSELY_SUBCRITICAL, "C = inf and lim B_n does not "
+                        f"exist ({B.rule})", None)
+            return (UNDETERMINED_REGIME, "C = inf but limit B undetermined",
+                    None)
+        return UNDETERMINED_REGIME, "limit C undetermined", None
+    if case == "e":
+        if not (A.is_determined and D.is_determined):
+            return UNDETERMINED_REGIME, "limit A or D undetermined", None
+        a_zero, d_zero = _is_zero(A), _is_zero(D)
+        sub = {(True, True): "i", (True, False): "ii",
+               (False, True): "iii", (False, False): "iv"}[(a_zero, d_zero)]
+        return (INFINITE_MEAN, f"A {'= 0' if a_zero else '> 0'} and "
+                f"D {'= 0' if d_zero else '> 0'}", sub)
+    # defective rows (b), (c), (d), (f); row (f) has theta = 0, so D for C
+    if not (A.is_determined and (D if case == "f" else C).is_determined):
+        return (UNDETERMINED_REGIME,
+                "required defective-case limits undetermined", None)
+    sub = "A=0" if _is_zero(A) else "A>0"
+    return DEFECTIVE, f"case ({case}) defective with {sub}", sub
+
+
+# ---------------------------------------------------------------------------
 # Limit-law descriptors
 # ---------------------------------------------------------------------------
 
@@ -483,7 +540,8 @@ LAPLACE = "laplace_transform"
 PGF = "pgf"
 CDF = "cdf"
 
-_ZERO_LIMIT = 1e-9  # determined limit values at or below this count as zero
+_TIMES_A_POWER = "multiply Z_n by A_n^(1/theta)"
+_LN_TIMES_A = "multiply ln Z_n by A_n"
 
 
 @dataclass(frozen=True)
@@ -507,6 +565,18 @@ class LimitLawDescriptor:
     def to_dict(self) -> dict:
         return {"theorem_id": self.theorem_id, "kind": self.kind,
                 "parameters": dict(self.parameters), "scaling": self.scaling}
+
+    def scaled_sample(self, z: int, A_n: float) -> Optional[float]:
+        """The count Z_n = z normalized as `scaling` says, with A_n the
+        composite constant at n; None when z = 0 is left out, under a
+        logarithm or when the law is conditioned on survival."""
+        if self.scaling.startswith(_LN_TIMES_A):
+            return A_n * math.log(z) if z > 0 else None
+        if z == 0 and "conditioned on" in self.scaling:
+            return None
+        if self.scaling == _TIMES_A_POWER:
+            return A_n ** (1.0 / self.param("theta")) * z
+        return float(z)
 
     def evaluate(self, x: float) -> float:
         """The transform at x: the pgf of `law` when there is one; else a
@@ -551,141 +621,89 @@ def _conditional_law(theta: float, B: float) -> ThetaLaw:
     return ThetaLaw(theta, 1.0, 1.0 / (1.0 + B), B / (1.0 + B), None)
 
 
-def _is_zero(est: LimitEstimate) -> bool:
-    return est.is_determined and est.value <= _ZERO_LIMIT
+def _at_limits(v: dict, limits: LimitConstants) -> ThetaLaw:
+    return limits.law(v["theta"], v["r"])
+
+
+_POSITIVE = "pgf of Z_n conditioned on Z_n > 0"
+_SURVIVING = "pgf of Z_n conditioned on tau > n"
+_AS_LIMIT = "pgf of Z_n (no scaling; almost-sure limit)"
+_RESTRICTED = "restricted pgf E(s^{Z_n}; tau_Delta > n) (no scaling)"
+
+# theorem id -> (kind, parameter names, scaling, law); the law, if any, is
+# built from the parameter values v and the limits
+_DESCRIPTORS = {
+    "T1": (LAPLACE, ("theta", "C"), _TIMES_A_POWER, None),
+    "T2": (PGF, ("theta", "A", "C"), _AS_LIMIT, _at_limits),
+    "T3": (LAPLACE, ("theta",),
+           "Laplace argument lambda_n = lambda * B_n^(-1/theta), "
+           "conditioned on Z_n > 0", None),
+    "T4": (PGF, ("theta", "B"), _POSITIVE,
+           lambda v, limits: _conditional_law(v["theta"], v["B"])),
+    "T6i": (CDF, (), _LN_TIMES_A + ", conditioned on Z_n > 0", None),
+    "T6ii": (CDF, ("D",), _LN_TIMES_A, None),
+    "T6iii": (PGF, ("A",), _POSITIVE,
+              lambda v, limits: ThetaLaw(0.0, 1.0, v["A"], 0.0, 0.0)),
+    "T6iv": (PGF, ("A", "D"), _AS_LIMIT, _at_limits),
+    "T7i": (PGF, ("theta", "r", "C"), _SURVIVING, None),
+    "T7ii": (PGF, ("theta", "r", "A", "C"), _RESTRICTED, _at_limits),
+    "T8i": (PGF, ("alpha", "r", "C"), _SURVIVING, None),
+    "T8ii": (PGF, ("alpha", "r", "A", "C"), _RESTRICTED, _at_limits),
+    "T9i": (PGF, ("r",), _SURVIVING, None),
+    "T9ii": (PGF, ("r", "A", "D"), _RESTRICTED, _at_limits),
+    # 1 - (1-s)^(1/alpha), a theta = 0 law with a = -theta
+    "T10i": (PGF, ("alpha", "C"), _SURVIVING,
+             lambda v, limits: ThetaLaw(0.0, 1.0, -v["theta"], 0.0, 0.0)),
+    "T10ii": (PGF, ("alpha", "A", "C"),
+              "restricted pgf E(s^{Z_n}; tau > n) (no scaling)", _at_limits),
+}
+
+_PROPER_THEOREM = {SUPERCRITICAL: "T1", ASYMPTOTICALLY_DEGENERATE: "T2",
+                   CRITICAL: "T3", STRICTLY_SUBCRITICAL: "T4"}
+_DEFECTIVE_THEOREM = {"b": "T7", "d": "T8", "f": "T9", "c": "T10"}
 
 
 def limit_law(model: ThetaModel, limits: LimitConstants,
               subsequence: Optional[Sequence[int]] = None) -> LimitLawDescriptor:
-    """The limit law matching the regime.  In the oscillating regime a law
-    exists only along an explicit subsequence, which the caller supplies as
-    the index sequence itself."""
+    """The limit law of the regime of the limits.  In the oscillating regime
+    a law exists only along an explicit subsequence, which the caller
+    supplies as the index sequence itself."""
     theta, r, case = model.theta, model.r, model.case_label
-
-    if case == "a":
-        if subsequence is not None:
-            bs = subsequence_b_values(model, subsequence)
-            tail = bs[len(bs) // 2:]
-            lo, hi = min(tail), max(tail)
-            if lo > max(100.0, 2.0 * min(bs[:max(1, len(bs) // 2)])):
-                return LimitLawDescriptor(
-                    "T5i", LAPLACE, (("theta", theta),),
-                    "Laplace argument lambda_n = lambda * B_kn^(-1/theta), "
-                    "conditioned on Z_kn > 0")
-            if hi - lo <= 0.05 * max(1.0, abs(hi)):
-                return LimitLawDescriptor(
-                    "T5ii", PGF, (("theta", theta), ("B", tail[-1])),
-                    "pgf of Z_kn conditioned on Z_kn > 0",
-                    _conditional_law(theta, tail[-1]))
-            raise NoLimitLaw(
-                "B does not settle along the supplied subsequence")
-        if not (limits.C.is_determined or limits.C.is_infinite):
-            raise UndeterminedLimit("limit C is undetermined")
-        if limits.C.is_determined:
-            C = limits.C.value
-            if _is_zero(limits.A):
-                return LimitLawDescriptor(
-                    "T1", LAPLACE, (("theta", theta), ("C", C)),
-                    "multiply Z_n by A_n^(1/theta)")
-            if limits.A.is_infinite:
-                return LimitLawDescriptor(
-                    "T4", PGF, (("theta", theta), ("B", 0.0)),
-                    "pgf of Z_n conditioned on Z_n > 0",
-                    _conditional_law(theta, 0.0))
-            A = limits.A.finite_value("A")
+    if case == "a" and subsequence is not None:
+        bs = subsequence_b_values(model, subsequence)
+        tail = bs[len(bs) // 2:]
+        lo, hi = min(tail), max(tail)
+        if lo > max(100.0, 2.0 * min(bs[:max(1, len(bs) // 2)])):
             return LimitLawDescriptor(
-                "T2", PGF, (("theta", theta), ("A", A), ("C", C)),
-                "pgf of Z_n (no scaling; almost-sure limit)",
-                limits.law(theta, r))
-        # C = +inf
-        if limits.B.is_infinite:
+                "T5i", LAPLACE, (("theta", theta),),
+                "Laplace argument lambda_n = lambda * B_kn^(-1/theta), "
+                "conditioned on Z_kn > 0")
+        if hi - lo <= 0.05 * max(1.0, abs(hi)):
             return LimitLawDescriptor(
-                "T3", LAPLACE, (("theta", theta),),
-                "Laplace argument lambda_n = lambda * B_n^(-1/theta), "
-                "conditioned on Z_n > 0")
-        if limits.B.is_determined:
-            return LimitLawDescriptor(
-                "T4", PGF, (("theta", theta), ("B", limits.B.value)),
-                "pgf of Z_n conditioned on Z_n > 0",
-                _conditional_law(theta, limits.B.value))
-        if limits.B.status == OSCILLATING:
-            raise NoLimitLaw(
-                "loosely subcritical regime: supply an explicit subsequence")
-        raise UndeterminedLimit("limit B is undetermined")
-
-    if case == "e":
-        a_zero = _is_zero(limits.A)
-        d_zero = _is_zero(limits.D)
-        A = limits.A.finite_value("A")
-        D = limits.D.finite_value("D")
-        if a_zero and d_zero:
-            return LimitLawDescriptor(
-                "T6i", CDF, (), "multiply ln Z_n by A_n, conditioned on "
-                "Z_n > 0")
-        if a_zero:
-            return LimitLawDescriptor(
-                "T6ii", CDF, (("D", D),), "multiply ln Z_n by A_n")
-        if d_zero:
-            return LimitLawDescriptor(
-                "T6iii", PGF, (("A", A),),
-                "pgf of Z_n conditioned on Z_n > 0",
-                ThetaLaw(0.0, 1.0, A, 0.0, 0.0))
-        return LimitLawDescriptor(
-            "T6iv", PGF, (("A", A), ("D", D)),
-            "pgf of Z_n (no scaling; almost-sure limit)",
-            limits.law(theta, r))
-
-    if case == "b":
-        C = limits.C.finite_value("C")
-        if _is_zero(limits.A):
-            return LimitLawDescriptor(
-                "T7i", PGF, (("theta", theta), ("r", r), ("C", C)),
-                "pgf of Z_n conditioned on tau > n")
-        A = limits.A.finite_value("A")
-        return LimitLawDescriptor(
-            "T7ii", PGF, (("theta", theta), ("r", r), ("A", A), ("C", C)),
-            "restricted pgf E(s^{Z_n}; tau_Delta > n) (no scaling)",
-            limits.law(theta, r))
-
-    if case == "d":
-        alpha = -1.0 / theta
-        C = limits.C.finite_value("C")
-        if _is_zero(limits.A):
-            return LimitLawDescriptor(
-                "T8i", PGF, (("alpha", alpha), ("r", r), ("C", C)),
-                "pgf of Z_n conditioned on tau > n")
-        A = limits.A.finite_value("A")
-        return LimitLawDescriptor(
-            "T8ii", PGF, (("alpha", alpha), ("r", r), ("A", A), ("C", C)),
-            "restricted pgf E(s^{Z_n}; tau_Delta > n) (no scaling)",
-            limits.law(theta, r))
-
-    if case == "f":
-        D = limits.D.finite_value("D")
-        if _is_zero(limits.A):
-            return LimitLawDescriptor(
-                "T9i", PGF, (("r", r),),
-                "pgf of Z_n conditioned on tau > n")
-        A = limits.A.finite_value("A")
-        return LimitLawDescriptor(
-            "T9ii", PGF, (("r", r), ("A", A), ("D", D)),
-            "restricted pgf E(s^{Z_n}; tau_Delta > n) (no scaling)",
-            limits.law(theta, r))
-
-    # case "c"
-    alpha = -1.0 / theta
-    C = limits.C.finite_value("C")
-    if _is_zero(limits.A):
-        return LimitLawDescriptor(
-            "T10i", PGF, (("alpha", alpha), ("C", C)),
-            "pgf of Z_n conditioned on tau > n",
-            # 1 - (1-s)^(1/alpha), a theta = 0 law with a = -theta
-            ThetaLaw(0.0, 1.0, -theta, 0.0, 0.0))
-    A = limits.A.finite_value("A")
-    return LimitLawDescriptor(
-        "T10ii", PGF, (("alpha", alpha), ("A", A), ("C", C)),
-        "restricted pgf E(s^{Z_n}; tau > n) (no scaling)",
-        limits.law(theta, r))
+                "T5ii", PGF, (("theta", theta), ("B", tail[-1])),
+                "pgf of Z_kn conditioned on Z_kn > 0",
+                _conditional_law(theta, tail[-1]))
+        raise NoLimitLaw(
+            "B does not settle along the supplied subsequence")
+    name, basis, sub = regime(case, limits)
+    if name == UNDETERMINED_REGIME:
+        raise UndeterminedLimit(basis)
+    if name == LOOSELY_SUBCRITICAL:
+        raise NoLimitLaw(
+            "loosely subcritical regime: supply an explicit subsequence")
+    if name == INFINITE_MEAN:
+        tid = "T6" + sub
+    elif name == DEFECTIVE:
+        tid = _DEFECTIVE_THEOREM[case] + ("i" if sub == "A=0" else "ii")
+    else:
+        tid = _PROPER_THEOREM[name]
+    kind, names, scaling, law = _DESCRIPTORS[tid]
+    v = {"theta": theta, "r": r, "A": limits.A.value, "C": limits.C.value,
+         "D": limits.D.value, "alpha": -1.0 / theta if theta else None,
+         # T4's B: 0 when C < inf (so A_n -> inf), else lim B_n
+         "B": 0.0 if limits.C.is_determined else limits.B.value}
+    return LimitLawDescriptor(tid, kind, tuple((k, v[k]) for k in names),
+                              scaling, law(v, limits) if law else None)
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,5 @@ class CutoffExceeded(GwThetaError):
         self.partial = partial
 
 
-class PopulationOverflow(GwThetaError):
-    """Population exceeded the configured cap where truncation is not
-    acceptable (the simulator normally truncates and flags instead)."""
-
-
 class ScenarioInfeasible(GwThetaError):
     """Scenario regime conflicts with the requested theorem check."""

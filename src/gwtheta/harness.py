@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from .analytics import (composite_constants, composite_law, constants_at,
                         convergence_conditions, limit_constants, limit_law)
 from .classifier import classify
 from .environment import EnvSequence, ThetaModel, validate_model
-from .errors import CutoffExceeded, ScenarioInfeasible
+from .errors import (CutoffExceeded, DomainError, RejectedParameter,
+                     ScenarioInfeasible)
 from .series import extend_pmf, population_pmf
 from .simulator import (heavy_tail_log_sf, replicate_rng, run_ensemble,
                         sample_heavy_tail_log, simulate_trajectories)
@@ -46,107 +47,121 @@ class Scenario:
     notes: str = ""
 
 
-def _prop(sigma, a):
-    return EnvSequence.proportional_c(sigma, a)
+class _Row(NamedTuple):
+    """A registry scenario: its free parameters with their defaults, and
+    `build`, which maps them to the (theta, r, a_n, c_n) of the model."""
+
+    id: str
+    theorem_id: str
+    params: dict
+    build: Callable
+    regime: str
+    sub_label: Optional[str]
+    notes: str
+
+
+_H, _V = EnvSequence.harmonic(), EnvSequence.convergent()
+
+
+def _by_role(family):
+    """a_n and c_n from the two roles of one sequence family, at r = 1."""
+    return lambda theta: (theta, 1.0, family("a"), family("c"))
+
+
+def _ex4b(theta, sigma):
+    a_seq = EnvSequence.superharmonic_ex4("a")
+    return (theta, 1.0, a_seq,
+            EnvSequence.negative_proportional_c(sigma, a_seq))
+
+
+def _ex6(a_seq):
+    return lambda sigma: (0.0, 1.0, a_seq, EnvSequence.exp_tail_ex6(sigma))
+
+
+def _proportional(a_seq):
+    """c_n = sigma (1 - a_n); r = 1 unless the scenario frees it."""
+    return lambda theta, sigma, r=1.0: (
+        theta, r, a_seq, EnvSequence.proportional_c(sigma, a_seq))
+
+
+def _ex9(a_seq):
+    return lambda r, sigma: (0.0, r, a_seq, EnvSequence.constant(sigma))
+
+
+_SCENARIOS = {row.id: row for row in (
+    _Row("Ex1", "T1", {"theta": 1.0, "sigma": 1.0}, _proportional(_H),
+         "supercritical", None, "sigma >= 1; theta free in (0, 1]"),
+    _Row("Ex2", "T2", {"theta": 1.0, "sigma": 1.0}, _proportional(_V),
+         "asymptotically_degenerate", None, "sigma >= 1"),
+    _Row("Ex3", "T3", {"theta": 1.0},
+         _by_role(EnvSequence.alternating_ex3), "critical", None,
+         "alternating environment; lim A_n does not exist"),
+    _Row("Ex4a", "T4", {"theta": 1.0},
+         _by_role(EnvSequence.superharmonic_ex4), "strictly_subcritical",
+         None, "C < inf variant"),
+    _Row("Ex4b", "T4", {"theta": 1.0, "sigma": 1.0}, _ex4b,
+         "strictly_subcritical", None, "C = inf variant"),
+    _Row("Ex5", "T5", {"theta": 1.0}, _by_role(EnvSequence.dyadic_ex5),
+         "loosely_subcritical", None,
+         "dyadic environment; B_n oscillates"),
+    _Row("Ex6i", "T6", {"sigma": 1.0}, _ex6(_H), "infinite_mean", "i",
+         "A = 0, D = 0"),
+    _Row("Ex6ii", "T6", {"sigma": 0.0}, _ex6(_H), "infinite_mean", "ii",
+         "A = 0, D > 0"),
+    _Row("Ex6iii", "T6", {"sigma": 1.0}, _ex6(_V), "infinite_mean", "iii",
+         "A > 0, D = 0"),
+    _Row("Ex6iv", "T6", {"sigma": 0.0}, _ex6(_V), "infinite_mean", "iv",
+         "A > 0, D > 0"),
+    _Row("Ex7i", "T7", {"theta": 1.0, "r": 2.0, "sigma": 0.75},
+         _proportional(_H), "defective", "A=0",
+         "sigma in [r^-theta, (r-1)^-theta]"),
+    _Row("Ex7ii", "T7", {"theta": 1.0, "r": 2.0, "sigma": 0.75},
+         _proportional(_V), "defective", "A>0", ""),
+    _Row("Ex8i", "T8", {"theta": -0.5, "r": 2.0, "sigma": 1.2},
+         _proportional(_H), "defective", "A=0",
+         "sigma in [(r-1)^(1/alpha), r^(1/alpha)]"),
+    _Row("Ex8ii", "T8", {"theta": -0.5, "r": 2.0, "sigma": 1.2},
+         _proportional(_V), "defective", "A>0", ""),
+    _Row("Ex9i", "T9", {"r": 2.0, "sigma": 0.5}, _ex9(_H), "defective",
+         "A=0", "c_n constant, 0 <= sigma <= 1"),
+    _Row("Ex9ii", "T9", {"r": 2.0, "sigma": 0.5}, _ex9(_V), "defective",
+         "A>0", ""),
+    _Row("Ex10i", "T10", {"theta": -0.5, "sigma": 0.5}, _proportional(_H),
+         "defective", "A=0", "0 < sigma <= 1"),
+    _Row("Ex10ii", "T10", {"theta": -0.5, "sigma": 0.5}, _proportional(_V),
+         "defective", "A>0", ""),
+)}
+
+
+def _row(scenario_id: str) -> _Row:
+    if scenario_id not in _SCENARIOS:
+        raise KeyError(f"unknown scenario {scenario_id!r}")
+    return _SCENARIOS[scenario_id]
 
 
 def scenario_model(scenario_id: str, theta: float = None,
                    sigma: float = None, r: float = None) -> ThetaModel:
-    """Model for a registry scenario, with the documented free parameters
-    overridable."""
-    sid = scenario_id
-    H, V = EnvSequence.harmonic(), EnvSequence.convergent()
-
-    def d(value, default):
-        return default if value is None else value
-
-    if sid == "Ex1":
-        th = d(theta, 1.0)
-        return validate_model(th, 1.0, H, _prop(d(sigma, 1.0), H))
-    if sid == "Ex2":
-        th = d(theta, 1.0)
-        return validate_model(th, 1.0, V, _prop(d(sigma, 1.0), V))
-    if sid == "Ex3":
-        return validate_model(d(theta, 1.0), 1.0,
-                              EnvSequence.alternating_ex3("a"),
-                              EnvSequence.alternating_ex3("c"))
-    if sid == "Ex4a":
-        return validate_model(d(theta, 1.0), 1.0,
-                              EnvSequence.superharmonic_ex4("a"),
-                              EnvSequence.superharmonic_ex4("c"))
-    if sid == "Ex4b":
-        a_seq = EnvSequence.superharmonic_ex4("a")
-        return validate_model(
-            d(theta, 1.0), 1.0, a_seq,
-            EnvSequence.negative_proportional_c(d(sigma, 1.0), a_seq))
-    if sid == "Ex5":
-        return validate_model(d(theta, 1.0), 1.0,
-                              EnvSequence.dyadic_ex5("a"),
-                              EnvSequence.dyadic_ex5("c"))
-    if sid in ("Ex6i", "Ex6ii", "Ex6iii", "Ex6iv"):
-        a_seq = H if sid in ("Ex6i", "Ex6ii") else V
-        sig = d(sigma, 1.0 if sid in ("Ex6i", "Ex6iii") else 0.0)
-        return validate_model(0.0, 1.0, a_seq, EnvSequence.exp_tail_ex6(sig))
-    if sid in ("Ex7i", "Ex7ii"):
-        a_seq = H if sid == "Ex7i" else V
-        th, rr = d(theta, 1.0), d(r, 2.0)
-        return validate_model(th, rr, a_seq, _prop(d(sigma, 0.75), a_seq))
-    if sid in ("Ex8i", "Ex8ii"):
-        a_seq = H if sid == "Ex8i" else V
-        th, rr = d(theta, -0.5), d(r, 2.0)
-        return validate_model(th, rr, a_seq, _prop(d(sigma, 1.2), a_seq))
-    if sid in ("Ex9i", "Ex9ii"):
-        a_seq = H if sid == "Ex9i" else V
-        return validate_model(0.0, d(r, 2.0), a_seq,
-                              EnvSequence.constant(d(sigma, 0.5)))
-    if sid in ("Ex10i", "Ex10ii"):
-        a_seq = H if sid == "Ex10i" else V
-        return validate_model(d(theta, -0.5), 1.0, a_seq,
-                              _prop(d(sigma, 0.5), a_seq))
-    raise KeyError(f"unknown scenario {scenario_id!r}")
+    """Model for a registry scenario.  An override must name one of the
+    scenario's free parameters; any other raises RejectedParameter."""
+    row = _row(scenario_id)
+    given = {key: val for key, val in
+             (("theta", theta), ("sigma", sigma), ("r", r)) if val is not None}
+    for key in given:
+        if key not in row.params:
+            raise RejectedParameter(
+                f"scenario {row.id} has no free parameter {key!r} (free: "
+                f"{', '.join(row.params)})", constraint=key)
+    return validate_model(*row.build(**{**row.params, **given}))
 
 
-_SCENARIOS = (
-    ("Ex1", "T1", {"theta": 1.0, "sigma": 1.0}, "supercritical", None,
-     "sigma >= 1; theta free in (0, 1]"),
-    ("Ex2", "T2", {"theta": 1.0, "sigma": 1.0},
-     "asymptotically_degenerate", None, "sigma >= 1"),
-    ("Ex3", "T3", {"theta": 1.0}, "critical", None,
-     "alternating environment; lim A_n does not exist"),
-    ("Ex4a", "T4", {"theta": 1.0}, "strictly_subcritical", None,
-     "C < inf variant"),
-    ("Ex4b", "T4", {"theta": 1.0, "sigma": 1.0}, "strictly_subcritical",
-     None, "C = inf variant"),
-    ("Ex5", "T5", {"theta": 1.0}, "loosely_subcritical", None,
-     "dyadic environment; B_n oscillates"),
-    ("Ex6i", "T6", {"sigma": 1.0}, "infinite_mean", "i", "A = 0, D = 0"),
-    ("Ex6ii", "T6", {"sigma": 0.0}, "infinite_mean", "ii", "A = 0, D > 0"),
-    ("Ex6iii", "T6", {"sigma": 1.0}, "infinite_mean", "iii",
-     "A > 0, D = 0"),
-    ("Ex6iv", "T6", {"sigma": 0.0}, "infinite_mean", "iv", "A > 0, D > 0"),
-    ("Ex7i", "T7", {"theta": 1.0, "r": 2.0, "sigma": 0.75}, "defective",
-     "A=0", "sigma in [r^-theta, (r-1)^-theta]"),
-    ("Ex7ii", "T7", {"theta": 1.0, "r": 2.0, "sigma": 0.75}, "defective",
-     "A>0", ""),
-    ("Ex8i", "T8", {"theta": -0.5, "r": 2.0, "sigma": 1.2}, "defective",
-     "A=0", "sigma in [(r-1)^(1/alpha), r^(1/alpha)]"),
-    ("Ex8ii", "T8", {"theta": -0.5, "r": 2.0, "sigma": 1.2}, "defective",
-     "A>0", ""),
-    ("Ex9i", "T9", {"r": 2.0, "sigma": 0.5}, "defective", "A=0",
-     "c_n constant, 0 <= sigma <= 1"),
-    ("Ex9ii", "T9", {"r": 2.0, "sigma": 0.5}, "defective", "A>0", ""),
-    ("Ex10i", "T10", {"theta": -0.5, "sigma": 0.5}, "defective", "A=0",
-     "0 < sigma <= 1"),
-    ("Ex10ii", "T10", {"theta": -0.5, "sigma": 0.5}, "defective", "A>0",
-     ""),
-)
+def _scenario(row: _Row) -> Scenario:
+    return Scenario(row.id, row.theorem_id, scenario_model(row.id),
+                    dict(row.params), row.regime, row.sub_label, row.notes)
 
 
 def registry() -> list[Scenario]:
     """All registry scenarios with their default free parameters."""
-    out = [Scenario(sid, tid, scenario_model(sid), dict(params), regime,
-                    sub, notes)
-           for sid, tid, params, regime, sub, notes in _SCENARIOS]
+    out = [_scenario(row) for row in _SCENARIOS.values()]
     covered = {s.theorem_id for s in out}
     missing = {f"T{i}" for i in range(1, 11)} - covered
     if missing:
@@ -155,10 +170,7 @@ def registry() -> list[Scenario]:
 
 
 def get_scenario(scenario_id: str) -> Scenario:
-    for s in registry():
-        if s.id == scenario_id:
-            return s
-    raise KeyError(f"unknown scenario {scenario_id!r}")
+    return _scenario(_row(scenario_id))
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +184,12 @@ class VerifyConfig:
     seed: int = 20240901
     workers: int = 1
     tolerance_scale: float = 1.0
+
+    def __post_init__(self):
+        for name in ("replicates", "horizon"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise DomainError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -607,7 +625,7 @@ def verify_theorem(scenario: Scenario,
     if low_power:
         config = replace(config, tolerance_scale=max(
             config.tolerance_scale,
-            math.sqrt(1000.0 / max(config.replicates, 1))))
+            math.sqrt(1000.0 / config.replicates)))
     if scenario.theorem_id == "T5":
         law = None
     else:

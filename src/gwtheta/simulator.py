@@ -30,7 +30,6 @@ POPULATION_CAP = 10 ** 9
 BATCH = 10 ** 4                  # max i.i.d. offspring draws per rng call
 CHUNK = 4096                     # replicates per reduction chunk
 DEFAULT_S_GRID = tuple(j / 10.0 for j in range(11))
-_SAMPLING_TAIL_TOL = 1e-12
 
 _MASK64 = (1 << 64) - 1
 
@@ -189,8 +188,7 @@ def _sampler(model: ThetaModel, n: int, max_cutoff: int, population: bool):
         return _MixtureHeavySampler(law)
     build_pmf = population_pmf if population else step_pmf
     try:
-        pmf = build_pmf(model, n, tail_tol=_SAMPLING_TAIL_TOL,
-                        max_cutoff=max_cutoff)
+        pmf = build_pmf(model, n, max_cutoff=max_cutoff)
     except CutoffExceeded as err:
         # an unreachable tail tolerance is fine: the sampler extends (or
         # raises) only when a draw actually lands in the tail
@@ -357,21 +355,6 @@ class EnsembleStats:
         }
 
 
-def _scaled_value(job: _Job, z: int):
-    """Normalized sample per the descriptor's scaling recipe; None when the
-    replicate does not enter the conditioned/scaled collection."""
-    tid = job.scaling.theorem_id
-    if z == _DELTA_CODE:
-        return None
-    if tid == "T1":
-        return job.cc.A ** (1.0 / job.model.theta) * z
-    if tid in ("T6i", "T6ii"):
-        return job.cc.A * math.log(z) if z > 0 else None
-    if tid in ("T3", "T4", "T5i", "T5ii"):
-        return float(z) if z > 0 else None
-    return float(z)
-
-
 # what every chunk of one run_ensemble call shares
 _Job = namedtuple("_Job", "model horizon mode base_seed s_grid scaling cc "
                           "population_cap max_cutoff")
@@ -424,8 +407,8 @@ def _run_chunk(job: _Job, start: int, count: int,
             x = 0.0 if z == _DELTA_CODE else s ** z
             pgf_sum[i] += x
             pgf_sq[i] += x * x
-        if job.scaling is not None:
-            val = _scaled_value(job, z)
+        if job.scaling is not None and z != _DELTA_CODE:
+            val = job.scaling.scaled_sample(z, job.cc.A)
             if val is not None:
                 tally.scaled.append(val)
     return tally

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from gwtheta.analytics import (composed_pgf, composite_constants,
                                conditional_pgf, constants_at,
                                constants_table, pgf_from_constants,
-                               restricted_mean_from_constants,
                                survival_and_moments)
 from gwtheta.environment import (EnvSequence, ThetaModel, step_pgf,
                                  validate_model)
@@ -93,8 +92,7 @@ def test_restricted_mean_matches_numeric_derivative():
     for sid in ("Ex1", "Ex7i", "Ex8i", "Ex9i"):
         model = scenario_model(sid)
         cc = composite_constants(model, 8)
-        mean = restricted_mean_from_constants(model.theta, model.r, cc,
-                                              model.case_label)
+        mean = cc.law(model.theta, model.r).restricted_mean()
         f = lambda s: pgf_from_constants(model.theta, model.r, cc, s)
         if model.r > 1.0:
             num = (f(1.0 + h) - f(1.0 - h)) / (2 * h)
@@ -110,8 +108,7 @@ def test_restricted_mean_infinite_cases():
     for sid in ("Ex10i", "Ex6i"):
         model = scenario_model(sid)
         cc = composite_constants(model, 8)
-        assert math.isinf(restricted_mean_from_constants(
-            model.theta, model.r, cc, model.case_label))
+        assert math.isinf(cc.law(model.theta, model.r).restricted_mean())
 
 
 def test_survival_and_moments_consistency():

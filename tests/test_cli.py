@@ -180,3 +180,24 @@ def test_non_integer_workers_variable_exit_2(capsys, monkeypatch):
     code, out, err = run(capsys, "classify", "--scenario", "Ex1")
     assert code == 2 and out == ""
     assert err == "gwtheta: GWTHETA_WORKERS is not an integer: 'abc'\n"
+
+
+@pytest.mark.parametrize("scenario,flag,value", [
+    ("Ex1", "--r", "2"), ("Ex6i", "--theta", "0.5"), ("Ex9i", "--theta", "1"),
+    ("Ex10i", "--r", "3")])
+def test_override_of_a_parameter_the_scenario_lacks_exit_2(capsys, scenario,
+                                                           flag, value):
+    code, out, err = run(capsys, "analyze", "--scenario", scenario, flag,
+                         value, "--n", "10")
+    assert code == 2 and out == ""
+    assert err.startswith(f"gwtheta: invalid model: scenario {scenario} has "
+                          f"no free parameter '{flag[2:]}'")
+
+
+@pytest.mark.parametrize("flag", ["--replicates", "--horizon"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_verify_counts_below_one_exit_2(capsys, flag, value):
+    code, out, err = run(capsys, "verify", "--scenario", "Ex7i", "--seed",
+                         "7", flag, value)
+    assert code == 2 and out == ""
+    assert err == f"gwtheta: {flag[2:]} must be >= 1, got {value}\n"

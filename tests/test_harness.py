@@ -2,7 +2,9 @@ import dataclasses
 
 import pytest
 
-from gwtheta.errors import ScenarioInfeasible
+from gwtheta import harness
+from gwtheta.environment import EnvSequence, validate_model
+from gwtheta.errors import DomainError, RejectedParameter, ScenarioInfeasible
 from gwtheta.harness import (Scenario, VerifyConfig, get_scenario,
                              ks_statistic, registry, scenario_model,
                              scenario_seed, summary_table, verify_theorem)
@@ -28,6 +30,99 @@ def test_scenario_model_overrides():
     assert tweaked.theta == 0.5 and tweaked.r == 3.0
     assert tweaked.c_seq.value(1) == pytest.approx(
         (1 - tweaked.a_seq.value(1)) * 0.6)
+
+
+def oracle_scenario_model(sid, theta=None, sigma=None, r=None):
+    """The registry models written out one scenario at a time, as the
+    registry once built them."""
+    H, V = EnvSequence.harmonic(), EnvSequence.convergent()
+    prop = EnvSequence.proportional_c
+
+    def d(value, default):
+        return default if value is None else value
+
+    if sid in ("Ex1", "Ex2"):
+        a_seq = H if sid == "Ex1" else V
+        return validate_model(d(theta, 1.0), 1.0, a_seq,
+                              prop(d(sigma, 1.0), a_seq))
+    if sid == "Ex3":
+        return validate_model(d(theta, 1.0), 1.0,
+                              EnvSequence.alternating_ex3("a"),
+                              EnvSequence.alternating_ex3("c"))
+    if sid == "Ex4a":
+        return validate_model(d(theta, 1.0), 1.0,
+                              EnvSequence.superharmonic_ex4("a"),
+                              EnvSequence.superharmonic_ex4("c"))
+    if sid == "Ex4b":
+        a_seq = EnvSequence.superharmonic_ex4("a")
+        return validate_model(
+            d(theta, 1.0), 1.0, a_seq,
+            EnvSequence.negative_proportional_c(d(sigma, 1.0), a_seq))
+    if sid == "Ex5":
+        return validate_model(d(theta, 1.0), 1.0, EnvSequence.dyadic_ex5("a"),
+                              EnvSequence.dyadic_ex5("c"))
+    if sid.startswith("Ex6"):
+        a_seq = H if sid in ("Ex6i", "Ex6ii") else V
+        sig = d(sigma, 1.0 if sid in ("Ex6i", "Ex6iii") else 0.0)
+        return validate_model(0.0, 1.0, a_seq, EnvSequence.exp_tail_ex6(sig))
+    a_seq = H if sid.endswith("i") and not sid.endswith("ii") else V
+    if sid.startswith("Ex7"):
+        return validate_model(d(theta, 1.0), d(r, 2.0), a_seq,
+                              prop(d(sigma, 0.75), a_seq))
+    if sid.startswith("Ex8"):
+        return validate_model(d(theta, -0.5), d(r, 2.0), a_seq,
+                              prop(d(sigma, 1.2), a_seq))
+    if sid.startswith("Ex9"):
+        return validate_model(0.0, d(r, 2.0), a_seq,
+                              EnvSequence.constant(d(sigma, 0.5)))
+    return validate_model(d(theta, -0.5), 1.0, a_seq,
+                          prop(d(sigma, 0.5), a_seq))
+
+
+# the overrides the test suite uses, plus one of each free parameter
+_OVERRIDES = [("Ex1", {"theta": 0.5}), ("Ex9ii", {"r": 3.0}),
+              ("Ex9ii", {"r": 1.5}), ("Ex7i", {"sigma": 1.0}),
+              ("Ex7i", {"theta": 0.5, "sigma": 0.6, "r": 3.0}),
+              ("Ex2", {"sigma": 2.0}), ("Ex4b", {"theta": 0.5, "sigma": 2.0}),
+              ("Ex6ii", {"sigma": 0.5}), ("Ex8ii", {"r": 1.5}),
+              ("Ex10i", {"theta": -0.25, "sigma": 1.0})]
+
+
+@pytest.mark.parametrize(
+    "sid,overrides",
+    [(sc.id, {}) for sc in registry()] + _OVERRIDES,
+    ids=lambda x: x if isinstance(x, str) else ",".join(x) or "defaults")
+def test_scenario_model_matches_oracle(sid, overrides):
+    assert (scenario_model(sid, **overrides).to_dict()
+            == oracle_scenario_model(sid, **overrides).to_dict())
+
+
+@pytest.mark.parametrize("sid,name", [("Ex1", "r"), ("Ex3", "sigma"),
+                                      ("Ex6i", "theta"), ("Ex9i", "theta"),
+                                      ("Ex10ii", "r")])
+def test_scenario_model_rejects_a_parameter_it_lacks(sid, name):
+    with pytest.raises(RejectedParameter) as err:
+        scenario_model(sid, **{name: 0.5})
+    assert err.value.constraint == name
+
+
+def test_get_scenario_builds_only_its_own_model(monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return validate_model(*args, **kwargs)
+    monkeypatch.setattr(harness, "validate_model", counting)
+    assert get_scenario("Ex9i").model.r == 2.0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("field", ["replicates", "horizon"])
+def test_verify_config_rejects_counts_below_one(field):
+    for value in (0, -1):
+        with pytest.raises(DomainError, match=f"{field} must be >= 1"):
+            VerifyConfig(**{field: value})
+    assert getattr(VerifyConfig(**{field: 1}), field) == 1
 
 
 def test_scenario_seed_distinct_per_scenario():

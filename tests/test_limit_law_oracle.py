@@ -7,10 +7,13 @@ import math
 
 import pytest
 
-from gwtheta.analytics import (INFINITE, UNDETERMINED, LimitEstimate,
-                               absorption_probabilities, limit_constants,
-                               limit_law)
-from gwtheta.errors import UndeterminedLimit
+from gwtheta.analytics import (CDF, DETERMINED, INFINITE, LAPLACE,
+                               OSCILLATING, PGF, UNDETERMINED, LimitEstimate,
+                               LimitLawDescriptor, absorption_probabilities,
+                               limit_constants, limit_law)
+from gwtheta.classifier import UNDETERMINED_REGIME, classify
+from gwtheta.environment import ThetaLaw
+from gwtheta.errors import GwThetaError, NoLimitLaw, UndeterminedLimit
 from gwtheta.harness import registry, scenario_model
 
 HORIZON = 10 ** 4
@@ -193,3 +196,148 @@ def test_undetermined_limits_raise_in_the_same_order(sid):
                     assert got == pytest.approx(want, rel=0.0, abs=TOL), \
                         (names, status)
     assert raised > 0
+
+
+# ---------------------------------------------------------------------------
+# The regime decision: limit_law against a copy of the case-by-case tree it
+# once walked on its own (the Ex5 subsequence branch left out)
+# ---------------------------------------------------------------------------
+
+def _oracle_is_zero(est):
+    return est.is_determined and est.value <= 1e-9
+
+
+def _oracle_conditional_law(theta, B):
+    return ThetaLaw(theta, 1.0, 1.0 / (1.0 + B), B / (1.0 + B), None)
+
+
+def oracle_limit_law(model, limits):
+    theta, r, case = model.theta, model.r, model.case_label
+    D_ = LimitLawDescriptor
+    if case == "a":
+        if not (limits.C.is_determined or limits.C.is_infinite):
+            raise UndeterminedLimit("limit C is undetermined")
+        if limits.C.is_determined:
+            C = limits.C.value
+            if _oracle_is_zero(limits.A):
+                return D_("T1", LAPLACE, (("theta", theta), ("C", C)),
+                          "multiply Z_n by A_n^(1/theta)")
+            if limits.A.is_infinite:
+                return D_("T4", PGF, (("theta", theta), ("B", 0.0)),
+                          "pgf of Z_n conditioned on Z_n > 0",
+                          _oracle_conditional_law(theta, 0.0))
+            A = limits.A.finite_value("A")
+            return D_("T2", PGF, (("theta", theta), ("A", A), ("C", C)),
+                      "pgf of Z_n (no scaling; almost-sure limit)",
+                      limits.law(theta, r))
+        if limits.B.is_infinite:
+            return D_("T3", LAPLACE, (("theta", theta),),
+                      "Laplace argument lambda_n = lambda * B_n^(-1/theta), "
+                      "conditioned on Z_n > 0")
+        if limits.B.is_determined:
+            return D_("T4", PGF, (("theta", theta), ("B", limits.B.value)),
+                      "pgf of Z_n conditioned on Z_n > 0",
+                      _oracle_conditional_law(theta, limits.B.value))
+        if limits.B.status == OSCILLATING:
+            raise NoLimitLaw("loosely subcritical regime")
+        raise UndeterminedLimit("limit B is undetermined")
+    if case == "e":
+        a_zero = _oracle_is_zero(limits.A)
+        d_zero = _oracle_is_zero(limits.D)
+        A = limits.A.finite_value("A")
+        D = limits.D.finite_value("D")
+        if a_zero and d_zero:
+            return D_("T6i", CDF, (), "multiply ln Z_n by A_n, conditioned "
+                      "on Z_n > 0")
+        if a_zero:
+            return D_("T6ii", CDF, (("D", D),), "multiply ln Z_n by A_n")
+        if d_zero:
+            return D_("T6iii", PGF, (("A", A),),
+                      "pgf of Z_n conditioned on Z_n > 0",
+                      ThetaLaw(0.0, 1.0, A, 0.0, 0.0))
+        return D_("T6iv", PGF, (("A", A), ("D", D)),
+                  "pgf of Z_n (no scaling; almost-sure limit)",
+                  limits.law(theta, r))
+    survive = "pgf of Z_n conditioned on tau > n"
+    restricted = "restricted pgf E(s^{Z_n}; tau_Delta > n) (no scaling)"
+    if case == "b":
+        C = limits.C.finite_value("C")
+        if _oracle_is_zero(limits.A):
+            return D_("T7i", PGF, (("theta", theta), ("r", r), ("C", C)),
+                      survive)
+        A = limits.A.finite_value("A")
+        return D_("T7ii", PGF,
+                  (("theta", theta), ("r", r), ("A", A), ("C", C)),
+                  restricted, limits.law(theta, r))
+    if case == "d":
+        alpha = -1.0 / theta
+        C = limits.C.finite_value("C")
+        if _oracle_is_zero(limits.A):
+            return D_("T8i", PGF, (("alpha", alpha), ("r", r), ("C", C)),
+                      survive)
+        A = limits.A.finite_value("A")
+        return D_("T8ii", PGF,
+                  (("alpha", alpha), ("r", r), ("A", A), ("C", C)),
+                  restricted, limits.law(theta, r))
+    if case == "f":
+        D = limits.D.finite_value("D")
+        if _oracle_is_zero(limits.A):
+            return D_("T9i", PGF, (("r", r),), survive)
+        A = limits.A.finite_value("A")
+        return D_("T9ii", PGF, (("r", r), ("A", A), ("D", D)), restricted,
+                  limits.law(theta, r))
+    alpha = -1.0 / theta
+    C = limits.C.finite_value("C")
+    if _oracle_is_zero(limits.A):
+        return D_("T10i", PGF, (("alpha", alpha), ("C", C)), survive,
+                  ThetaLaw(0.0, 1.0, -theta, 0.0, 0.0))
+    A = limits.A.finite_value("A")
+    return D_("T10ii", PGF, (("alpha", alpha), ("A", A), ("C", C)),
+              "restricted pgf E(s^{Z_n}; tau > n) (no scaling)",
+              limits.law(theta, r))
+
+
+def _est(status, value=None):
+    return LimitEstimate(status, value, "test")
+
+
+_A_STATUSES = (_est(DETERMINED, 0.0), _est(DETERMINED, 0.4), _est(INFINITE),
+               _est(UNDETERMINED))
+_C_STATUSES = (_est(DETERMINED, 0.7), _est(INFINITE), _est(UNDETERMINED))
+_D_STATUSES = (_est(DETERMINED, 0.0), _est(DETERMINED, 0.6),
+               _est(UNDETERMINED))
+_B_STATUSES = (_est(DETERMINED, 1.5), _est(INFINITE), _est(OSCILLATING),
+               _est(UNDETERMINED))
+
+
+def _decision(fn, model, limits):
+    try:
+        return fn(model, limits)
+    except GwThetaError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("sid", _BY_CASE)
+def test_limit_law_decision_matches_oracle(sid):
+    model = scenario_model(sid)
+    base = limit_constants(model, HORIZON)
+    outcomes = set()
+    for A, C, D, B in itertools.product(_A_STATUSES, _C_STATUSES,
+                                        _D_STATUSES, _B_STATUSES):
+        lim = dataclasses.replace(base, A=A, C=C, D=D, B=B)
+        want = _decision(oracle_limit_law, model, lim)
+        got = _decision(limit_law, model, lim)
+        where = (A.status, A.value, C.status, D.status, D.value, B.status)
+        if isinstance(want, LimitLawDescriptor):
+            assert isinstance(got, LimitLawDescriptor), where
+            assert got.to_dict() == want.to_dict(), where
+            assert got.law == want.law, where
+            outcomes.add(got.theorem_id)
+        else:
+            assert got is want, where
+            outcomes.add(want.__name__)
+        assert ((classify(model, lim).regime == UNDETERMINED_REGIME)
+                == (got is UndeterminedLimit)), where
+    # every row reaches a law and an undetermined limit
+    assert UndeterminedLimit.__name__ in outcomes
+    assert len(outcomes) > 1

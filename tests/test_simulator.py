@@ -295,6 +295,21 @@ def test_run_ensemble_scaled_samples():
     assert np.all(np.abs(nz / cc.A - np.round(nz / cc.A)) < 1e-9)
 
 
+@pytest.mark.parametrize("sid", ["Ex7i", "Ex10i"])
+def test_scaled_samples_conditioned_on_survival_drop_zeros(sid):
+    # T7i and T10i are laws of Z_n given tau > n: the sample holds exactly
+    # the surviving replicates
+    from gwtheta.analytics import limit_constants, limit_law
+    model = scenario_model(sid)
+    law = limit_law(model, limit_constants(model, 10 ** 4))
+    assert law.theorem_id == "T" + sid[2:]
+    stats = run_ensemble(model, 20, 2000, base_seed=3, mode="direct",
+                         scaling=law)
+    w = stats.scaled_samples
+    assert len(w) == round(stats.survival_freq[0] * 2000) > 0
+    assert np.all(w > 0)
+
+
 def test_run_ensemble_validates_arguments():
     model = scenario_model("Ex1")
     with pytest.raises(DomainError):
