@@ -22,7 +22,8 @@ from .harness import (Scenario, VerificationReport, VerifyConfig,
 from .series import (Pmf, extend_pmf, pmf_from_theta_pgf, population_pmf,
                      step_pmf, write_pmf_csv)
 from .simulator import (DELTA, EnsembleStats, Trajectory, replicate_rng,
-                        run_ensemble, sample_offspring, sample_zn_direct,
-                        simulate_trajectory, write_trajectory_csv)
+                        run_ensemble, sample_offspring, sample_zn,
+                        sample_zn_direct, simulate_trajectory,
+                        write_trajectory_csv)
 
 __version__ = "0.1.0"

@@ -203,6 +203,8 @@ DETERMINED = "determined"
 INFINITE = "infinite"
 OSCILLATING = "oscillating"
 UNDETERMINED = "undetermined"
+# the fewest generations the tail diagnostics and convergence sums accept
+MIN_HORIZON = 10
 
 
 @dataclass(frozen=True)
@@ -376,8 +378,8 @@ def limit_constants(model: ThetaModel, horizon: int,
     """Estimate the limits of A_n, C_n, D_n, B_n by tail diagnostics over a
     finite horizon.  Never guesses: returns 'undetermined' (or 'oscillating'
     for B) with evidence attached when no rule fires."""
-    if horizon < 10:
-        raise DomainError("horizon must be >= 10")
+    if horizon < MIN_HORIZON:
+        raise DomainError(f"horizon must be >= {MIN_HORIZON}")
     if tol <= 0.0:
         raise DomainError("tol must be > 0")
     half, quarter = horizon // 2, horizon // 4
@@ -758,8 +760,8 @@ def convergence_conditions(model: ThetaModel, horizon: int) -> ConvergenceReport
     """Partial-sum diagnostics for the almost-sure-convergence conditions:
     sum(1 - p_n(1)) (Church-Lindvall), sum(1 - a_n), the defective variant
     with the normalized one-step laws, and sum (1-a_n) ln 1/(1-c_n)."""
-    if horizon < 10:
-        raise DomainError("horizon must be >= 10")
+    if horizon < MIN_HORIZON:
+        raise DomainError(f"horizon must be >= {MIN_HORIZON}")
     theta, r = model.theta, model.r
     marks = (horizon // 4, horizon // 2, horizon)
     sums = {"cl": 0.0, "one_minus_a": 0.0, "A1": 0.0, "tilde": 0.0}

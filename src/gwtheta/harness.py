@@ -186,10 +186,10 @@ class VerifyConfig:
     tolerance_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("replicates", "horizon"):
+        for name, least in (("replicates", 1), ("horizon", an.MIN_HORIZON)):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise DomainError(f"{name} must be >= 1, got {value}")
+            if value is not None and value < least:
+                raise DomainError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)

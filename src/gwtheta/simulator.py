@@ -5,11 +5,20 @@ Reproducibility contract: every replicate owns a counter-based RNG stream
 keyed by (base_seed, replicate_index), so results are bit-identical for any
 worker count and for reruns with the same seed.  A draw depends on the law,
 the cutoff budget and the uniform alone, so a call shares its samplers.
+
+Small draws take a scalar path: up to SCALAR_DRAWS offspring (and every
+direct draw of Z_n) are read one ``rng.random()`` at a time and located by
+``bisect`` in a memoryview of the cumulative table, skipping the per-call
+cost of numpy on arrays of one or two elements.  Scalar ``random()`` calls
+read the same doubles from the stream as one ``random(k)``, and the scalar
+search applies the same table, DELTA rule and tail extension as the array
+search, so every result is the one the array path gives.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,6 +38,7 @@ _DELTA_CODE = -1                 # internal integer encoding
 POPULATION_CAP = 10 ** 9
 BATCH = 10 ** 4                  # max i.i.d. offspring draws per rng call
 CHUNK = 4096                     # replicates per reduction chunk
+SCALAR_DRAWS = 8                 # max offspring drawn by the scalar path
 DEFAULT_S_GRID = tuple(j / 10.0 for j in range(11))
 
 _MASK64 = (1 << 64) - 1
@@ -136,6 +146,10 @@ class _MixtureHeavySampler:
             out[i] = min(sample_heavy_tail_index(float(v), self.a), 2 ** 62)
         return out
 
+    def draw_sum(self, rng: np.random.Generator, k: int) -> int:
+        """The sum of draw(rng, k): the array path, as the law has no DELTA."""
+        return int(self.draw(rng, k).sum())
+
 
 class _PmfSampler:
     """Inverse-transform sampler over (weights, tail, defect); a draw landing
@@ -155,9 +169,14 @@ class _PmfSampler:
         # u >= 1 - defect falls past the table, and so is DELTA, at any cutoff
         self.pmf = pmf
         self._cum = np.minimum(np.cumsum(pmf.weights), self._proper)
+        # the scalar path bisects this view: its items are Python floats,
+        # and it costs no copy of the table
+        self._cum_view = memoryview(self._cum)
 
     def _resolve_tail(self, u: float) -> int:
-        while True:
+        """Index of a proper u past the table: extend the cutoff until the
+        table holds u, or raise CutoffExceeded at the budget."""
+        while u >= self._cum[-1]:
             if self.pmf.cutoff >= self.max_cutoff:
                 raise CutoffExceeded(
                     f"draw fell in unresolved tail mass beyond cutoff "
@@ -165,8 +184,7 @@ class _PmfSampler:
                     partial=self.pmf)
             self._set_pmf(extend_pmf(self.pmf, min(2 * self.pmf.cutoff,
                                                    self.max_cutoff)))
-            if u < self._cum[-1]:
-                return int(np.searchsorted(self._cum, u, side="right"))
+        return int(np.searchsorted(self._cum, u, side="right"))
 
     def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
         u = rng.random(k)
@@ -178,6 +196,23 @@ class _PmfSampler:
                 else:
                     out[i] = self._resolve_tail(float(u[i]))
         return out
+
+    def draw_sum(self, rng: np.random.Generator, k: int) -> int:
+        """The sum of draw(rng, k), or _DELTA_CODE if any draw is DELTA, from
+        k scalar uniforms.  Like draw, it resolves every uniform, so a tail
+        beyond the budget raises even next to a DELTA."""
+        cum = self._cum_view
+        total, delta = 0, False
+        for _ in range(k):
+            u = rng.random()
+            if u < cum[-1]:
+                total += bisect_right(cum, u)
+            elif u >= self._proper:
+                delta = True
+            else:
+                total += self._resolve_tail(u)
+                cum = self._cum_view
+        return _DELTA_CODE if delta else total
 
 
 def _sampler(model: ThetaModel, n: int, max_cutoff: int, population: bool):
@@ -216,7 +251,7 @@ class _SamplerTable:
 def sample_offspring(pmf: Pmf, rng: np.random.Generator,
                      max_cutoff: int = DEFAULT_MAX_CUTOFF):
     """One inverse-transform draw from a Pmf: count, or DELTA."""
-    value = int(_PmfSampler(pmf, max_cutoff).draw(rng, 1)[0])
+    value = _PmfSampler(pmf, max_cutoff).draw_sum(rng, 1)
     return DELTA if value == _DELTA_CODE else value
 
 
@@ -244,25 +279,29 @@ def _simulate_states(samplers: _SamplerTable, horizon: int,
     z = 1
     truncated = False
     for n in range(1, horizon + 1):
-        if z == 0 or z == _DELTA_CODE or truncated:
-            states.append(states[-1])
-            continue
+        if z == 0 or z == _DELTA_CODE or truncated:   # absorbed: it stays
+            states.extend([states[-1]] * (horizon + 1 - n))
+            break
         sampler = step.get(n)
         if sampler is None:
             sampler = samplers.get(n)
-        total = 0
-        remaining = z
-        while remaining > 0:
-            k = min(remaining, BATCH)
-            draws = sampler.draw(rng, k)
-            if sampler.emits_delta and (draws == _DELTA_CODE).any():
-                total = _DELTA_CODE   # one defective draw absorbs everything
-                break
-            total += int(draws.sum())
-            remaining -= k
-            if total > population_cap:
-                truncated = True
-                break
+        if z <= SCALAR_DRAWS:
+            total = sampler.draw_sum(rng, z)
+            truncated = total > population_cap
+        else:
+            total = 0
+            remaining = z
+            while remaining > 0:
+                k = min(remaining, BATCH)
+                draws = sampler.draw(rng, k)
+                if sampler.emits_delta and (draws == _DELTA_CODE).any():
+                    total = _DELTA_CODE   # one defective draw absorbs all
+                    break
+                total += int(draws.sum())
+                remaining -= k
+                if total > population_cap:
+                    truncated = True
+                    break
         z = total
         states.append(DELTA if z == _DELTA_CODE else min(z, population_cap))
     return states, truncated
@@ -298,15 +337,22 @@ def simulate_trajectory(model: ThetaModel, horizon: int, seed: int,
                                  max_cutoff)[0]
 
 
-def sample_zn_direct(model: ThetaModel, n: int, seed: int,
-                     max_cutoff: int = DEFAULT_MAX_CUTOFF):
-    """One draw of Z_n straight from the composite law (the family is closed
-    under composition, so Z_n's law needs no generation loop)."""
+def sample_zn(model: ThetaModel, n: int, seeds: Iterable[int],
+              max_cutoff: int = DEFAULT_MAX_CUTOFF) -> list:
+    """Draws of Z_n straight from the composite law (the family is closed
+    under composition, so Z_n's law needs no generation loop), one per seed,
+    all from one sampler; each is deterministic in (model, n, seed)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    sampler = _sampler(model, n, max_cutoff, True)
-    value = int(sampler.draw(replicate_rng(seed, 0), 1)[0])
-    return DELTA if value == _DELTA_CODE else value
+    sampler = _SamplerTable(model, max_cutoff).get(n, population=True)
+    values = [sampler.draw_sum(replicate_rng(seed, 0), 1) for seed in seeds]
+    return [DELTA if v == _DELTA_CODE else v for v in values]
+
+
+def sample_zn_direct(model: ThetaModel, n: int, seed: int,
+                     max_cutoff: int = DEFAULT_MAX_CUTOFF):
+    """One draw of Z_n straight from the composite law."""
+    return sample_zn(model, n, (seed,), max_cutoff)[0]
 
 
 def write_trajectory_csv(traj: Trajectory, fh) -> None:
@@ -391,7 +437,7 @@ def _run_chunk(job: _Job, start: int, count: int,
     for rng in _replicate_streams(job.base_seed, range(start, start + count)):
         try:
             if direct is not None:
-                z = int(direct.draw(rng, 1)[0])
+                z = direct.draw_sum(rng, 1)
             else:
                 states, truncated = _simulate_states(
                     samplers, job.horizon, rng, job.population_cap)

@@ -200,4 +200,15 @@ def test_verify_counts_below_one_exit_2(capsys, flag, value):
     code, out, err = run(capsys, "verify", "--scenario", "Ex7i", "--seed",
                          "7", flag, value)
     assert code == 2 and out == ""
-    assert err == f"gwtheta: {flag[2:]} must be >= 1, got {value}\n"
+    least = 10 if flag == "--horizon" else 1
+    assert err == f"gwtheta: {flag[2:]} must be >= {least}, got {value}\n"
+
+
+@pytest.mark.parametrize("scenario", ["Ex3", "Ex2", "Ex6i"])
+def test_verify_horizon_below_ten_exit_2(capsys, scenario):
+    # every suite reads at least ten generations, so the bound holds for
+    # every scenario, not only for the suites that would fail on it
+    code, out, err = run(capsys, "verify", "--scenario", scenario, "--seed",
+                         "7", "--horizon", "5", "--replicates", "50")
+    assert code == 2 and out == ""
+    assert err == "gwtheta: horizon must be >= 10, got 5\n"

@@ -119,10 +119,12 @@ def test_get_scenario_builds_only_its_own_model(monkeypatch):
 
 @pytest.mark.parametrize("field", ["replicates", "horizon"])
 def test_verify_config_rejects_counts_below_one(field):
-    for value in (0, -1):
-        with pytest.raises(DomainError, match=f"{field} must be >= 1"):
+    least = 10 if field == "horizon" else 1
+    for value in (0, -1, least - 1):
+        with pytest.raises(DomainError,
+                           match=f"{field} must be >= {least}, got"):
             VerifyConfig(**{field: value})
-    assert getattr(VerifyConfig(**{field: 1}), field) == 1
+    assert getattr(VerifyConfig(**{field: least}), field) == least
 
 
 def test_scenario_seed_distinct_per_scenario():

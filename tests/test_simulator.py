@@ -13,10 +13,13 @@ from gwtheta.errors import CutoffExceeded, DomainError
 from gwtheta.harness import scenario_model
 from gwtheta.series import (RECURRENCE_MAX, Pmf, extend_pmf,
                             pmf_from_theta_pgf, population_pmf, step_pmf)
-from gwtheta.simulator import (DELTA, _replicate_streams, replicate_rng,
+from gwtheta.simulator import (BATCH, DELTA, POPULATION_CAP, _DELTA_CODE,
+                               _PmfSampler, _SamplerTable,
+                               _replicate_streams, replicate_rng,
                                run_ensemble, sample_heavy_tail_index,
                                sample_heavy_tail_log, sample_offspring,
-                               sample_zn_direct, simulate_trajectory)
+                               sample_zn, sample_zn_direct,
+                               simulate_trajectory)
 
 
 def test_replicate_rng_deterministic_and_distinct():
@@ -85,12 +88,16 @@ def test_defective_draws_hit_delta():
 
 
 class _FixedUniforms:
-    """Stands in for a Generator: random(k) returns the next k of u."""
+    """Stands in for a Generator: random(k) returns the next k of u, and
+    random() the next one as a float."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, k):
+    def random(self, k=None):
+        if k is None:
+            head, self.u = float(self.u[0]), self.u[1:]
+            return head
         head, self.u = self.u[:k], self.u[k:]
         return head
 
@@ -222,10 +229,19 @@ def test_trajectory_delta_absorbing():
 def test_direct_sampler_matches_extinction_probability():
     model = scenario_model("Ex3")
     n, reps = 12, 4000
-    zero = sum(1 for k in range(reps)
-               if sample_zn_direct(model, n, seed=k) == 0)
+    zero = sample_zn(model, n, range(reps)).count(0)
     assert zero / reps == pytest.approx(composed_pgf(model, n, 0.0),
                                         abs=0.03)
+
+
+def test_sample_zn_direct_is_the_one_seed_case():
+    model = scenario_model("Ex9i")
+    seeds = list(range(60))
+    draws = sample_zn(model, 7, seeds)
+    assert draws == [sample_zn_direct(model, 7, seed=s) for s in seeds]
+    assert DELTA in draws and 0 in draws
+    with pytest.raises(DomainError):
+        sample_zn(model, 0, seeds)
 
 
 def test_run_ensemble_modes_agree():
@@ -327,3 +343,192 @@ def test_ensemble_frequencies_sum_to_one():
              + stats.survival_freq[0])
     assert total == pytest.approx(1.0, abs=1e-12)
     assert stats.delta_freq[0] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# The scalar draw path against the array path it replaces for small draws:
+# _PmfSampler.draw_sum(rng, k) must give, from the same uniforms, the sum of
+# draw(rng, k), DELTA if any draw is DELTA, or CutoffExceeded if any draw
+# falls in a tail beyond the budget.  _array_states is a copy of
+# _simulate_states as it was before the scalar path, drawing every
+# generation through draw.
+# ---------------------------------------------------------------------------
+
+def _array_sum(sampler, u):
+    try:
+        draws = sampler.draw(_FixedUniforms(u), len(u))
+    except CutoffExceeded:
+        return "CutoffExceeded"
+    return _DELTA_CODE if (draws == _DELTA_CODE).any() else int(draws.sum())
+
+
+def _scalar_sum(sampler, u):
+    try:
+        return sampler.draw_sum(_FixedUniforms(u), len(u))
+    except CutoffExceeded:
+        return "CutoffExceeded"
+
+
+def _agree(scalar, array, uniforms):
+    return [_scalar_sum(scalar, u) for u in uniforms] == \
+        [_array_sum(array, u) for u in uniforms]
+
+
+def test_scalar_random_reads_the_array_doubles():
+    for seed, index in ((7, 0), (20240901, 3), (2 ** 63 + 5, 2 ** 64 - 1)):
+        scalar, array = replicate_rng(seed, index), replicate_rng(seed, index)
+        for k in (1, 2, 3, 8, 5, 1):
+            got = [scalar.random() for _ in range(k)]
+            assert got == array.random(k).tolist()
+
+
+@pytest.mark.parametrize("population", [False, True])
+@pytest.mark.parametrize("case", sorted(set(_CASE_MODELS) - {"e"}))
+def test_scalar_sum_matches_array_sum(case, population):
+    # row (e) has the mixture sampler, which stays on the array path
+    model = scenario_model(_CASE_MODELS[case])
+    assert model.case_label == case
+    budget = 2 ** 12
+    scalar = simulator._sampler(model, 5, budget, population)
+    array = simulator._sampler(model, 5, budget, population)
+    assert isinstance(scalar, _PmfSampler)
+    rng = np.random.default_rng(11 + population)
+    uniforms = [rng.random(k) for k in rng.integers(1, 9, size=3000)]
+    # u at and just below the end of the table and of the proper mass
+    edges = [scalar._cum[-1], np.nextafter(scalar._cum[-1], 0.0),
+             scalar._proper, np.nextafter(scalar._proper, 0.0)]
+    uniforms += [[e] for e in edges if e < 1.0]
+    uniforms += [[0.3, e, 0.7] for e in edges if e < 1.0]
+    assert _agree(scalar, array, uniforms)
+
+
+def test_scalar_sum_delta():
+    model = scenario_model("Ex9i")
+    scalar, array = (simulator._sampler(model, 1, 2 ** 12, False)
+                     for _ in range(2))
+    assert scalar.emits_delta
+    near_one = np.nextafter(1.0, 0.0)
+    uniforms = [[near_one], [0.1, near_one], [near_one, 0.1, 0.2],
+                [0.5] * 7 + [near_one], [scalar._proper]]
+    assert all(_scalar_sum(scalar, u) == _DELTA_CODE for u in uniforms)
+    assert _agree(scalar, array, uniforms)
+
+
+def test_scalar_sum_rounding_sliver_is_delta():
+    # the sliver of test_pmf_sampler_rounding_sliver_is_delta: the running
+    # sum rounds above 1 - defect = 0.5, and u = 0.5 must still be DELTA
+    law = ThetaLaw(1.0, 1.0, 1.0, 1.0, None)
+    pmf = Pmf(np.array([0.25, 0.2500000000000001]), 0.0, 0.5, 1, law)
+    scalar, array = _PmfSampler(pmf, 1), _PmfSampler(pmf, 1)
+    uniforms = [[0.5], [0.1, 0.5], [0.5, 0.3], [0.3, 0.4]]
+    assert _scalar_sum(scalar, [0.5]) == _DELTA_CODE
+    assert _agree(scalar, array, uniforms)
+
+
+def test_scalar_sum_extends_the_tail_mid_draw():
+    # Ex10ii's heavy tail: a uniform past the base table extends it in the
+    # middle of a draw, and the uniforms after it search the longer table
+    model, budget = scenario_model("Ex10ii"), 2 ** 14
+    scalar = simulator._sampler(model, 30, budget, True)
+    array = simulator._sampler(model, 30, budget, True)
+    ahead = simulator._sampler(model, 30, budget, True)
+    while ahead.pmf.cutoff < budget:
+        ahead._set_pmf(extend_pmf(ahead.pmf, 2 * ahead.pmf.cutoff))
+    base, base_cutoff = scalar._cum[-1], scalar.pmf.cutoff
+    assert base < ahead._cum[-1]
+    past = float(np.nextafter(base, 1.0))
+    last = float(np.nextafter(ahead._cum[-1], 0.0))   # needs the full budget
+    u = [0.2 * base, past, 0.4 * base, past, 0.9 * base]
+    want = sum(int(np.searchsorted(ahead._cum, v, side="right")) for v in u)
+    assert _scalar_sum(scalar, u) == want
+    assert scalar.pmf.cutoff > base_cutoff
+    assert scalar._cum_view.obj is scalar._cum
+    assert _agree(scalar, array, [u, [last, past], [past, last, 0.1]])
+    assert scalar.pmf.cutoff == array.pmf.cutoff == budget
+
+
+def test_array_draw_resolves_a_second_tail_uniform_at_the_budget():
+    # the first uniform extends the table to the whole budget; the second,
+    # also past the base table, lies inside the extended one and resolves
+    model, budget = scenario_model("Ex10ii"), 2 ** 14
+    array = simulator._sampler(model, 30, budget, True)
+    ahead = simulator._sampler(model, 30, budget, True)
+    while ahead.pmf.cutoff < budget:
+        ahead._set_pmf(extend_pmf(ahead.pmf, 2 * ahead.pmf.cutoff))
+    u = [float(np.nextafter(ahead._cum[-1], 0.0)),
+         float(np.nextafter(array._cum[-1], 1.0))]
+    want = np.searchsorted(ahead._cum, u, side="right")
+    assert np.array_equal(array.draw(_FixedUniforms(u), 2), want)
+
+
+def test_scalar_sum_cutoff_exceeded_at_a_capped_budget():
+    # budget = cutoff: a proper uniform past the table cannot be resolved,
+    # and raises whatever else the draw holds, DELTA included
+    law = ThetaLaw(1.0, 1.0, 1.0, 1.0, None)
+    pmf = Pmf(np.array([0.25, 0.25]), 0.25, 0.25, 1, law)
+    scalar, array = _PmfSampler(pmf, 1), _PmfSampler(pmf, 1)
+    uniforms = [[0.6], [0.1, 0.6], [0.8, 0.6], [0.6, 0.8], [0.8, 0.1],
+                [0.1, 0.3]]
+    assert [_scalar_sum(scalar, u) for u in uniforms] == [
+        "CutoffExceeded"] * 4 + [_DELTA_CODE, 1]
+    assert _agree(scalar, array, uniforms)
+    # a capped heavy tail: Ex10ii at the cutoff of its base build
+    model = scenario_model("Ex10ii")
+    scalar = simulator._sampler(model, 30, 2 ** 10, True)
+    array = simulator._sampler(model, 30, 2 ** 10, True)
+    past = float(np.nextafter(scalar._cum[-1], 1.0))
+    uniforms = [[past], [0.5, past], [past, 0.5], [0.5, 0.5]]
+    assert [_scalar_sum(scalar, u) for u in uniforms][:3] == [
+        "CutoffExceeded"] * 3
+    assert _agree(scalar, array, uniforms)
+
+
+def _array_states(samplers, horizon, rng, population_cap):
+    """_simulate_states before the scalar path: every generation is drawn
+    through sampler.draw in batches of BATCH."""
+    states = [1]
+    z = 1
+    truncated = False
+    for n in range(1, horizon + 1):
+        if z == 0 or z == _DELTA_CODE or truncated:
+            states.append(states[-1])
+            continue
+        sampler = samplers.get(n)
+        total = 0
+        remaining = z
+        while remaining > 0:
+            k = min(remaining, BATCH)
+            draws = sampler.draw(rng, k)
+            if sampler.emits_delta and (draws == _DELTA_CODE).any():
+                total = _DELTA_CODE
+                break
+            total += int(draws.sum())
+            remaining -= k
+            if total > population_cap:
+                truncated = True
+                break
+        z = total
+        states.append(DELTA if z == _DELTA_CODE else min(z, population_cap))
+    return states, truncated
+
+
+# Ex9ii stays at or below the scalar threshold, Ex1 and Ex7i grow past it,
+# and a population cap of 5 truncates Ex1 inside the scalar path
+@pytest.mark.parametrize("sid,horizon,cap", [
+    ("Ex9ii", 200, POPULATION_CAP), ("Ex1", 20, POPULATION_CAP),
+    ("Ex7i", 30, POPULATION_CAP), ("Ex1", 20, 5)])
+def test_generation_loop_matches_array_loop(sid, horizon, cap):
+    model = scenario_model(sid)
+    scalar, array = _SamplerTable(model, 2 ** 20), _SamplerTable(model, 2 ** 20)
+    outcomes = set()
+    for seed in range(200):
+        got = simulator._simulate_states(scalar, horizon,
+                                         replicate_rng(seed, 0), cap)
+        want = _array_states(array, horizon, replicate_rng(seed, 0), cap)
+        assert got == want, seed
+        states, truncated = got
+        outcomes.add("truncated" if truncated else states[-1] if states[-1]
+                     in (0, DELTA) else "large"
+                     if max(states) > simulator.SCALAR_DRAWS else "small")
+    assert ("truncated" if cap < POPULATION_CAP else
+            "small" if sid == "Ex9ii" else "large") in outcomes
