@@ -23,7 +23,7 @@ from .series import (Pmf, extend_pmf, pmf_from_theta_pgf, population_pmf,
                      step_pmf, write_pmf_csv)
 from .simulator import (DELTA, EnsembleStats, Trajectory, replicate_rng,
                         run_ensemble, sample_offspring, sample_zn,
-                        sample_zn_direct, simulate_trajectory,
-                        write_trajectory_csv)
+                        sample_zn_direct, simulate_trajectories,
+                        simulate_trajectory, write_trajectory_csv)
 
 __version__ = "0.1.0"

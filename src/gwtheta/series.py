@@ -13,6 +13,12 @@ on |s| = rho with N = 8 2^(k+1) nodes and rho = r 10^(-16/N) (Bornemann,
 functions by Cauchy integrals", Found. Comput. Math. 2011).  A block is
 computed whole and then cut at the cutoff, so a weight depends only on the
 law and its index; extending a pmf computes only the new weights.
+
+The recurrence runs over a batch of laws that share theta and r, as the
+one-step laws of a model do: it keeps v reversed, so that the window of
+each step is a contiguous slice and its inner products are one ddot per
+law, and every row is bit-identical to the law's own.  _build_all doubles
+the cutoffs of such a batch in step, one recurrence call per doubling.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -68,34 +75,54 @@ class Pmf:
         return float(np.dot(j, self.weights))
 
 
-def _coeffs_theta(theta: float, r: float, a: float, c: float,
-                  J: int) -> np.ndarray:
+def _coeffs_theta(theta: float, r: float, a, c, J: int) -> np.ndarray:
     """Taylor weights p_0..p_J of r - (a(r-s)^(-theta) + c)^(-1/theta).
 
-    u(s) = a(r-s)^(-theta) + c has coefficients from the generalized binomial
-    expansion; v = u^(-1/theta) follows the power recurrence
+    a and c may be arrays of one length, a batch of laws that share theta
+    and r; the result then holds one row of weights per law, each equal bit
+    for bit to that law's own.  u(s) = a(r-s)^(-theta) + c has coefficients
+    from the generalized binomial expansion, whose ratios all the laws
+    share; v = u^(-1/theta) follows the power recurrence
         m u_0 v_m = sum_{j=1..m} ((gamma+1) j - m) u_j v_{m-j}.
+    v is kept reversed, w[J - m] = v_m, so that the window v_{m-1}..v_0 of
+    step m is the contiguous slice w[J-m+1:].  Its two inner products are
+    two np.dot calls for one law and one np.matmul for a batch, a ddot per
+    row either way (a one-row matmul costs twice the two dots).
     """
     gamma = -1.0 / theta
-    u = np.empty(J + 1)
-    u[0] = a * r ** (-theta)
+    batch = np.ndim(a) > 0
+    a, c = np.atleast_1d(a), np.atleast_1d(c)
     # u_{j+1}/u_j = (theta + j) / ((j+1) r)
     j = np.arange(J, dtype=float)
-    np.cumprod((theta + j) / ((j + 1.0) * r), out=u[1:])
-    u[1:] *= u[0]
-    u[0] += c
-    ju = np.arange(J + 1, dtype=float) * u
-    v = np.empty(J + 1)
-    v[0] = u[0] ** gamma
-    inv_u0 = 1.0 / u[0]
+    ratio = np.cumprod((theta + j) / ((j + 1.0) * r))
+    u0 = a * r ** (-theta)
+    uu = np.empty((2, a.size, J + 1))         # rows j u_j and u_j
+    ju, u = uu
+    np.multiply(ratio, u0[:, None], out=u[:, 1:])
+    u[:, 0] = u0 + c
+    np.multiply(np.arange(J + 1, dtype=float), u, out=ju)
+    w = np.empty((a.size, J + 1))
+    # numpy scalar powers: libm's pow, not the array kernel
+    w[:, J] = [x ** gamma for x in u[:, 0]]
+    inv_u0 = 1.0 / u[:, 0]
+    if a.size == 1:
+        ju, u, v, inv_u0 = ju[0], u[0], w[0], inv_u0[0]
+
+        def window_dots(m):
+            win = v[J - m + 1:]
+            return np.dot(ju[1:m + 1], win), np.dot(u[1:m + 1], win)
+    else:
+        v, rows, cols = w, uu[:, :, None, :], w[None, :, :, None]
+
+        def window_dots(m):
+            d = np.matmul(rows[..., 1:m + 1], cols[:, :, J - m + 1:])
+            return d[0, :, 0, 0], d[1, :, 0, 0]
     for m in range(1, J + 1):
-        vr = v[m - 1::-1]
-        acc = (gamma + 1.0) * np.dot(ju[1:m + 1], vr) \
-            - m * np.dot(u[1:m + 1], vr)
-        v[m] = acc * inv_u0 / m
-    p = -v
-    p[0] = r - v[0]
-    return p
+        dju, du = window_dots(m)
+        v[..., J - m] = ((gamma + 1.0) * dju - m * du) * inv_u0 / m
+    p = -w[:, ::-1]
+    p[:, 0] = r - w[:, J]
+    return p if batch else p[0]
 
 
 def _coeffs_theta_zero(r: float, a: float, log_d: float,
@@ -149,10 +176,13 @@ def _cauchy_block(law: ThetaLaw, k: int) -> np.ndarray:
     return np.exp(-math.log(rho) * j) / N * acc.real
 
 
-def _extend_coeffs(law: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
+def _extend_coeffs(law: ThetaLaw, p: np.ndarray, J: int,
+                   head: np.ndarray = None) -> np.ndarray:
     """Taylor weights p_0..p_J of the law, keeping the weights p it already
     has (indices 0..len(p)-1, computed here, possibly none).  Only the new
-    indices are computed, and only their negative round-off is clipped."""
+    indices are computed, and only their negative round-off is clipped.
+    head, when given, holds the law's recurrence weights p_0..p_min(J, 2^12)
+    from a batched _coeffs_theta call."""
     K = len(p)
     if law.theta == 0.0:
         parts = [_coeffs_theta_zero(law.r, law.a, law.log_d, J)[K:]]
@@ -160,8 +190,10 @@ def _extend_coeffs(law: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
         parts = []
         if K <= RECURRENCE_MAX:
             # the recurrence cannot resume, so its prefix is recomputed
-            parts.append(_coeffs_theta(law.theta, law.r, law.a, law.c,
-                                       min(J, RECURRENCE_MAX))[K:])
+            if head is None:
+                head = _coeffs_theta(law.theta, law.r, law.a, law.c,
+                                     min(J, RECURRENCE_MAX))
+            parts.append(head[K:])
         lo = max(K, RECURRENCE_MAX + 1)
         while lo <= J:
             k = (lo - 1).bit_length() - 1       # 2^k < lo <= 2^(k+1)
@@ -188,40 +220,76 @@ def _coeffs(law: ThetaLaw, J: int) -> np.ndarray:
 
 
 def _build(law: ThetaLaw, tail_tol: float, max_cutoff: int) -> Pmf:
+    built = _build_all([law], tail_tol, max_cutoff)
+    if isinstance(built[0], CutoffExceeded):
+        # popped, not named: a local would tie the error to its traceback
+        # in a cycle that holds the partial pmf until a collection
+        raise built.pop()
+    return built[0]
+
+
+def _build_all(laws: list, tail_tol: float, max_cutoff: int) -> list:
+    """For each of laws that share theta and r, the Pmf that doubling the
+    cutoff from 64 until the tail meets tail_tol gives, or, when the
+    budget cannot meet tail_tol, a CutoffExceeded carrying the partial pmf.
+    The laws double in step, so while their cutoffs are within the
+    recurrence one batched _coeffs_theta call serves all those still
+    open, and each law's outcome is the one it has alone."""
     if tail_tol <= 0.0:
         raise DomainError("tail_tol must be > 0")
     if max_cutoff < 1:
         raise DomainError("max_cutoff must be >= 1")
-    g1 = law.pgf(1.0)
-    defect = max(0.0, 1.0 - g1)
+    if len({(law.theta, law.r) for law in laws}) > 1:
+        raise DomainError("a batch of laws must share theta and r")
+    out = [None] * len(laws)
+    g1 = [law.pgf(1.0) for law in laws]
+    p = [_NO_WEIGHTS] * len(laws)
+    prev_tail = [None] * len(laws)
+    todo = range(len(laws))
     J = min(64, max_cutoff)
-    prev_tail = None
-    p = _NO_WEIGHTS
-    while True:
-        p = _extend_coeffs(law, p, J)
-        tail = g1 - math.fsum(p)
-        if tail <= tail_tol:
-            return Pmf(p, max(0.0, tail), defect, J, law)
-        hopeless = False
-        if J >= 1024 and prev_tail is not None and tail > 0.0:
-            # projected cutoff from the observed per-doubling tail decay;
-            # heavy tails (rate ~ J^-(1+theta)) would otherwise burn the
-            # whole quadratic budget before reporting failure
-            rho = tail / prev_tail
-            if rho >= 0.999:
-                hopeless = True
-            else:
-                doublings = math.log(tail_tol / tail) / math.log(rho)
-                # compared in log2: 2^doublings overflows for slow tails
-                hopeless = doublings > math.log2(max_cutoff / J)
-        if J >= max_cutoff or hopeless:
-            partial = Pmf(p, max(0.0, tail), defect, J, law)
-            raise CutoffExceeded(
-                f"tail mass {tail:.3e} cannot reach tail_tol {tail_tol:.3e} "
-                f"within the cutoff budget {max_cutoff} (heavy-tailed law; "
-                "raise max_cutoff or tail_tol)", partial=partial)
-        prev_tail = tail
+    while todo:
+        heads = repeat(None)
+        # the laws still open share their cutoffs, so they need the
+        # recurrence together, up to the same index
+        if laws[0].theta != 0.0 and len(p[todo[0]]) <= RECURRENCE_MAX:
+            heads = _coeffs_theta(laws[0].theta, laws[0].r,
+                                  np.array([laws[i].a for i in todo]),
+                                  np.array([laws[i].c for i in todo]),
+                                  min(J, RECURRENCE_MAX))
+        left = []
+        for i, head in zip(todo, heads):
+            law = laws[i]
+            p[i] = _extend_coeffs(law, p[i], J, head)
+            tail = g1[i] - math.fsum(p[i])
+            defect = max(0.0, 1.0 - g1[i])
+            if tail <= tail_tol:
+                out[i] = Pmf(p[i], max(0.0, tail), defect, J, law)
+                continue
+            hopeless = False
+            if J >= 1024 and prev_tail[i] is not None and tail > 0.0:
+                # projected cutoff from the observed per-doubling tail decay;
+                # heavy tails (rate ~ J^-(1+theta)) would otherwise burn the
+                # whole quadratic budget before reporting failure
+                rho = tail / prev_tail[i]
+                if rho >= 0.999:
+                    hopeless = True
+                else:
+                    doublings = math.log(tail_tol / tail) / math.log(rho)
+                    # compared in log2: 2^doublings overflows for slow tails
+                    hopeless = doublings > math.log2(max_cutoff / J)
+            if J >= max_cutoff or hopeless:
+                partial = Pmf(p[i], max(0.0, tail), defect, J, law)
+                out[i] = CutoffExceeded(
+                    f"tail mass {tail:.3e} cannot reach tail_tol "
+                    f"{tail_tol:.3e} within the cutoff budget {max_cutoff} "
+                    "(heavy-tailed law; raise max_cutoff or tail_tol)",
+                    partial=partial)
+                continue
+            prev_tail[i] = tail
+            left.append(i)
+        todo = left
         J = min(2 * J, max_cutoff)
+    return out
 
 
 def pmf_from_theta_pgf(theta: float, r: float, a_coef: float,

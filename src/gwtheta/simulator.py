@@ -13,6 +13,13 @@ cost of numpy on arrays of one or two elements.  Scalar ``random()`` calls
 read the same doubles from the stream as one ``random(k)``, and the scalar
 search applies the same table, DELTA rule and tail extension as the array
 search, so every result is the one the array path gives.
+
+Step samplers of a theta != 0 model are built a block of STEP_BLOCK
+generations at a time, on the first miss, from one batched power
+recurrence per cutoff doubling.  Each is the sampler its law gives alone,
+so this changes no draw, and a law that fails lazy validation still raises
+only when a path reaches it.  Each simulate_trajectory call builds its own
+table: many paths are cheaper from one simulate_trajectories call.
 """
 
 from __future__ import annotations
@@ -29,9 +36,9 @@ import numpy as np
 
 from .analytics import LimitLawDescriptor, composite_constants, composite_law
 from .environment import ThetaLaw, ThetaModel
-from .errors import CutoffExceeded, DomainError
-from .series import (DEFAULT_MAX_CUTOFF, Pmf, extend_pmf, population_pmf,
-                     step_pmf)
+from .errors import CutoffExceeded, DomainError, GwThetaError
+from .series import (DEFAULT_MAX_CUTOFF, DEFAULT_TAIL_TOL, Pmf, _build_all,
+                     extend_pmf, population_pmf, step_pmf)
 
 DELTA = "delta"                  # absorbing symbol
 _DELTA_CODE = -1                 # internal integer encoding
@@ -39,6 +46,7 @@ POPULATION_CAP = 10 ** 9
 BATCH = 10 ** 4                  # max i.i.d. offspring draws per rng call
 CHUNK = 4096                     # replicates per reduction chunk
 SCALAR_DRAWS = 8                 # max offspring drawn by the scalar path
+STEP_BLOCK = 64                  # step samplers built in one batched pass
 DEFAULT_S_GRID = tuple(j / 10.0 for j in range(11))
 
 _MASK64 = (1 << 64) - 1
@@ -235,17 +243,50 @@ class _SamplerTable:
     """The samplers of one simulation call, each built on first use and kept
     for the whole call: f_n's in ``step`` and F_n's in ``population``, both
     keyed by n.  Draws do not depend on a sampler's history, so every chunk
-    and every path of the call can share them."""
+    and every path of the call can share them.
 
-    def __init__(self, model: ThetaModel, max_cutoff: int):
-        self.model, self.max_cutoff = model, max_cutoff
+    The first miss of a theta != 0 step sampler builds the samplers of
+    generations n .. n + STEP_BLOCK - 1, up to the horizon, in one batched
+    pass (series._build_all); each is the sampler _sampler would build.  A
+    generation whose law fails validation is left out, and a build that
+    fails leaves the whole block out, so _sampler builds those laws one by
+    one and an error is raised only when a path reaches its generation."""
+
+    def __init__(self, model: ThetaModel, max_cutoff: int, horizon: int):
+        self.model, self.max_cutoff, self.horizon = model, max_cutoff, horizon
         self.step, self.population = {}, {}
+        self._blocked = 0          # last generation a block has covered
 
     def get(self, n: int, population: bool = False):
         built = self.population if population else self.step
         if n not in built:
-            built[n] = _sampler(self.model, n, self.max_cutoff, population)
+            if not population and n > self._blocked:
+                self._build_block(n)
+            if n not in built:
+                built[n] = _sampler(self.model, n, self.max_cutoff,
+                                    population)
         return built[n]
+
+    def _build_block(self, n0: int) -> None:
+        n1 = min(n0 + STEP_BLOCK, self.horizon + 1)
+        self._blocked = n1 - 1
+        if self.model.theta == 0.0:
+            return
+        ns, laws = [], []
+        for n in range(n0, n1):
+            try:
+                laws.append(self.model.step_law(n))
+            except GwThetaError:
+                continue
+            ns.append(n)
+        try:
+            built = _build_all(laws, DEFAULT_TAIL_TOL, self.max_cutoff)
+        except GwThetaError:
+            return
+        for n, pmf in zip(ns, built):
+            if isinstance(pmf, CutoffExceeded):
+                pmf = pmf.partial              # as in _sampler
+            self.step[n] = _PmfSampler(pmf, self.max_cutoff)
 
 
 def sample_offspring(pmf: Pmf, rng: np.random.Generator,
@@ -315,7 +356,7 @@ def simulate_trajectories(model: ThetaModel, horizon: int,
     table; each path is deterministic in (model, horizon, seed)."""
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
-    samplers = _SamplerTable(model, max_cutoff)
+    samplers = _SamplerTable(model, max_cutoff, horizon)
     paths = []
     for seed in seeds:
         states, truncated = _simulate_states(
@@ -344,7 +385,7 @@ def sample_zn(model: ThetaModel, n: int, seeds: Iterable[int],
     all from one sampler; each is deterministic in (model, n, seed)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    sampler = _SamplerTable(model, max_cutoff).get(n, population=True)
+    sampler = _SamplerTable(model, max_cutoff, n).get(n, population=True)
     values = [sampler.draw_sum(replicate_rng(seed, 0), 1) for seed in seeds]
     return [DELTA if v == _DELTA_CODE else v for v in values]
 
@@ -429,7 +470,7 @@ class _Tally:
 def _run_chunk(job: _Job, start: int, count: int,
                samplers: Optional[_SamplerTable] = None) -> _Tally:
     if samplers is None:           # a pool task builds its own table
-        samplers = _SamplerTable(job.model, job.max_cutoff)
+        samplers = _SamplerTable(job.model, job.max_cutoff, job.horizon)
     tally = _Tally(len(job.s_grid))
     counts, pgf_sum, pgf_sq = tally.counts, tally.pgf_sum, tally.pgf_sq
     direct = (samplers.get(job.horizon, population=True)
@@ -488,7 +529,7 @@ def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_chunk, repeat(job), starts, sizes))
     else:
-        samplers = _SamplerTable(model, max_cutoff)
+        samplers = _SamplerTable(model, max_cutoff, horizon)
         results = [_run_chunk(job, start, size, samplers)
                    for start, size in zip(starts, sizes)]
     total = _Tally(len(job.s_grid))

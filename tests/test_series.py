@@ -260,6 +260,78 @@ def test_weights_above_recurrence_match_recurrence(theta, a, c):
     assert np.max(np.abs(p - q)) <= 1e-13
 
 
+def _single_law_recurrence(theta, r, a, c, J):
+    """The power recurrence one law at a time, as it ran before the batched
+    engine: np.dot over the negative-stride window v[m-1::-1]."""
+    gamma = -1.0 / theta
+    u = np.empty(J + 1)
+    u[0] = a * r ** (-theta)
+    j = np.arange(J, dtype=float)
+    np.cumprod((theta + j) / ((j + 1.0) * r), out=u[1:])
+    u[1:] *= u[0]
+    u[0] += c
+    ju = np.arange(J + 1, dtype=float) * u
+    v = np.empty(J + 1)
+    v[0] = u[0] ** gamma
+    inv_u0 = 1.0 / u[0]
+    for m in range(1, J + 1):
+        vr = v[m - 1::-1]
+        acc = (gamma + 1.0) * np.dot(ju[1:m + 1], vr) \
+            - m * np.dot(u[1:m + 1], vr)
+        v[m] = acc * inv_u0 / m
+    p = -v
+    p[0] = r - v[0]
+    return p
+
+
+@pytest.mark.parametrize("J", [64, 512, 4096])
+@pytest.mark.parametrize("theta", [1.0, -0.5, 0.5, -0.95])
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_batched_recurrence_matches_single_law_loop(J, theta, r):
+    a = np.array([0.3, 0.6, 0.9])
+    c = np.array([0.8, 0.35, 0.1])
+    rows = series._coeffs_theta(theta, r, a, c, J)
+    assert rows.shape == (3, J + 1)
+    for i in range(3):
+        want = _single_law_recurrence(theta, r, a[i], c[i], J)
+        assert np.isfinite(want).all()
+        assert np.array_equal(rows[i], want), i
+        single = series._coeffs_theta(theta, r, float(a[i]), float(c[i]), J)
+        assert single.shape == (J + 1,)
+        assert np.array_equal(single, want), i
+    one = series._coeffs_theta(theta, r, a[1:2], c[1:2], J)
+    assert one.shape == (1, J + 1)
+    assert np.array_equal(one[0], rows[1])
+
+
+@pytest.mark.parametrize("theta,coefs", [
+    # geometric tails met at cutoffs 64, 256, 512 and 4096, the last two
+    # beyond a budget of 2^8
+    (1.0, [(0.5, 0.5), (0.2, 0.9), (0.1, 0.9), (0.01, 1.0)]),
+    # heavy tails, partial at 1024 or at the budget
+    (-0.5, [(0.5, 0.3), (0.3, 0.6)])])
+def test_build_all_matches_build_law_by_law(theta, coefs):
+    laws = [ThetaLaw(theta, 1.0, a, c, None) for a, c in coefs]
+    for max_cutoff in (2 ** 8, 2 ** 20):
+        got = series._build_all(laws, series.DEFAULT_TAIL_TOL, max_cutoff)
+        for law, pmf in zip(laws, got):
+            try:
+                want = series._build(law, series.DEFAULT_TAIL_TOL, max_cutoff)
+            except CutoffExceeded as err:
+                assert type(pmf) is CutoffExceeded
+                assert str(pmf) == str(err)
+                pmf, want = pmf.partial, err.partial
+            assert np.array_equal(pmf.weights, want.weights)
+            assert (pmf.cutoff, pmf.tail_mass, pmf.defect_mass) == (
+                want.cutoff, want.tail_mass, want.defect_mass)
+            assert pmf.source is law
+    if theta == 1.0:
+        assert [pmf.cutoff for pmf in got] == [64, 256, 512, 4096]
+    with pytest.raises(DomainError):
+        series._build_all(laws + [ThetaLaw(0.5, 1.0, 0.5, 0.5, None)],
+                          series.DEFAULT_TAIL_TOL, 2 ** 20)
+
+
 def test_weights_depend_on_index_only():
     # a weight is the same whatever cutoff, or chain of cutoffs, led to it
     law = ThetaLaw(-0.5, 1.0, 0.4, 0.35, None)

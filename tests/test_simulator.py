@@ -8,17 +8,18 @@ from scipy import stats as sps
 
 from gwtheta import simulator
 from gwtheta.analytics import composed_pgf, composite_constants
-from gwtheta.environment import ThetaLaw
+from gwtheta.environment import EnvSequence, ThetaLaw, validate_model
 from gwtheta.errors import CutoffExceeded, DomainError
-from gwtheta.harness import scenario_model
-from gwtheta.series import (RECURRENCE_MAX, Pmf, extend_pmf,
-                            pmf_from_theta_pgf, population_pmf, step_pmf)
-from gwtheta.simulator import (BATCH, DELTA, POPULATION_CAP, _DELTA_CODE,
-                               _PmfSampler, _SamplerTable,
-                               _replicate_streams, replicate_rng,
-                               run_ensemble, sample_heavy_tail_index,
-                               sample_heavy_tail_log, sample_offspring,
-                               sample_zn, sample_zn_direct,
+from gwtheta.harness import registry, scenario_model
+from gwtheta.series import (DEFAULT_MAX_CUTOFF, RECURRENCE_MAX, Pmf,
+                            extend_pmf, pmf_from_theta_pgf, population_pmf,
+                            step_pmf)
+from gwtheta.simulator import (BATCH, DELTA, POPULATION_CAP, STEP_BLOCK,
+                               Trajectory, _DELTA_CODE, _PmfSampler,
+                               _SamplerTable, _replicate_streams,
+                               replicate_rng, run_ensemble,
+                               sample_heavy_tail_index, sample_heavy_tail_log,
+                               sample_offspring, sample_zn, sample_zn_direct,
                                simulate_trajectory)
 
 
@@ -519,7 +520,8 @@ def _array_states(samplers, horizon, rng, population_cap):
     ("Ex7i", 30, POPULATION_CAP), ("Ex1", 20, 5)])
 def test_generation_loop_matches_array_loop(sid, horizon, cap):
     model = scenario_model(sid)
-    scalar, array = _SamplerTable(model, 2 ** 20), _SamplerTable(model, 2 ** 20)
+    scalar = _SamplerTable(model, 2 ** 20, horizon)
+    array = _SamplerTable(model, 2 ** 20, horizon)
     outcomes = set()
     for seed in range(200):
         got = simulator._simulate_states(scalar, horizon,
@@ -532,3 +534,90 @@ def test_generation_loop_matches_array_loop(sid, horizon, cap):
                      if max(states) > simulator.SCALAR_DRAWS else "small")
     assert ("truncated" if cap < POPULATION_CAP else
             "small" if sid == "Ex9ii" else "large") in outcomes
+
+
+def test_simulator_calls_are_exported():
+    # the calls README names as the simulator's public ones
+    from gwtheta import (run_ensemble, sample_zn, sample_zn_direct,
+                         simulate_trajectories, simulate_trajectory)
+    assert (run_ensemble, sample_zn, sample_zn_direct, simulate_trajectories,
+            simulate_trajectory) == (
+        simulator.run_ensemble, simulator.sample_zn,
+        simulator.sample_zn_direct, simulator.simulate_trajectories,
+        simulator.simulate_trajectory)
+
+
+@pytest.mark.parametrize("sid", [sc.id for sc in registry()
+                                 if scenario_model(sc.id).theta != 0.0])
+def test_block_built_step_samplers_match_per_law(sid):
+    model = scenario_model(sid)
+    table = _SamplerTable(model, DEFAULT_MAX_CUTOFF, 200)
+    table.get(1)
+    assert sorted(table.step) == list(range(1, STEP_BLOCK + 1))
+    cutoffs = set()
+    for n in range(1, 201):
+        got = table.get(n).pmf
+        want = simulator._sampler(model, n, DEFAULT_MAX_CUTOFF, False).pmf
+        assert np.array_equal(got.weights, want.weights), n
+        assert (got.cutoff, got.tail_mass, got.defect_mass) == (
+            want.cutoff, want.tail_mass, want.defect_mass), n
+        assert got.source == want.source, n
+        cutoffs.add(got.cutoff)
+    if sid in ("Ex10i", "Ex10ii"):
+        assert cutoffs == {1024}      # partials of unreachable tails
+    if sid in ("Ex3", "Ex5"):
+        assert max(cutoffs) >= 128
+
+
+def _per_law(monkeypatch, call):
+    """call() with every sampler built law by law, without blocks."""
+    with monkeypatch.context() as patch:
+        patch.setattr(_SamplerTable, "_build_block", lambda self, n0: None)
+        return call()
+
+
+def _trajectory_or_error(model, horizon, seed):
+    try:
+        return simulate_trajectory(model, horizon, seed)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("k", [12, STEP_BLOCK + 1])
+def test_block_build_keeps_validation_lazy(monkeypatch, k):
+    # critical linear-fractional steps, checked eagerly up to 5 only; a_k < 0
+    # fails validation inside the first block (k = 12) or at the start of
+    # the second (k = STEP_BLOCK + 1)
+    model = validate_model(1.0, 1.0,
+                           EnvSequence.from_table([1.0] * (k - 1) + [-1.0]),
+                           EnvSequence.constant(0.5), check_horizon=5)
+    horizon = k + 8
+    got = [_trajectory_or_error(model, horizon, seed) for seed in range(200)]
+    want = _per_law(monkeypatch, lambda: [
+        _trajectory_or_error(model, horizon, seed) for seed in range(200)])
+    assert got == want
+    errors = [g for g in got if not isinstance(g, Trajectory)]
+    assert errors and len(errors) < len(got)
+    assert {g[0].__name__ for g in errors} == {"RejectedParameter"}
+    assert all(f"a_{k}" in g[1] for g in errors)
+
+
+def test_block_build_failure_is_raised_at_its_generation():
+    # a bad budget fails the block build; the first generation's own build
+    # then raises what it raises without blocks
+    with pytest.raises(DomainError, match="max_cutoff must be >= 1"):
+        simulate_trajectory(scenario_model("Ex7i"), 10, 1, max_cutoff=0)
+
+
+def test_block_build_ensembles_match_per_law(monkeypatch):
+    # heavy-tailed steps whose partials stop at 2^10; the budget of 2^12
+    # keeps the tail extensions of each pool task cheap
+    monkeypatch.setattr(simulator, "CHUNK", 512)
+    model = scenario_model("Ex10ii")
+    want = _per_law(monkeypatch, lambda: run_ensemble(
+        model, 30, 1500, 5, workers=1, max_cutoff=2 ** 12))
+    assert want.error_counts["CutoffExceeded"] > 0
+    for workers in (1, 3):
+        got = run_ensemble(model, 30, 1500, 5, workers=workers,
+                           max_cutoff=2 ** 12)
+        assert got == want, workers
