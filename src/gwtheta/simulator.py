@@ -5,14 +5,23 @@ Reproducibility contract: every replicate owns a counter-based RNG stream
 keyed by (base_seed, replicate_index), so results are bit-identical for any
 worker count and for reruns with the same seed.  A draw depends on the law,
 the cutoff budget and the uniform alone, so a call shares its samplers.
+replicate_rng defines the stream.  Where a replicate needs only its first
+uniform, _philox_uniforms computes it for a whole array of keys: the same
+Philox4x64-10 block numpy's Philox computes, bit for bit (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11).
 
-Small draws take a scalar path: up to SCALAR_DRAWS offspring (and every
-direct draw of Z_n) are read one ``rng.random()`` at a time and located by
-``bisect`` in a memoryview of the cumulative table, skipping the per-call
-cost of numpy on arrays of one or two elements.  Scalar ``random()`` calls
-read the same doubles from the stream as one ``random(k)``, and the scalar
-search applies the same table, DELTA rule and tail extension as the array
-search, so every result is the one the array path gives.
+Direct draws of Z_n take one uniform each, so a direct-mode chunk and a
+sample_zn call draw all their replicates at once: one kernel call, one
+search of the cumulative table, and one vectorized tally.  Entries past the
+table follow the rules of the scalar path, in replicate order.
+
+Small generations take a scalar path: up to SCALAR_DRAWS offspring are read
+one ``rng.random()`` at a time and located by ``bisect`` in a memoryview of
+the cumulative table, skipping the per-call cost of numpy on arrays of one
+or two elements.  Scalar ``random()`` calls read the same doubles from the
+stream as one ``random(k)``, and the scalar search applies the same table,
+DELTA rule and tail extension as the array search, so every result is the
+one the array path gives.
 
 Step samplers of a theta != 0 model are built a block of STEP_BLOCK
 generations at a time, on the first miss, from one batched power
@@ -42,6 +51,7 @@ from .series import (DEFAULT_MAX_CUTOFF, DEFAULT_TAIL_TOL, Pmf, _build_all,
 
 DELTA = "delta"                  # absorbing symbol
 _DELTA_CODE = -1                 # internal integer encoding
+_CUTOFF_CODE = -2                # a draw that raised CutoffExceeded
 POPULATION_CAP = 10 ** 9
 BATCH = 10 ** 4                  # max i.i.d. offspring draws per rng call
 CHUNK = 4096                     # replicates per reduction chunk
@@ -78,6 +88,45 @@ def _replicate_streams(base_seed: int, indices):
                         "buffer": zero, "buffer_pos": 4,
                         "has_uint32": 0, "uinteger": 0}
         yield rng
+
+
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # key bumps
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32, _S11 = np.uint64(32), np.uint64(11)
+
+
+def _mulhilo(m: int, x: np.ndarray):
+    """The high and low words of the 128-bit products m * x, built from
+    32-bit halves so that no partial product leaves uint64."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _S32
+    lh, hl = m_lo * x_hi, m_hi * x_lo
+    mid = ((m_lo * x_lo) >> _S32) + (lh & _LO32) + (hl & _LO32)
+    hi = m_hi * x_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
+    return hi, np.uint64(m) * x
+
+
+def _philox_uniforms(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
+    """replicate_rng(k0[j], k1[j]).random() for uint64 key arrays k0, k1:
+    the first word of the Philox4x64-10 block at counter (1, 0, 0, 0), as
+    numpy bumps the counter before its first block, read as a double."""
+    k0, k1 = k0.copy(), k1.copy()
+    c0 = np.ones_like(k0)
+    c1 = c2 = c3 = np.zeros_like(k0)
+    for rnd in range(10):
+        if rnd:
+            k0 += np.uint64(_PHILOX_W[0])
+            k1 += np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return (c0 >> _S11) * 2.0 ** -53
+
+
+def _keys(values) -> np.ndarray:
+    """Integers as the uint64 words of Philox keys (two's complement)."""
+    return np.array([v & _MASK64 for v in values], dtype=np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +191,11 @@ class _MixtureHeavySampler:
         self.p_zero = law.pgf(0.0)
 
     def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        u = rng.random(k)
-        out = np.zeros(k, dtype=np.int64)
+        return self.place(rng.random(k))
+
+    def place(self, u: np.ndarray, cutoff_code=None) -> np.ndarray:
+        """The draws at the uniforms u; the law has no tail to resolve."""
+        out = np.zeros(u.size, dtype=np.int64)
         alive = u >= self.p_zero
         for i in np.nonzero(alive)[0]:
             # rescale u into the conditional uniform for the positive part
@@ -195,14 +247,24 @@ class _PmfSampler:
         return int(np.searchsorted(self._cum, u, side="right"))
 
     def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        u = rng.random(k)
+        return self.place(rng.random(k))
+
+    def place(self, u: np.ndarray, cutoff_code=None) -> np.ndarray:
+        """The draws at the uniforms u, resolved in order: an index, or
+        _DELTA_CODE.  A tail beyond the budget raises CutoffExceeded, or
+        gives cutoff_code in that entry alone when one is given."""
         out = self._cum.searchsorted(u, side="right").astype(np.int64)
-        if out.max() > self.pmf.cutoff:
+        if out.size and out.max() > self.pmf.cutoff:
             for i in np.nonzero(out > self.pmf.cutoff)[0]:
                 if u[i] >= self._proper:
                     out[i] = _DELTA_CODE
                 else:
-                    out[i] = self._resolve_tail(float(u[i]))
+                    try:
+                        out[i] = self._resolve_tail(float(u[i]))
+                    except CutoffExceeded:
+                        if cutoff_code is None:
+                            raise
+                        out[i] = cutoff_code
         return out
 
     def draw_sum(self, rng: np.random.Generator, k: int) -> int:
@@ -382,11 +444,13 @@ def sample_zn(model: ThetaModel, n: int, seeds: Iterable[int],
               max_cutoff: int = DEFAULT_MAX_CUTOFF) -> list:
     """Draws of Z_n straight from the composite law (the family is closed
     under composition, so Z_n's law needs no generation loop), one per seed,
-    all from one sampler; each is deterministic in (model, n, seed)."""
+    all from one sampler and one kernel call over the keys (seed, 0); each
+    is deterministic in (model, n, seed)."""
     if n < 1:
         raise DomainError("n must be >= 1")
     sampler = _SamplerTable(model, max_cutoff, n).get(n, population=True)
-    values = [sampler.draw_sum(replicate_rng(seed, 0), 1) for seed in seeds]
+    k0 = _keys(seeds)
+    values = sampler.place(_philox_uniforms(k0, np.zeros_like(k0))).tolist()
     return [DELTA if v == _DELTA_CODE else v for v in values]
 
 
@@ -459,6 +523,37 @@ class _Tally:
         self.pgf_sq = [0.0] * grid_size
         self.scaled = []
 
+    def add(self, z: np.ndarray, job: _Job) -> None:
+        """Tally the outcomes z (a count or _DELTA_CODE each), in replicate
+        order.  Each distinct z is mapped once, s ** int(z) by Python's pow
+        and the scaled sample by the descriptor, and the sums accumulate left
+        to right (cumsum, not the pairwise np.sum), so every sum is the one
+        a loop over the replicates gives."""
+        delta = z == _DELTA_CODE
+        zero = z == 0
+        counts = self.counts
+        counts["delta"] += int(np.count_nonzero(delta))
+        counts["zero"] += int(np.count_nonzero(zero))
+        counts["survival"] += int(z.size - np.count_nonzero(delta | zero))
+        if not z.size:
+            return
+        values, inverse = np.unique(z, return_inverse=True)
+        values = values.tolist()
+        for k, s in enumerate(job.s_grid):
+            x = np.array([0.0 if v == _DELTA_CODE else s ** v
+                          for v in values])[inverse]
+            self.pgf_sum[k] = float(np.cumsum(np.append(self.pgf_sum[k],
+                                                        x))[-1])
+            self.pgf_sq[k] = float(np.cumsum(np.append(self.pgf_sq[k],
+                                                       x * x))[-1])
+        if job.scaling is not None:
+            scaled = [None if v == _DELTA_CODE
+                      else job.scaling.scaled_sample(v, job.cc.A)
+                      for v in values]
+            self.scaled.extend(w for w in map(scaled.__getitem__,
+                                              inverse.tolist())
+                               if w is not None)
+
     def merge(self, other: "_Tally") -> None:
         self.counts.update(other.counts)
         self.errors.update(other.errors)
@@ -472,32 +567,31 @@ def _run_chunk(job: _Job, start: int, count: int,
     if samplers is None:           # a pool task builds its own table
         samplers = _SamplerTable(job.model, job.max_cutoff, job.horizon)
     tally = _Tally(len(job.s_grid))
-    counts, pgf_sum, pgf_sq = tally.counts, tally.pgf_sum, tally.pgf_sq
-    direct = (samplers.get(job.horizon, population=True)
-              if job.mode == "direct" else None)
-    for rng in _replicate_streams(job.base_seed, range(start, start + count)):
-        try:
-            if direct is not None:
-                z = direct.draw_sum(rng, 1)
-            else:
+    if job.mode == "direct":
+        u = _philox_uniforms(np.full(count, job.base_seed & _MASK64,
+                                     dtype=np.uint64),
+                             np.arange(start, start + count, dtype=np.uint64))
+        z = samplers.get(job.horizon, population=True).place(
+            u, cutoff_code=_CUTOFF_CODE)
+    else:
+        z = np.empty(count, dtype=np.int64)
+        streams = _replicate_streams(job.base_seed,
+                                     range(start, start + count))
+        for j, rng in enumerate(streams):
+            try:
                 states, truncated = _simulate_states(
                     samplers, job.horizon, rng, job.population_cap)
-                counts["truncated"] += truncated
-                last = states[-1]
-                z = _DELTA_CODE if last == DELTA else int(last)
-        except CutoffExceeded:
-            tally.errors["CutoffExceeded"] += 1
-            continue
-        counts["delta" if z == _DELTA_CODE
-               else "zero" if z == 0 else "survival"] += 1
-        for i, s in enumerate(job.s_grid):
-            x = 0.0 if z == _DELTA_CODE else s ** z
-            pgf_sum[i] += x
-            pgf_sq[i] += x * x
-        if job.scaling is not None and z != _DELTA_CODE:
-            val = job.scaling.scaled_sample(z, job.cc.A)
-            if val is not None:
-                tally.scaled.append(val)
+            except CutoffExceeded:
+                z[j] = _CUTOFF_CODE
+                continue
+            tally.counts["truncated"] += truncated
+            last = states[-1]
+            z[j] = _DELTA_CODE if last == DELTA else last
+    failed = z == _CUTOFF_CODE
+    if failed.any():
+        tally.errors["CutoffExceeded"] += int(np.count_nonzero(failed))
+        z = z[~failed]
+    tally.add(z, job)
     return tally
 
 

@@ -218,3 +218,53 @@ def test_eager_validation_reports_the_same_errors():
     short = EnvSequence.from_table([0.5] * 50, tail_rule="error")
     with pytest.raises(DomainError, match="index 51"):
         validate_model(1.0, 1.0, short, EnvSequence.constant(0.6))
+
+
+# -- the scalar recursion below _SCALAR_UP_TO ---------------------------------
+
+SMALL_NS = range(analytics._SCALAR_UP_TO)
+
+
+def _small_models():
+    """The registry, plus a model whose D_n stops at n = 21 (r - c_21 < 0)
+    and one whose A_n overflows near n = 31 (so B_n = inf / inf is NaN)."""
+    models = [(sc.id, sc.model) for sc in SCENARIOS]
+    c = [0.6] * 20 + [1.5] + [0.6] * 80
+    models.append(("log_D_stops", validate_model(
+        1.0, 1.1, EnvSequence.constant(0.5), EnvSequence.from_table(c))))
+    models.append(("overflow", validate_model(
+        1.0, 1.0, EnvSequence.constant(1e10), EnvSequence.constant(0.5))))
+    return models
+
+
+@pytest.mark.parametrize("name,model", _small_models(),
+                         ids=[name for name, _ in _small_models()])
+def test_small_n_constants_match_the_scan(name, model):
+    # constants_at runs the scalar recursion below _SCALAR_UP_TO; every
+    # constant is the scan's, where log_D stops short too
+    want = {cc.n: repr(cc) for cc in constants_iter(model, max(SMALL_NS))}
+    got = analytics.constants_at(model, SMALL_NS)
+    assert {n: repr(cc) for n, cc in got.items()} == want
+    for n in SMALL_NS:
+        assert repr(composite_constants(model, n)) == want[n]
+    if name == "log_D_stops":
+        assert got[20].log_D is not None and got[21].log_D is None
+    if name == "overflow":
+        assert math.isinf(got[40].A) and math.isnan(got[40].B)
+
+
+def test_small_n_errors_match_the_scan():
+    # a bad entry past check_horizon and the end of a strict table raise
+    # at the same index as in the scan
+    a = [0.5] * 100
+    a[39] = -1.0
+    bad = validate_model(1.0, 1.0, EnvSequence.from_table(a),
+                         EnvSequence.constant(0.6), check_horizon=10)
+    short = validate_model(1.0, 1.0, EnvSequence.from_table(
+        [0.5] * 30, tail_rule="error"), EnvSequence.constant(0.6),
+        check_horizon=10)
+    for model, n in ((bad, 40), (short, 31)):
+        want = _error(lambda: list(constants_iter(model, 50)))
+        assert want[0] in (RejectedParameter, DomainError)
+        assert _error(composite_constants, model, 50) == want
+        assert _error(model.step, n) == want

@@ -621,3 +621,115 @@ def test_block_build_ensembles_match_per_law(monkeypatch):
         got = run_ensemble(model, 30, 1500, 5, workers=workers,
                            max_cutoff=2 ** 12)
         assert got == want, workers
+
+
+# ---------------------------------------------------------------------------
+# Whole-chunk draws against the per-replicate loop they replace: the Philox
+# kernel must give each stream's first double, and a chunk drawn and tallied
+# as arrays must give the EnsembleStats of the loop over its replicates.
+# ---------------------------------------------------------------------------
+
+EDGE_SEEDS = (0, -1, 2 ** 64 - 1, -2 ** 70 + 5, 20240901, 2 ** 63 + 12345)
+EDGE_INDICES = (0, 1, 977, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
+                2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1)
+
+
+def test_philox_kernel_is_the_first_double_of_each_stream():
+    for seed in EDGE_SEEDS:
+        u = simulator._philox_uniforms(
+            simulator._keys([seed] * len(EDGE_INDICES)),
+            simulator._keys(EDGE_INDICES))
+        assert u.dtype == np.float64
+        for j, i in enumerate(EDGE_INDICES):
+            assert u[j] == replicate_rng(seed, i).random(), (seed, i)
+    # the sample_zn layout: one key word per seed, the index word 0
+    k0 = simulator._keys(EDGE_SEEDS)
+    u = simulator._philox_uniforms(k0, np.zeros_like(k0))
+    assert u.tolist() == [replicate_rng(s, 0).random() for s in EDGE_SEEDS]
+
+
+def _loop_chunk(job, start, count, samplers=None):
+    """_run_chunk as a loop over the replicates: each draws from its own
+    replicate_rng stream (one draw_sum in direct mode) and is tallied one
+    at a time."""
+    if samplers is None:
+        samplers = _SamplerTable(job.model, job.max_cutoff, job.horizon)
+    tally = simulator._Tally(len(job.s_grid))
+    counts, pgf_sum, pgf_sq = tally.counts, tally.pgf_sum, tally.pgf_sq
+    direct = (samplers.get(job.horizon, population=True)
+              if job.mode == "direct" else None)
+    for i in range(start, start + count):
+        rng = replicate_rng(job.base_seed, i)
+        try:
+            if direct is not None:
+                z = direct.draw_sum(rng, 1)
+            else:
+                states, truncated = simulator._simulate_states(
+                    samplers, job.horizon, rng, job.population_cap)
+                counts["truncated"] += truncated
+                z = _DELTA_CODE if states[-1] == DELTA else int(states[-1])
+        except CutoffExceeded:
+            tally.errors["CutoffExceeded"] += 1
+            continue
+        counts["delta" if z == _DELTA_CODE
+               else "zero" if z == 0 else "survival"] += 1
+        for k, s in enumerate(job.s_grid):
+            x = 0.0 if z == _DELTA_CODE else s ** z
+            pgf_sum[k] += x
+            pgf_sq[k] += x * x
+        if job.scaling is not None and z != _DELTA_CODE:
+            val = job.scaling.scaled_sample(z, job.cc.A)
+            if val is not None:
+                tally.scaled.append(val)
+    return tally
+
+
+# a proper law with scaling, a defective law that emits DELTA, a capped heavy
+# tail with CutoffExceeded counts, the theta = 0, r = 1 mixture sampler, and
+# a generational ensemble through the same tally
+@pytest.mark.parametrize("sid,n,mode,kwargs", [
+    ("Ex1", 50, "direct", {"scaling": True}),
+    ("Ex9ii", 50, "direct", {}),
+    ("Ex10ii", 50, "direct", {"max_cutoff": 2 ** 13}),
+    ("Ex6i", 4, "direct", {}),
+    ("Ex7i", 30, "generational", {"scaling": True})])
+def test_chunk_path_matches_the_replicate_loop(monkeypatch, sid, n, mode,
+                                               kwargs):
+    from gwtheta.analytics import limit_constants, limit_law
+    model = scenario_model(sid)
+    if kwargs.pop("scaling", False):
+        kwargs["scaling"] = limit_law(model, limit_constants(model, 10 ** 4))
+    reps = 2 * simulator.CHUNK + 700
+
+    def run(workers):
+        return run_ensemble(model, n, reps, 11, workers=workers, mode=mode,
+                            **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_run_chunk", _loop_chunk)
+        want = run(1)
+    if sid == "Ex9ii":
+        assert want.delta_freq[0] > 0.0
+    if sid == "Ex10ii":
+        assert want.error_counts["CutoffExceeded"] > 0
+    for workers in (1, 3):
+        got = run(workers)
+        assert got.to_dict() == want.to_dict(), workers
+        assert got.empirical_pgf == want.empirical_pgf, workers
+        if "scaling" in kwargs:
+            assert np.array_equal(got.scaled_samples, want.scaled_samples)
+            assert got.scaled_samples.dtype == want.scaled_samples.dtype
+        else:
+            assert got.scaled_samples is None
+
+
+def test_sample_zn_matches_the_per_seed_draws():
+    # sample_zn places one kernel call's uniforms; each draw is the one
+    # draw_sum makes from the seed's own stream, including DELTA
+    model = scenario_model("Ex9ii")
+    seeds = list(EDGE_SEEDS) + list(range(-40, 200))
+    sampler = simulator._sampler(model, 30, DEFAULT_MAX_CUTOFF, True)
+    want = [sampler.draw_sum(replicate_rng(s, 0), 1) for s in seeds]
+    want = [DELTA if v == _DELTA_CODE else v for v in want]
+    assert sample_zn(model, 30, seeds) == want
+    assert DELTA in want and 0 in want
+    assert sample_zn(model, 30, []) == []
