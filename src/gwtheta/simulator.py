@@ -5,36 +5,37 @@ Reproducibility contract: every replicate owns a counter-based RNG stream
 keyed by (base_seed, replicate_index), so results are bit-identical for any
 worker count and for reruns with the same seed.  A draw depends on the law,
 the cutoff budget and the uniform alone, so a call shares its samplers.
-replicate_rng defines the stream.  Where a replicate needs only its first
-uniform, _philox_uniforms computes it for a whole array of keys: the same
-Philox4x64-10 block numpy's Philox computes, bit for bit (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11).
+replicate_rng defines the stream.  _philox_blocks computes any block of it
+for a whole array of keys, the Philox4x64-10 block numpy's Philox computes,
+bit for bit (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11), so a stream can be read at any position without replaying it.
 
 Direct draws of Z_n take one uniform each, so a direct-mode chunk and a
 sample_zn call draw all their replicates at once: one kernel call, one
 search of the cumulative table, and one vectorized tally.  Entries past the
-table follow the rules of the scalar path, in replicate order.
+table follow the rules of a single draw, in replicate order.
 
-Small generations take a scalar path: up to SCALAR_DRAWS offspring are read
-one ``rng.random()`` at a time and located by ``bisect`` in a memoryview of
-the cumulative table, skipping the per-call cost of numpy on arrays of one
-or two elements.  Scalar ``random()`` calls read the same doubles from the
-stream as one ``random(k)``, and the scalar search applies the same table,
-DELTA rule and tail extension as the array search, so every result is the
-one the array path gives.
+Generational replicates run in lockstep (_lockstep): the replicates of a
+chunk, or the paths of a simulate_trajectories call, advance one
+generation at a time.  Each keeps its stream offset and a prefetched
+segment of its stream (_Streams); a generation makes one gather, one place
+on its step sampler and one np.add.reduceat, in batches of BATCH draws per
+replicate and steps of at most SLAB uniforms.  DELTA, zero, truncation and
+draws beyond the cutoff budget retire a replicate, each with the outcome a
+loop over its batches gives.
 
-Step samplers of a theta != 0 model are built a block of STEP_BLOCK
-generations at a time, on the first miss, from one batched power
-recurrence per cutoff doubling.  Each is the sampler its law gives alone,
-so this changes no draw, and a law that fails lazy validation still raises
-only when a path reaches it.  Each simulate_trajectory call builds its own
-table: many paths are cheaper from one simulate_trajectories call.
+Step samplers of a theta != 0 model are built a block of generations at a
+time, on the first miss, from one batched power recurrence per cutoff
+doubling: FIRST_BLOCK laws, then four times as many, up to STEP_BLOCK.
+Each is the sampler its law gives alone, so this changes no draw, and a law
+that fails lazy validation still raises only when a path reaches it.  Each
+simulate_trajectory call builds its own table: many paths are cheaper from
+one simulate_trajectories call.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -52,11 +53,15 @@ from .series import (DEFAULT_MAX_CUTOFF, DEFAULT_TAIL_TOL, Pmf, _build_all,
 DELTA = "delta"                  # absorbing symbol
 _DELTA_CODE = -1                 # internal integer encoding
 _CUTOFF_CODE = -2                # a draw that raised CutoffExceeded
+_FAILED_CODE = -3                # a step sampler that could not be built
 POPULATION_CAP = 10 ** 9
-BATCH = 10 ** 4                  # max i.i.d. offspring draws per rng call
+BATCH = 10 ** 4                  # a replicate's draws between cap checks
+SLAB = 2 ** 17                   # max uniforms gathered in a step, >= BATCH
+FIRST_SEGMENT = 16               # uniforms first fetched per stream
+PREFETCH = 2 ** 15               # most uniforms fetched ahead, all streams
 CHUNK = 4096                     # replicates per reduction chunk
-SCALAR_DRAWS = 8                 # max offspring drawn by the scalar path
-STEP_BLOCK = 64                  # step samplers built in one batched pass
+FIRST_BLOCK = 8                  # step samplers in the first batched pass
+STEP_BLOCK = 64                  # most step samplers in one batched pass
 DEFAULT_S_GRID = tuple(j / 10.0 for j in range(11))
 
 _MASK64 = (1 << 64) - 1
@@ -73,18 +78,20 @@ def replicate_rng(base_seed: int, replicate_index: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def _replicate_streams(base_seed: int, indices):
-    """Yield, for each i in indices, a generator positioned at the start of
-    the replicate_rng(base_seed, i) stream.  One Philox is re-keyed in place
-    (counter zero, empty buffer) instead of constructing a generator per
-    replicate; each one is valid only until the next is drawn."""
+def _replicate_streams(keys, blocks):
+    """Yield, for each key (k0, k1) and block b, a generator positioned at
+    block b of the replicate_rng(k0, k1) stream: its next double is uniform
+    4b of the stream.  One Philox is re-keyed in place (numpy bumps the
+    counter before each block, so the counter is set to b) instead of
+    constructing a generator per stream; each one is valid only until the
+    next is drawn."""
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
-    seed = base_seed & _MASK64
     zero = (0, 0, 0, 0)
-    for i in indices:
+    for (k0, k1), b in zip(keys, blocks):
         bitgen.state = {"bit_generator": "Philox",
-                        "state": {"counter": zero, "key": (seed, i & _MASK64)},
+                        "state": {"counter": (b, 0, 0, 0),
+                                  "key": (k0 & _MASK64, k1 & _MASK64)},
                         "buffer": zero, "buffer_pos": 4,
                         "has_uint32": 0, "uinteger": 0}
         yield rng
@@ -101,18 +108,28 @@ def _mulhilo(m: int, x: np.ndarray):
     32-bit halves so that no partial product leaves uint64."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     x_lo, x_hi = x & _LO32, x >> _S32
-    lh, hl = m_lo * x_hi, m_hi * x_lo
-    mid = ((m_lo * x_lo) >> _S32) + (lh & _LO32) + (hl & _LO32)
-    hi = m_hi * x_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
-    return hi, np.uint64(m) * x
+    lh, hl = x_hi * m_lo, x_lo * m_hi
+    mid = x_lo
+    mid *= m_lo
+    mid >>= _S32
+    mid += lh & _LO32
+    mid += hl & _LO32
+    hi = x_hi
+    hi *= m_hi
+    for part in (lh, hl, mid):
+        part >>= _S32
+        hi += part
+    return hi, x * np.uint64(m)
 
 
-def _philox_uniforms(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
-    """replicate_rng(k0[j], k1[j]).random() for uint64 key arrays k0, k1:
-    the first word of the Philox4x64-10 block at counter (1, 0, 0, 0), as
-    numpy bumps the counter before its first block, read as a double."""
+def _philox_blocks(k0: np.ndarray, k1: np.ndarray,
+                   blocks: np.ndarray) -> np.ndarray:
+    """Block blocks[j] of each stream replicate_rng(k0[j], k1[j]) for uint64
+    arrays: row j holds its uniforms 4b .. 4b + 3.  This is Philox4x64-10 at
+    counter (b + 1, 0, 0, 0), as numpy bumps the counter before each block,
+    with each word read as a double."""
     k0, k1 = k0.copy(), k1.copy()
-    c0 = np.ones_like(k0)
+    c0 = blocks + np.uint64(1)
     c1 = c2 = c3 = np.zeros_like(k0)
     for rnd in range(10):
         if rnd:
@@ -120,13 +137,112 @@ def _philox_uniforms(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
             k1 += np.uint64(_PHILOX_W[1])
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return (c0 >> _S11) * 2.0 ** -53
+        hi1 ^= c1
+        hi1 ^= k0
+        hi0 ^= c3
+        hi0 ^= k1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    out = np.empty((k0.size, 4))
+    for lane, c in enumerate((c0, c1, c2, c3)):
+        c >>= _S11
+        out[:, lane] = c
+    out *= 2.0 ** -53
+    return out
+
+
+def _philox_uniforms(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
+    """replicate_rng(k0[j], k1[j]).random() for uint64 key arrays k0, k1."""
+    return _philox_blocks(k0, k1, np.zeros_like(k0))[:, 0]
 
 
 def _keys(values) -> np.ndarray:
     """Integers as the uint64 words of Philox keys (two's complement)."""
     return np.array([v & _MASK64 for v in values], dtype=np.uint64)
+
+
+class _Streams:
+    """Prefetched segments of the streams replicate_rng(k0[i], k1[i]) of
+    the live replicates ids.
+
+    Live replicate j (the one at ids[j]) has read pos[j] uniforms of its
+    stream, and uniform p, for p < hi[j] and p at least the block that held
+    pos[j] when it was last fetched, sits at buf[off[j] + p].  A take past
+    hi[j] fetches the stream again from the block that holds pos[j], by at
+    least FIRST_SEGMENT uniforms and otherwise four times what it has
+    fetched so far, but never more than its share of PREFETCH ahead, so a
+    replicate is refilled about log4 of its draws times.  A wave of refills
+    is one call of the array kernel when it is many short segments, else
+    one re-keyed Philox per segment: the kernel costs about 0.5 ms a call
+    and 0.25 us a block, a re-keyed Philox about 4 us a segment.  Segments
+    go at the top of one flat buffer; when it is full, the unread uniforms
+    of the live replicates are moved to its front, into a buffer twice as
+    large when that leaves less than half of it free.  Nothing is
+    concatenated, and the pages of a new buffer past its top are not
+    touched until used."""
+
+    def __init__(self, k0: np.ndarray, k1: np.ndarray):
+        self.k0, self.k1 = k0, k1
+        self.ids = np.arange(k0.size)
+        self.pos, self.hi, self.off = (np.zeros(k0.size, dtype=np.int64)
+                                       for _ in range(3))
+        self.buf = np.empty(FIRST_SEGMENT * k0.size)
+        self.top = 0
+
+    def take(self, k: np.ndarray, ends: Optional[np.ndarray]) -> np.ndarray:
+        """The next k[j] uniforms of each live replicate j, one replicate
+        after the other; ends is k.cumsum(), or None when every k[j] is 1."""
+        end = self.pos + k
+        short = end > self.hi
+        if np.count_nonzero(short):
+            self._refill(np.flatnonzero(short), end)
+        first = self.off + self.pos
+        self.pos = end
+        if ends is None:
+            return self.buf[first]
+        return self.buf[np.repeat(first - ends + k, k) + np.arange(ends[-1])]
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Keep the live replicates in mask; the others retire."""
+        self.ids, self.pos, self.hi, self.off = (
+            self.ids[mask], self.pos[mask], self.hi[mask], self.off[mask])
+
+    def _refill(self, rows: np.ndarray, end: np.ndarray) -> None:
+        p = self.pos[rows]
+        lo = p // 4 * 4
+        grow = np.clip(4 * self.hi[rows], FIRST_SEGMENT,
+                       max(FIRST_SEGMENT, PREFETCH // self.pos.size))
+        blocks = (np.maximum(end[rows], lo + grow) - lo + 3) // 4
+        self.hi[rows] = p                  # fetched again, so not kept
+        size = 4 * int(blocks.sum())
+        if self.top + size > self.buf.size:
+            self._compact(size)
+        at = self.top + 4 * (np.cumsum(blocks) - blocks)
+        self.top += size
+        ids = self.ids[rows]
+        k0, k1 = self.k0[ids], self.k1[ids]
+        if blocks.size > 128 and size < 64 * (blocks.size - 128):
+            counters = (np.repeat(lo // 4 - (at - at[0]) // 4, blocks)
+                        + np.arange(size // 4)).astype(np.uint64)
+            self.buf[at[0]:self.top] = _philox_blocks(
+                np.repeat(k0, blocks), np.repeat(k1, blocks),
+                counters).ravel()
+        else:
+            streams = _replicate_streams(zip(k0.tolist(), k1.tolist()),
+                                         (lo // 4).tolist())
+            for rng, a, m in zip(streams, at.tolist(), blocks.tolist()):
+                rng.random(out=self.buf[a:a + 4 * m])
+        self.off[rows], self.hi[rows] = at - lo, lo + 4 * blocks
+
+    def _compact(self, size: int) -> None:
+        n = self.hi - self.pos
+        ends = np.cumsum(n)
+        top = int(ends[-1])
+        unread = np.repeat(self.off + self.pos - ends + n, n) + np.arange(top)
+        buf = self.buf
+        if top + size > buf.size // 2:
+            buf = np.empty(2 * (top + size))
+        buf[:top] = self.buf[unread]
+        self.buf, self.top, self.off = buf, top, ends - n - self.pos
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +322,6 @@ class _MixtureHeavySampler:
             out[i] = min(sample_heavy_tail_index(float(v), self.a), 2 ** 62)
         return out
 
-    def draw_sum(self, rng: np.random.Generator, k: int) -> int:
-        """The sum of draw(rng, k): the array path, as the law has no DELTA."""
-        return int(self.draw(rng, k).sum())
-
 
 class _PmfSampler:
     """Inverse-transform sampler over (weights, tail, defect); a draw landing
@@ -229,19 +341,19 @@ class _PmfSampler:
         # u >= 1 - defect falls past the table, and so is DELTA, at any cutoff
         self.pmf = pmf
         self._cum = np.minimum(np.cumsum(pmf.weights), self._proper)
-        # the scalar path bisects this view: its items are Python floats,
-        # and it costs no copy of the table
-        self._cum_view = memoryview(self._cum)
+
+    def beyond_budget(self) -> CutoffExceeded:
+        """The error of a draw that the cutoff budget cannot resolve."""
+        return CutoffExceeded(
+            f"draw fell in unresolved tail mass beyond cutoff "
+            f"{self.pmf.cutoff} (budget {self.max_cutoff})", partial=self.pmf)
 
     def _resolve_tail(self, u: float) -> int:
         """Index of a proper u past the table: extend the cutoff until the
         table holds u, or raise CutoffExceeded at the budget."""
         while u >= self._cum[-1]:
             if self.pmf.cutoff >= self.max_cutoff:
-                raise CutoffExceeded(
-                    f"draw fell in unresolved tail mass beyond cutoff "
-                    f"{self.pmf.cutoff} (budget {self.max_cutoff})",
-                    partial=self.pmf)
+                raise self.beyond_budget()
             self._set_pmf(extend_pmf(self.pmf, min(2 * self.pmf.cutoff,
                                                    self.max_cutoff)))
         return int(np.searchsorted(self._cum, u, side="right"))
@@ -253,7 +365,8 @@ class _PmfSampler:
         """The draws at the uniforms u, resolved in order: an index, or
         _DELTA_CODE.  A tail beyond the budget raises CutoffExceeded, or
         gives cutoff_code in that entry alone when one is given."""
-        out = self._cum.searchsorted(u, side="right").astype(np.int64)
+        out = self._cum.searchsorted(u, side="right").astype(np.int64,
+                                                             copy=False)
         if out.size and out.max() > self.pmf.cutoff:
             for i in np.nonzero(out > self.pmf.cutoff)[0]:
                 if u[i] >= self._proper:
@@ -266,23 +379,6 @@ class _PmfSampler:
                             raise
                         out[i] = cutoff_code
         return out
-
-    def draw_sum(self, rng: np.random.Generator, k: int) -> int:
-        """The sum of draw(rng, k), or _DELTA_CODE if any draw is DELTA, from
-        k scalar uniforms.  Like draw, it resolves every uniform, so a tail
-        beyond the budget raises even next to a DELTA."""
-        cum = self._cum_view
-        total, delta = 0, False
-        for _ in range(k):
-            u = rng.random()
-            if u < cum[-1]:
-                total += bisect_right(cum, u)
-            elif u >= self._proper:
-                delta = True
-            else:
-                total += self._resolve_tail(u)
-                cum = self._cum_view
-        return _DELTA_CODE if delta else total
 
 
 def _sampler(model: ThetaModel, n: int, max_cutoff: int, population: bool):
@@ -307,9 +403,12 @@ class _SamplerTable:
     keyed by n.  Draws do not depend on a sampler's history, so every chunk
     and every path of the call can share them.
 
-    The first miss of a theta != 0 step sampler builds the samplers of
-    generations n .. n + STEP_BLOCK - 1, up to the horizon, in one batched
-    pass (series._build_all); each is the sampler _sampler would build.  A
+    The first miss of a theta != 0 step sampler builds the samplers of a
+    block of generations from n on, up to the horizon, in one batched pass
+    (series._build_all): FIRST_BLOCK of them the first time, then four times
+    the last block, at most STEP_BLOCK.  Each is the sampler _sampler would
+    build.  Generations are reached in order, so the layout is the same
+    whichever paths reach them.  A
     generation whose law fails validation is left out, and a build that
     fails leaves the whole block out, so _sampler builds those laws one by
     one and an error is raised only when a path reaches its generation."""
@@ -318,6 +417,7 @@ class _SamplerTable:
         self.model, self.max_cutoff, self.horizon = model, max_cutoff, horizon
         self.step, self.population = {}, {}
         self._blocked = 0          # last generation a block has covered
+        self._block = 0            # size of the last block
 
     def get(self, n: int, population: bool = False):
         built = self.population if population else self.step
@@ -330,7 +430,8 @@ class _SamplerTable:
         return built[n]
 
     def _build_block(self, n0: int) -> None:
-        n1 = min(n0 + STEP_BLOCK, self.horizon + 1)
+        self._block = min(4 * self._block or FIRST_BLOCK, STEP_BLOCK)
+        n1 = min(n0 + self._block, self.horizon + 1)
         self._blocked = n1 - 1
         if self.model.theta == 0.0:
             return
@@ -354,7 +455,7 @@ class _SamplerTable:
 def sample_offspring(pmf: Pmf, rng: np.random.Generator,
                      max_cutoff: int = DEFAULT_MAX_CUTOFF):
     """One inverse-transform draw from a Pmf: count, or DELTA."""
-    value = _PmfSampler(pmf, max_cutoff).draw_sum(rng, 1)
+    value = int(_PmfSampler(pmf, max_cutoff).draw(rng, 1)[0])
     return DELTA if value == _DELTA_CODE else value
 
 
@@ -375,60 +476,161 @@ class Trajectory:
     truncated: bool = False
 
 
-def _simulate_states(samplers: _SamplerTable, horizon: int,
-                     rng: np.random.Generator, population_cap: int):
-    step = samplers.step
-    states = [1]
-    z = 1
-    truncated = False
+def _lockstep(samplers: _SamplerTable, horizon: int, k0: np.ndarray,
+              k1: np.ndarray, population_cap: int, history: bool = False):
+    """Run the replicates keyed (k0[j], k1[j]) from Z_0 = 1, all live ones
+    one generation at a time.
+
+    A generation reads each live replicate's next z uniforms from its
+    prefetched stream segment, places them all in one call on the step
+    sampler and sums them per replicate with np.add.reduceat (larger
+    generations go by _large_generation).  Within the batch it draws, a
+    replicate's outcome is a draw beyond the cutoff budget (_CUTOFF_CODE),
+    else a DELTA, else a total past the cap (truncated, at the cap).  Zero,
+    DELTA, truncation and a cutoff retire a replicate; so does a step
+    sampler that cannot be built, with _FAILED_CODE for the live ones.
+
+    Returns (z, truncated, when, rows, error): the final states, the
+    truncation mask, the generation at which each replicate retired (0 if
+    it did not), the states after generations 0, 1, ... as arrays when
+    history is set, and the error of the failed build or None."""
+    cap = min(population_cap, np.iinfo(np.int64).max)
+    ucap = np.uint64(cap)
+    streams = _Streams(k0, k1)
+    z = np.ones(k0.size, dtype=np.int64)
+    truncated = np.zeros(k0.size, dtype=bool)
+    when = np.zeros(k0.size, dtype=np.int64)
+    rows = [z.copy()] if history else None
+    live = z.copy()                    # the states of streams.ids
     for n in range(1, horizon + 1):
-        if z == 0 or z == _DELTA_CODE or truncated:   # absorbed: it stays
-            states.extend([states[-1]] * (horizon + 1 - n))
+        if not live.size:
             break
-        sampler = step.get(n)
+        sampler = samplers.step.get(n)
         if sampler is None:
-            sampler = samplers.get(n)
-        if z <= SCALAR_DRAWS:
-            total = sampler.draw_sum(rng, z)
-            truncated = total > population_cap
+            try:
+                sampler = samplers.get(n)
+            except GwThetaError as err:
+                z[streams.ids], when[streams.ids] = _FAILED_CODE, n
+                return z, truncated, when, rows, err
+        ends = live.cumsum()
+        draws = int(ends[-1])
+        if draws > SLAB or draws > BATCH and int(live.max()) > BATCH:
+            total, lows = _large_generation(sampler, streams, live, cap)
+        elif draws == live.size:         # one draw each
+            total = lows = sampler.place(streams.take(live, None),
+                                         cutoff_code=_CUTOFF_CODE)
         else:
-            total = 0
-            remaining = z
-            while remaining > 0:
-                k = min(remaining, BATCH)
-                draws = sampler.draw(rng, k)
-                if sampler.emits_delta and (draws == _DELTA_CODE).any():
-                    total = _DELTA_CODE   # one defective draw absorbs all
-                    break
-                total += int(draws.sum())
-                remaining -= k
-                if total > population_cap:
-                    truncated = True
-                    break
-        z = total
-        states.append(DELTA if z == _DELTA_CODE else min(z, population_cap))
-    return states, truncated
+            total, lows = _place_sums(sampler, streams.take(live, ends),
+                                      ends - live)
+        # out: zero or past the cap (as uint64, a negative code too), or a
+        # negative code in the draws
+        out = (total - 1).view(np.uint64) >= ucap
+        if lows is not total:
+            out |= lows < 0
+        if np.count_nonzero(out):
+            ids, low, tot = streams.ids[out], lows[out], total[out]
+            cut = (low >= 0) & (tot > cap)
+            z[ids] = np.where(low < 0, low, np.where(cut, cap, tot))
+            truncated[ids], when[ids] = cut, n
+            streams.keep(~out)
+            total = total[~out]
+        live = total
+        if history:
+            z[streams.ids] = live
+            rows.append(z.copy())
+    z[streams.ids] = live
+    return z, truncated, when, rows, None
+
+
+def _place_sums(sampler, u: np.ndarray, starts: np.ndarray):
+    """Place the uniforms u and reduce the draws of each segment u[starts[i]
+    : starts[i + 1]]: (sums, lows), where lows[i] < 0 is _CUTOFF_CODE if a
+    draw of the segment lies beyond the cutoff budget, else _DELTA_CODE if
+    one is DELTA, as one draw of the whole segment would raise or absorb."""
+    draws = sampler.place(u, cutoff_code=_CUTOFF_CODE)
+    return np.add.reduceat(draws, starts), np.minimum.reduceat(draws, starts)
+
+
+def _large_generation(sampler, streams: _Streams, live: np.ndarray,
+                      cap: int):
+    """One generation that does not fit one step: (total, lows) per live
+    replicate, as one step gives them, but each step gathers at most SLAB
+    uniforms (or one batch) and a replicate's draws go in batches of BATCH.
+    A replicate stops at the first batch that holds a negative code or
+    takes its running total past the cap: total is its running total there
+    and lows the lowest draw of that batch."""
+    left = live.copy()
+    total = np.zeros_like(live)
+    lows = np.zeros_like(live)
+    while np.count_nonzero(left):
+        # whole batches while they fit; the first replicate left gets at
+        # least one, as SLAB >= BATCH
+        room = SLAB - (np.cumsum(left) - left)
+        k = np.where(left <= room, left, np.maximum(room, 0) // BATCH * BATCH)
+        go = np.flatnonzero(k)
+        kg = k[go]
+        # each replicate's batches are segments of the gathered uniforms,
+        # first[i] the first of go[i]'s
+        nb = (kg - 1) // BATCH + 1
+        first = np.cumsum(nb) - nb
+        starts = (np.repeat(np.cumsum(kg) - kg - BATCH * first, nb)
+                  + BATCH * np.arange(int(nb.sum())))
+        sums, mins = _place_sums(sampler, streams.take(k, np.cumsum(k)),
+                                 starts)
+        run = np.cumsum(sums)
+        run -= np.repeat(run[first] - sums[first] - total[go], nb)
+        halt = (mins < 0) | (run > cap)
+        seg = np.arange(halt.size)
+        stop = np.minimum.reduceat(np.where(halt, seg, halt.size), first)
+        hit = stop < halt.size
+        at = np.where(hit, stop, first + nb - 1)
+        total[go], lows[go] = run[at], mins[at]
+        left[go] = np.where(hit, 0, left[go] - kg)
+    return total, lows
+
+
+def _check_cap(population_cap: int) -> None:
+    if population_cap < 1:
+        raise DomainError("population_cap must be >= 1")
 
 
 def simulate_trajectories(model: ThetaModel, horizon: int,
                           seeds: Iterable[int],
                           population_cap: int = POPULATION_CAP,
                           max_cutoff: int = DEFAULT_MAX_CUTOFF) -> list:
-    """Generation-by-generation paths, one per seed, sharing one sampler
-    table; each path is deterministic in (model, horizon, seed)."""
+    """Generation-by-generation paths, one per seed, run in lockstep a chunk
+    of seeds at a time over one sampler table; each path is deterministic
+    in (model, horizon, seed) and reads the stream keyed (seed, 0).  The
+    error of the first path that fails, in seed order, is raised."""
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
+    _check_cap(population_cap)
+    seeds = list(seeds)
     samplers = _SamplerTable(model, max_cutoff, horizon)
     paths = []
-    for seed in seeds:
-        states, truncated = _simulate_states(
-            samplers, horizon, replicate_rng(seed, 0), population_cap)
-        tau = next((n for n, s in enumerate(states)
-                    if s == 0 or s == DELTA), None)
-        tau0 = tau if tau is not None and states[tau] == 0 else None
-        tau_delta = tau if tau is not None and tau0 is None else None
-        paths.append(Trajectory(tuple(states), tau0, tau_delta, tau, seed,
-                                truncated))
+    for start in range(0, len(seeds), CHUNK):
+        chunk = seeds[start:start + CHUNK]
+        k0 = _keys(chunk)
+        z, truncated, when, rows, error = _lockstep(
+            samplers, horizon, k0, np.zeros_like(k0), population_cap,
+            history=True)
+        failed = np.flatnonzero(z < _DELTA_CODE)
+        if failed.size:
+            j = failed[0]
+            if z[j] == _FAILED_CODE:
+                raise error
+            raise samplers.get(int(when[j])).beyond_budget()
+        pad = horizon + 1 - len(rows)
+        for seed, states, last, cut, n in zip(
+                chunk, np.array(rows).T.tolist(), z.tolist(),
+                truncated.tolist(), when.tolist()):
+            states += [last] * pad
+            tau = n if last <= 0 else None
+            if last == _DELTA_CODE:
+                states = [DELTA if s == _DELTA_CODE else s for s in states]
+            paths.append(Trajectory(
+                tuple(states), tau if last == 0 else None,
+                tau if last == _DELTA_CODE else None, tau, seed, cut))
     return paths
 
 
@@ -574,19 +776,14 @@ def _run_chunk(job: _Job, start: int, count: int,
         z = samplers.get(job.horizon, population=True).place(
             u, cutoff_code=_CUTOFF_CODE)
     else:
-        z = np.empty(count, dtype=np.int64)
-        streams = _replicate_streams(job.base_seed,
-                                     range(start, start + count))
-        for j, rng in enumerate(streams):
-            try:
-                states, truncated = _simulate_states(
-                    samplers, job.horizon, rng, job.population_cap)
-            except CutoffExceeded:
-                z[j] = _CUTOFF_CODE
-                continue
-            tally.counts["truncated"] += truncated
-            last = states[-1]
-            z[j] = _DELTA_CODE if last == DELTA else last
+        z, truncated, _, _, error = _lockstep(
+            samplers, job.horizon,
+            np.full(count, job.base_seed & _MASK64, dtype=np.uint64),
+            np.arange(start, start + count, dtype=np.uint64),
+            job.population_cap)
+        if error is not None:
+            raise error
+        tally.counts["truncated"] += int(np.count_nonzero(truncated))
     failed = z == _CUTOFF_CODE
     if failed.any():
         tally.errors["CutoffExceeded"] += int(np.count_nonzero(failed))
@@ -612,6 +809,7 @@ def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
         raise DomainError("replicates must be >= 1")
     if workers < 1:
         raise DomainError("workers must be >= 1")
+    _check_cap(population_cap)
     if mode not in ("generational", "direct"):
         raise DomainError(f"unknown mode {mode!r}")
     cc = composite_constants(model, horizon) if scaling is not None else None

@@ -1,6 +1,7 @@
 import cProfile
 import math
 import pstats
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from gwtheta.harness import registry, scenario_model
 from gwtheta.series import (DEFAULT_MAX_CUTOFF, RECURRENCE_MAX, Pmf,
                             extend_pmf, pmf_from_theta_pgf, population_pmf,
                             step_pmf)
-from gwtheta.simulator import (BATCH, DELTA, POPULATION_CAP, STEP_BLOCK,
-                               Trajectory, _DELTA_CODE, _PmfSampler,
-                               _SamplerTable, _replicate_streams,
+from gwtheta.simulator import (DELTA, POPULATION_CAP, STEP_BLOCK,
+                               Trajectory, _CUTOFF_CODE, _DELTA_CODE,
+                               _PmfSampler, _SamplerTable, _replicate_streams,
                                replicate_rng, run_ensemble,
                                sample_heavy_tail_index, sample_heavy_tail_log,
                                sample_offspring, sample_zn, sample_zn_direct,
-                               simulate_trajectory)
+                               simulate_trajectories, simulate_trajectory)
 
 
 def test_replicate_rng_deterministic_and_distinct():
@@ -33,12 +34,15 @@ def test_replicate_rng_deterministic_and_distinct():
 
 @pytest.mark.parametrize("seed", [20240901, 2 ** 63 + 12345])
 def test_replicate_streams_match_replicate_rng(seed):
-    # the re-keyed chunk stream is the replicate_rng stream draw for draw;
-    # the second seed needs the full 64-bit key, and the last indices wrap
+    # the re-keyed stream is the replicate_rng stream draw for draw from the
+    # start of its block b; the second seed needs the full 64-bit key, and
+    # the last indices wrap
     indices = list(range(3000)) + [2 ** 63, 2 ** 64 - 1, 2 ** 64 + 7]
-    for i, rng in zip(indices, _replicate_streams(seed, indices)):
+    blocks = [i % 7 for i in range(len(indices))]
+    streams = _replicate_streams(zip(repeat(seed), indices), blocks)
+    for i, b, rng in zip(indices, blocks, streams):
         fresh = replicate_rng(seed, i)
-        assert np.array_equal(rng.random(9), fresh.random(9)), i
+        assert np.array_equal(rng.random(9), fresh.random(4 * b + 9)[4 * b:])
         assert rng.integers(0, 2 ** 62) == fresh.integers(0, 2 ** 62), i
 
 
@@ -347,12 +351,14 @@ def test_ensemble_frequencies_sum_to_one():
 
 
 # ---------------------------------------------------------------------------
-# The scalar draw path against the array path it replaces for small draws:
-# _PmfSampler.draw_sum(rng, k) must give, from the same uniforms, the sum of
-# draw(rng, k), DELTA if any draw is DELTA, or CutoffExceeded if any draw
-# falls in a tail beyond the budget.  _array_states is a copy of
-# _simulate_states as it was before the scalar path, drawing every
-# generation through draw.
+# The lockstep reduction against one array draw per replicate: the sums and
+# lows that _place_sums gives for a segment of uniforms must be, from the
+# same uniforms, the sum of draw(rng, k), DELTA if any draw is DELTA, or
+# CutoffExceeded if any draw falls in a tail beyond the budget.  (The
+# test_scalar_sum_* names date from the scalar path these checks first
+# pinned, which the lockstep engine replaced.)  _array_states is the
+# generation loop as it was before either, drawing every generation of one
+# replicate through draw in batches of BATCH.
 # ---------------------------------------------------------------------------
 
 def _array_sum(sampler, u):
@@ -363,15 +369,24 @@ def _array_sum(sampler, u):
     return _DELTA_CODE if (draws == _DELTA_CODE).any() else int(draws.sum())
 
 
+def _lockstep_sums(sampler, uniforms):
+    """The outcome of each segment of uniforms from one _place_sums call."""
+    sizes = [len(u) for u in uniforms]
+    starts = np.cumsum([0] + sizes[:-1])
+    sums, lows = simulator._place_sums(
+        sampler, np.concatenate([np.asarray(u, dtype=float)
+                                 for u in uniforms]), starts)
+    return ["CutoffExceeded" if low == _CUTOFF_CODE else
+            _DELTA_CODE if low == _DELTA_CODE else total
+            for total, low in zip(sums.tolist(), lows.tolist())]
+
+
 def _scalar_sum(sampler, u):
-    try:
-        return sampler.draw_sum(_FixedUniforms(u), len(u))
-    except CutoffExceeded:
-        return "CutoffExceeded"
+    return _lockstep_sums(sampler, [u])[0]
 
 
 def _agree(scalar, array, uniforms):
-    return [_scalar_sum(scalar, u) for u in uniforms] == \
+    return _lockstep_sums(scalar, uniforms) == \
         [_array_sum(array, u) for u in uniforms]
 
 
@@ -386,7 +401,7 @@ def test_scalar_random_reads_the_array_doubles():
 @pytest.mark.parametrize("population", [False, True])
 @pytest.mark.parametrize("case", sorted(set(_CASE_MODELS) - {"e"}))
 def test_scalar_sum_matches_array_sum(case, population):
-    # row (e) has the mixture sampler, which stays on the array path
+    # row (e) has the mixture sampler, which has no DELTA and no tail
     model = scenario_model(_CASE_MODELS[case])
     assert model.case_label == case
     budget = 2 ** 12
@@ -443,7 +458,6 @@ def test_scalar_sum_extends_the_tail_mid_draw():
     want = sum(int(np.searchsorted(ahead._cum, v, side="right")) for v in u)
     assert _scalar_sum(scalar, u) == want
     assert scalar.pmf.cutoff > base_cutoff
-    assert scalar._cum_view.obj is scalar._cum
     assert _agree(scalar, array, [u, [last, past], [past, last, 0.1]])
     assert scalar.pmf.cutoff == array.pmf.cutoff == budget
 
@@ -484,9 +498,12 @@ def test_scalar_sum_cutoff_exceeded_at_a_capped_budget():
     assert _agree(scalar, array, uniforms)
 
 
-def _array_states(samplers, horizon, rng, population_cap):
-    """_simulate_states before the scalar path: every generation is drawn
-    through sampler.draw in batches of BATCH."""
+def _array_states(samplers, horizon, rng, population_cap, log=None):
+    """The generation loop of one replicate: every generation is drawn
+    through sampler.draw in batches of BATCH, stopping at the first batch
+    with a DELTA or whose running total passes the cap; a draw beyond the
+    budget raises.  log, when given, gets (n, batch, outcome) at each
+    stop."""
     states = [1]
     z = 1
     truncated = False
@@ -497,43 +514,218 @@ def _array_states(samplers, horizon, rng, population_cap):
         sampler = samplers.get(n)
         total = 0
         remaining = z
+        batch = 0
         while remaining > 0:
-            k = min(remaining, BATCH)
-            draws = sampler.draw(rng, k)
+            k = min(remaining, simulator.BATCH)
+            try:
+                draws = sampler.draw(rng, k)
+            except CutoffExceeded:
+                if log is not None:
+                    log.append((n, batch, "cutoff"))
+                raise
             if sampler.emits_delta and (draws == _DELTA_CODE).any():
                 total = _DELTA_CODE
+                if log is not None:
+                    log.append((n, batch, "delta"))
                 break
             total += int(draws.sum())
             remaining -= k
             if total > population_cap:
                 truncated = True
+                if log is not None:
+                    log.append((n, batch, "truncated"))
                 break
+            batch += 1
         z = total
         states.append(DELTA if z == _DELTA_CODE else min(z, population_cap))
     return states, truncated
 
 
-# Ex9ii stays at or below the scalar threshold, Ex1 and Ex7i grow past it,
-# and a population cap of 5 truncates Ex1 inside the scalar path
+def _oracle_path(samplers, horizon, seed, cap=POPULATION_CAP):
+    """The Trajectory of seed from _array_states, or the error it raises."""
+    try:
+        states, truncated = _array_states(samplers, horizon,
+                                          replicate_rng(seed, 0), cap)
+    except Exception as err:
+        return type(err), str(err)
+    tau = next((n for n, s in enumerate(states) if s in (0, DELTA)), None)
+    tau0 = tau if tau is not None and states[tau] == 0 else None
+    tau_delta = tau if tau is not None and tau0 is None else None
+    return Trajectory(tuple(states), tau0, tau_delta, tau, seed, truncated)
+
+
+def _lockstep_paths(model, horizon, seeds, cap=POPULATION_CAP, **kwargs):
+    try:
+        return simulate_trajectories(model, horizon, seeds, cap, **kwargs)
+    except Exception as err:
+        return type(err), str(err)
+
+
+# Ex9ii stays small, Ex1 and Ex7i grow, a population cap of 5 truncates Ex1,
+# Ex1 at n = 100 makes generations of more than BATCH draws over the chunk,
+# and Ex9i and Ex3 absorb in DELTA and in 0
 @pytest.mark.parametrize("sid,horizon,cap", [
     ("Ex9ii", 200, POPULATION_CAP), ("Ex1", 20, POPULATION_CAP),
-    ("Ex7i", 30, POPULATION_CAP), ("Ex1", 20, 5)])
+    ("Ex7i", 30, POPULATION_CAP), ("Ex1", 20, 5), ("Ex1", 100, POPULATION_CAP),
+    ("Ex9i", 30, POPULATION_CAP), ("Ex3", 50, POPULATION_CAP)])
 def test_generation_loop_matches_array_loop(sid, horizon, cap):
     model = scenario_model(sid)
-    scalar = _SamplerTable(model, 2 ** 20, horizon)
     array = _SamplerTable(model, 2 ** 20, horizon)
-    outcomes = set()
-    for seed in range(200):
-        got = simulator._simulate_states(scalar, horizon,
-                                         replicate_rng(seed, 0), cap)
-        want = _array_states(array, horizon, replicate_rng(seed, 0), cap)
-        assert got == want, seed
-        states, truncated = got
-        outcomes.add("truncated" if truncated else states[-1] if states[-1]
-                     in (0, DELTA) else "large"
-                     if max(states) > simulator.SCALAR_DRAWS else "small")
+    seeds = range(300 if horizon == 100 else 200)
+    want = [_oracle_path(array, horizon, seed, cap) for seed in seeds]
+    got = simulate_trajectories(model, horizon, seeds, cap)
+    assert got == want
+    outcomes = {"truncated" if tr.truncated else "zero" if tr.tau0 else
+                "delta" if tr.tau_delta else "large"
+                if max(tr.states) > 8 else "small" for tr in got}
     assert ("truncated" if cap < POPULATION_CAP else
+            "delta" if sid == "Ex9i" else "zero" if sid == "Ex3" else
             "small" if sid == "Ex9ii" else "large") in outcomes
+    if horizon == 100:
+        assert sum(tr.states[-2] for tr in got) > simulator.BATCH
+
+
+def test_lockstep_gathers_at_most_a_slab(monkeypatch):
+    # small BATCH and SLAB: generations span many batches and many steps,
+    # and no step places more than SLAB uniforms
+    monkeypatch.setattr(simulator, "BATCH", 16)
+    monkeypatch.setattr(simulator, "SLAB", 64)
+    sizes = []
+    place = _PmfSampler.place
+
+    def recording_place(self, u, cutoff_code=None):
+        sizes.append(u.size)
+        return place(self, u, cutoff_code)
+    model, horizon = scenario_model("Ex1"), 30
+    array = _SamplerTable(model, 2 ** 20, horizon)
+    want = [_oracle_path(array, horizon, seed, 60) for seed in range(60)]
+    monkeypatch.setattr(_PmfSampler, "place", recording_place)
+    got = simulate_trajectories(model, horizon, range(60), 60)
+    assert got == want
+    assert max(sizes) == 64
+    assert any(tr.truncated for tr in got)
+
+
+def _ex_c_model():
+    """Case (c) steps, theta = -1/2 and r = 1, with heavy tails: generation
+    1 has no zero (a + c = 1) and gives 3 or more with probability 0.09,
+    generation 2 has a defect of c^2 = 0.25; a budget of 8 leaves 6-10% of
+    the mass of each beyond it."""
+    return validate_model(-0.5, 1.0, EnvSequence.from_table([0.5, 0.3]),
+                          EnvSequence.from_table([0.5, 0.5]),
+                          check_horizon=2)
+
+
+def test_batch_with_delta_shadows_a_later_cutoff(monkeypatch):
+    # BATCH = 2: a generation of z >= 3 spans two batches or more.  A DELTA
+    # in batch 1 absorbs the replicate before batch 2 is drawn, so a draw
+    # beyond the budget in batch 2 counts no CutoffExceeded
+    monkeypatch.setattr(simulator, "BATCH", 2)
+    monkeypatch.setattr(simulator, "CHUNK", 1024)
+    model, budget, seed, reps = _ex_c_model(), 8, 13, 3000
+    table = _SamplerTable(model, budget, 2)
+    first, second = table.get(1), table.get(2)
+    shadowed = 0
+    for i in range(reps):
+        rng = replicate_rng(seed, i)
+        z = int(first.place(rng.random(1), _CUTOFF_CODE)[0])
+        if z >= 3:
+            draws = second.place(rng.random(z), _CUTOFF_CODE)
+            one, two = draws[:2].tolist(), draws[2:4].tolist()
+            shadowed += (_DELTA_CODE in one and _CUTOFF_CODE not in one
+                         and _CUTOFF_CODE in two)
+    assert shadowed > 0
+
+    def run(workers):
+        return run_ensemble(model, 2, reps, seed, workers=workers,
+                            max_cutoff=budget)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_run_chunk", _loop_chunk)
+        want = run(1)
+    assert want.error_counts["CutoffExceeded"] > 0
+    assert want.delta_freq[0] > 0.0
+    for workers in (1, 3):
+        assert run(workers) == want, workers
+
+
+def test_truncation_crosses_a_batch_boundary(monkeypatch):
+    # BATCH = 4: the running total passes the cap in a later batch of the
+    # generation than the first, and the replicate stops there
+    monkeypatch.setattr(simulator, "BATCH", 4)
+    monkeypatch.setattr(simulator, "CHUNK", 128)
+    model, horizon, cap, seed, reps = scenario_model("Ex1"), 12, 30, 5, 400
+    array = _SamplerTable(model, 2 ** 20, horizon)
+    log = []
+    for i in range(reps):
+        _array_states(array, horizon, replicate_rng(seed, i), cap, log)
+    assert any(outcome == "truncated" and batch >= 1
+               for _, batch, outcome in log)
+
+    def run(workers):
+        return run_ensemble(model, horizon, reps, seed, workers=workers,
+                            population_cap=cap)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_run_chunk", _loop_chunk)
+        want = run(1)
+    assert want.truncated_count > 0
+    for workers in (1, 3):
+        assert run(workers) == want, workers
+
+
+def test_cutoff_retires_one_replicate_alone():
+    # every replicate's final state is its own oracle path's, next to
+    # neighbours whose draws go beyond the budget
+    model, horizon, budget, seed = scenario_model("Ex10ii"), 20, 2 ** 10, 3
+    table = _SamplerTable(model, budget, horizon)
+    array = _SamplerTable(model, budget, horizon)
+    reps = 600
+    z, truncated, when, _, error = simulator._lockstep(
+        table, horizon, simulator._keys([seed] * reps),
+        np.arange(reps, dtype=np.uint64), POPULATION_CAP)
+    assert error is None
+    want = []
+    for i in range(reps):
+        try:
+            states, _ = _array_states(array, horizon, replicate_rng(seed, i),
+                                      POPULATION_CAP)
+        except CutoffExceeded:
+            want.append(_CUTOFF_CODE)
+            continue
+        want.append(_DELTA_CODE if states[-1] == DELTA else states[-1])
+    assert z.tolist() == want
+    cut = [i for i, v in enumerate(want) if v == _CUTOFF_CODE]
+    assert cut and len(cut) < reps // 2
+    assert not truncated.any()
+
+
+def test_trajectories_raise_the_first_failing_seed():
+    # a budget of 4 on critical geometric steps with a_12 < 0: paths fail
+    # beyond the budget or at the rejected generation 12, and a call over
+    # many seeds raises what the first failing seed raises alone
+    model = validate_model(1.0, 1.0,
+                           EnvSequence.from_table([1.0] * 11 + [-1.0]),
+                           EnvSequence.constant(0.5), check_horizon=5)
+    seeds = list(range(120))
+    alone = [_lockstep_paths(model, 20, [s], max_cutoff=4) for s in seeds]
+    errors = [a for a in alone if not isinstance(a, list)]
+    assert {e[0].__name__ for e in errors} == {"CutoffExceeded",
+                                              "RejectedParameter"}
+    for order in (seeds, seeds[::-1]):
+        first = next(alone[s] for s in order
+                     if not isinstance(alone[s], list))
+        assert _lockstep_paths(model, 20, order, max_cutoff=4) == first
+    fine = [s for s in seeds if isinstance(alone[s], list)]
+    assert _lockstep_paths(model, 20, fine, max_cutoff=4) == [
+        alone[s][0] for s in fine]
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_population_cap_below_one_is_rejected(cap):
+    model = scenario_model("Ex1")
+    with pytest.raises(DomainError, match="population_cap must be >= 1"):
+        run_ensemble(model, 10, 200, 5, population_cap=cap)
+    with pytest.raises(DomainError, match="population_cap must be >= 1"):
+        simulate_trajectories(model, 10, [1, 2], population_cap=cap)
 
 
 def test_simulator_calls_are_exported():
@@ -552,8 +744,15 @@ def test_simulator_calls_are_exported():
 def test_block_built_step_samplers_match_per_law(sid):
     model = scenario_model(sid)
     table = _SamplerTable(model, DEFAULT_MAX_CUTOFF, 200)
-    table.get(1)
-    assert sorted(table.step) == list(range(1, STEP_BLOCK + 1))
+    # blocks of 8, 32 and then STEP_BLOCK = 64 laws, the last one capped at
+    # the horizon: a path absorbed at generation 1 builds 8 laws
+    blocks = []
+    for n in range(1, 201):
+        if n not in table.step:
+            table.get(n)
+            blocks.append((n, max(table.step)))
+    assert blocks == [(1, 8), (9, 40), (41, 104), (105, 168), (169, 200)]
+    assert STEP_BLOCK == 64
     cutoffs = set()
     for n in range(1, 201):
         got = table.get(n).pmf
@@ -583,11 +782,11 @@ def _trajectory_or_error(model, horizon, seed):
         return type(err), str(err)
 
 
-@pytest.mark.parametrize("k", [12, STEP_BLOCK + 1])
+@pytest.mark.parametrize("k", [12, 41, STEP_BLOCK + 1])
 def test_block_build_keeps_validation_lazy(monkeypatch, k):
     # critical linear-fractional steps, checked eagerly up to 5 only; a_k < 0
-    # fails validation inside the first block (k = 12) or at the start of
-    # the second (k = STEP_BLOCK + 1)
+    # fails validation inside the second block, 9 .. 40 (k = 12), at the
+    # start of the third, 41 .. 104 (k = 41), or inside it (k = 65)
     model = validate_model(1.0, 1.0,
                            EnvSequence.from_table([1.0] * (k - 1) + [-1.0]),
                            EnvSequence.constant(0.5), check_horizon=5)
@@ -634,6 +833,22 @@ EDGE_INDICES = (0, 1, 977, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
                 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1)
 
 
+def test_philox_blocks_are_the_stream_at_any_block():
+    # every lane of block b is uniform 4b + lane of the replicate_rng stream
+    keys = [(s, i) for s in EDGE_SEEDS[:3] for i in EDGE_INDICES[:4]]
+    blocks = [0, 1, 5, 2 ** 20 + 3] * (len(keys) // 4)
+    got = simulator._philox_blocks(simulator._keys([k for k, _ in keys]),
+                                   simulator._keys([i for _, i in keys]),
+                                   np.array(blocks, dtype=np.uint64))
+    assert got.shape == (len(keys), 4)
+    for (seed, i), b, row in zip(keys, blocks, got):
+        rng = next(_replicate_streams([(seed, i)], [b]))
+        assert row.tolist() == rng.random(4).tolist(), (seed, i, b)
+    for (seed, i), b, row in list(zip(keys, blocks, got))[:3]:
+        fresh = replicate_rng(seed, i).random(4 * b + 4)
+        assert row.tolist() == fresh[4 * b:].tolist(), (seed, i, b)
+
+
 def test_philox_kernel_is_the_first_double_of_each_stream():
     for seed in EDGE_SEEDS:
         u = simulator._philox_uniforms(
@@ -650,8 +865,8 @@ def test_philox_kernel_is_the_first_double_of_each_stream():
 
 def _loop_chunk(job, start, count, samplers=None):
     """_run_chunk as a loop over the replicates: each draws from its own
-    replicate_rng stream (one draw_sum in direct mode) and is tallied one
-    at a time."""
+    replicate_rng stream (one draw in direct mode, _array_states in
+    generational mode) and is tallied one at a time."""
     if samplers is None:
         samplers = _SamplerTable(job.model, job.max_cutoff, job.horizon)
     tally = simulator._Tally(len(job.s_grid))
@@ -662,9 +877,9 @@ def _loop_chunk(job, start, count, samplers=None):
         rng = replicate_rng(job.base_seed, i)
         try:
             if direct is not None:
-                z = direct.draw_sum(rng, 1)
+                z = int(direct.draw(rng, 1)[0])
             else:
-                states, truncated = simulator._simulate_states(
+                states, truncated = _array_states(
                     samplers, job.horizon, rng, job.population_cap)
                 counts["truncated"] += truncated
                 z = _DELTA_CODE if states[-1] == DELTA else int(states[-1])
@@ -722,13 +937,44 @@ def test_chunk_path_matches_the_replicate_loop(monkeypatch, sid, n, mode,
             assert got.scaled_samples is None
 
 
+def test_large_generations_match_the_replicate_loop(monkeypatch):
+    # Ex1 at n = 100 in chunks of 128: a chunk's generations grow past
+    # BATCH draws, and the lockstep ensemble is the loop's at any workers
+    from gwtheta.analytics import limit_constants, limit_law
+    monkeypatch.setattr(simulator, "CHUNK", 128)
+    model = scenario_model("Ex1")
+    law = limit_law(model, limit_constants(model, 10 ** 4))
+
+    def run(workers):
+        return run_ensemble(model, 100, 400, 17, workers=workers,
+                            scaling=law)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_run_chunk", _loop_chunk)
+        want = run(1)
+    sizes = []
+    place = _PmfSampler.place
+
+    def recording_place(self, u, cutoff_code=None):
+        sizes.append(u.size)
+        return place(self, u, cutoff_code)
+    with monkeypatch.context() as patch:
+        patch.setattr(_PmfSampler, "place", recording_place)
+        got = run(1)
+    assert max(sizes) > simulator.BATCH
+    for workers in (1, 3):
+        if workers > 1:
+            got = run(workers)
+        assert got.to_dict() == want.to_dict(), workers
+        assert np.array_equal(got.scaled_samples, want.scaled_samples)
+
+
 def test_sample_zn_matches_the_per_seed_draws():
     # sample_zn places one kernel call's uniforms; each draw is the one
-    # draw_sum makes from the seed's own stream, including DELTA
+    # draw makes from the seed's own stream, including DELTA
     model = scenario_model("Ex9ii")
     seeds = list(EDGE_SEEDS) + list(range(-40, 200))
     sampler = simulator._sampler(model, 30, DEFAULT_MAX_CUTOFF, True)
-    want = [sampler.draw_sum(replicate_rng(s, 0), 1) for s in seeds]
+    want = [int(sampler.draw(replicate_rng(s, 0), 1)[0]) for s in seeds]
     want = [DELTA if v == _DELTA_CODE else v for v in want]
     assert sample_zn(model, 30, seeds) == want
     assert DELTA in want and 0 in want
