@@ -17,8 +17,11 @@ law and its index; extending a pmf computes only the new weights.
 The recurrence runs over a batch of laws that share theta and r, as the
 one-step laws of a model do: it keeps v reversed, so that the window of
 each step is a contiguous slice and its inner products are one ddot per
-law, and every row is bit-identical to the law's own.  _build_all doubles
-the cutoffs of such a batch in step, one recurrence call per doubling.
+law, and every row is bit-identical to the law's own.  It resumes from
+the weights a law already has, so a cutoff doubling or a pmf extension
+runs only the new steps: _build_all doubles the cutoffs of a batch in
+step, one recurrence call per doubling, and a build that stops at 2^12
+runs 2^12 steps in all.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ class Pmf:
         return float(np.dot(j, self.weights))
 
 
-def _coeffs_theta(theta: float, r: float, a, c, J: int) -> np.ndarray:
+def _coeffs_theta(theta: float, r: float, a, c, known, J: int) -> np.ndarray:
     """Taylor weights p_0..p_J of r - (a(r-s)^(-theta) + c)^(-1/theta).
 
     a and c may be arrays of one length, a batch of laws that share theta
@@ -86,8 +89,17 @@ def _coeffs_theta(theta: float, r: float, a, c, J: int) -> np.ndarray:
         m u_0 v_m = sum_{j=1..m} ((gamma+1) j - m) u_j v_{m-j}.
     v is kept reversed, w[J - m] = v_m, so that the window v_{m-1}..v_0 of
     step m is the contiguous slice w[J-m+1:].  Its two inner products are
-    two np.dot calls for one law and one np.matmul for a batch, a ddot per
-    row either way (a one-row matmul costs twice the two dots).
+    two ddots for one law and one np.matmul for a batch, a ddot per row
+    either way (a one-row matmul costs twice the two dots).
+
+    known holds weights p_0..p_{K-1} that these laws already have (a row
+    per law for a batch, possibly none).  p_m = -v_m exactly for m >= 1,
+    so the recurrence resumes at step K from them, unless one is zero:
+    only a weight clipped from negative round-off differs from -v_m, and it
+    is clipped to +0.0, so the recurrence then starts again at step 1.
+    v_0 = u_0^gamma is recomputed either way, and every weight is the one
+    a single pass to J gives, bit for bit.  J stays the last argument: the
+    benchmark tracer reads it as args[-1].
     """
     gamma = -1.0 / theta
     batch = np.ndim(a) > 0
@@ -104,22 +116,26 @@ def _coeffs_theta(theta: float, r: float, a, c, J: int) -> np.ndarray:
     w = np.empty((a.size, J + 1))
     # numpy scalar powers: libm's pow, not the array kernel
     w[:, J] = [x ** gamma for x in u[:, 0]]
+    known = np.reshape(known, (a.size, -1))[:, 1:J + 1]
+    K = 1
+    if known.all():
+        K += known.shape[1]
+        w[:, J - K + 1:J] = -known[:, ::-1]
     inv_u0 = 1.0 / u[:, 0]
     if a.size == 1:
-        ju, u, v, inv_u0 = ju[0], u[0], w[0], inv_u0[0]
-
-        def window_dots(m):
+        # Python floats: the same IEEE arithmetic as numpy scalars, cheaper
+        v, ju1, u1 = w[0], ju[0, 1:], u[0, 1:]
+        g1, inv = gamma + 1.0, float(inv_u0[0])
+        for m in range(K, J + 1):
             win = v[J - m + 1:]
-            return np.dot(ju[1:m + 1], win), np.dot(u[1:m + 1], win)
+            v[J - m] = (g1 * float(ju1[:m].dot(win))
+                        - m * float(u1[:m].dot(win))) * inv / m
     else:
-        v, rows, cols = w, uu[:, :, None, :], w[None, :, :, None]
-
-        def window_dots(m):
-            d = np.matmul(rows[..., 1:m + 1], cols[:, :, J - m + 1:])
-            return d[0, :, 0, 0], d[1, :, 0, 0]
-    for m in range(1, J + 1):
-        dju, du = window_dots(m)
-        v[..., J - m] = ((gamma + 1.0) * dju - m * du) * inv_u0 / m
+        rows, cols = uu[:, :, None, 1:], w[None, :, :, None]
+        for m in range(K, J + 1):
+            d = np.matmul(rows[..., :m], cols[:, :, J - m + 1:])
+            w[:, J - m] = ((gamma + 1.0) * d[0, :, 0, 0]
+                           - m * d[1, :, 0, 0]) * inv_u0 / m
     p = -w[:, ::-1]
     p[:, 0] = r - w[:, J]
     return p if batch else p[0]
@@ -182,16 +198,16 @@ def _extend_coeffs(law: ThetaLaw, p: np.ndarray, J: int,
     has (indices 0..len(p)-1, computed here, possibly none).  Only the new
     indices are computed, and only their negative round-off is clipped.
     head, when given, holds the law's recurrence weights p_0..p_min(J, 2^12)
-    from a batched _coeffs_theta call."""
+    from a batched _coeffs_theta call that resumed from p."""
     K = len(p)
     if law.theta == 0.0:
         parts = [_coeffs_theta_zero(law.r, law.a, law.log_d, J)[K:]]
     else:
         parts = []
         if K <= RECURRENCE_MAX:
-            # the recurrence cannot resume, so its prefix is recomputed
+            # the recurrence resumes from the weights p already has
             if head is None:
-                head = _coeffs_theta(law.theta, law.r, law.a, law.c,
+                head = _coeffs_theta(law.theta, law.r, law.a, law.c, p,
                                      min(J, RECURRENCE_MAX))
             parts.append(head[K:])
         lo = max(K, RECURRENCE_MAX + 1)
@@ -235,8 +251,8 @@ def _build_all(laws: list, tail_tol: float, max_cutoff: int) -> list:
     The laws double in step, so while their cutoffs are within the
     recurrence one batched _coeffs_theta call serves all those still
     open, and each law's outcome is the one it has alone."""
-    if tail_tol <= 0.0:
-        raise DomainError("tail_tol must be > 0")
+    if not tail_tol > 0.0:
+        raise DomainError(f"tail_tol must be > 0, got {tail_tol}")
     if max_cutoff < 1:
         raise DomainError("max_cutoff must be >= 1")
     if len({(law.theta, law.r) for law in laws}) > 1:
@@ -250,11 +266,12 @@ def _build_all(laws: list, tail_tol: float, max_cutoff: int) -> list:
     while todo:
         heads = repeat(None)
         # the laws still open share their cutoffs, so they need the
-        # recurrence together, up to the same index
+        # recurrence together, resumed from the same index to the same index
         if laws[0].theta != 0.0 and len(p[todo[0]]) <= RECURRENCE_MAX:
             heads = _coeffs_theta(laws[0].theta, laws[0].r,
                                   np.array([laws[i].a for i in todo]),
                                   np.array([laws[i].c for i in todo]),
+                                  np.array([p[i] for i in todo]),
                                   min(J, RECURRENCE_MAX))
         left = []
         for i, head in zip(todo, heads):
@@ -299,6 +316,12 @@ def pmf_from_theta_pgf(theta: float, r: float, a_coef: float,
     """Pmf of the law with pgf r - (a(r-s)^(-theta) + c)^(-1/theta), or for
     theta = 0 the law with pgf r - d (r-s)^a where d = (r-c)^(1-a) by default
     (one-step form) or d_coef when supplied (composite form)."""
+    for name, x in (("theta", theta), ("r", r), ("a_coef", a_coef),
+                    ("c_coef", c_coef), ("d_coef", d_coef)):
+        if x is not None and not math.isfinite(x):
+            raise DomainError(f"{name} must be finite, got {x}")
+    if not -1.0 < theta <= 1.0:
+        raise DomainError(f"theta must lie in (-1, 1], got {theta}")
     if a_coef <= 0.0:
         raise DomainError("a_coef must be > 0")
     if theta == 0.0:

@@ -47,6 +47,13 @@ def test_pmf_csv(capsys):
     assert lines[-1].startswith("cutoff,")
 
 
+def test_pmf_rejects_nan_tail_tol(capsys):
+    code, out, err = run(capsys, "pmf", "--scenario", "Ex10ii", "--n", "5",
+                         "--tail-tol", "nan")
+    assert (code, out) == (2, "")
+    assert err == "gwtheta: tail_tol must be > 0, got nan\n"
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "--scenario", "Ex3")
     assert code == 0

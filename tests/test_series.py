@@ -138,6 +138,44 @@ def test_invalid_arguments():
         pmf_from_theta_pgf(0.0, 1.0, 0.5, 1.5)
 
 
+NAN, INF = math.nan, math.inf
+
+
+def _no_weights(*args):
+    raise AssertionError("weights computed for rejected input")
+
+
+@pytest.mark.parametrize("args,kwargs,name", [
+    ((0.5, 1.0, 0.5, 0.1), {"tail_tol": NAN}, "tail_tol"),
+    ((0.5, 1.0, 0.5, 0.1), {"tail_tol": -1e-12}, "tail_tol"),
+    ((NAN, 1.0, 0.5, 0.1), {}, "theta"),
+    ((INF, 1.0, 0.5, 0.1), {}, "theta"),
+    ((0.5, NAN, 0.5, 0.1), {}, "r"),
+    ((0.5, INF, 0.5, 0.1), {}, "r"),
+    ((0.5, 1.0, NAN, 0.1), {}, "a_coef"),
+    ((0.5, 1.0, INF, 0.1), {}, "a_coef"),
+    ((0.5, 1.0, 0.5, NAN), {}, "c_coef"),
+    ((0.5, 1.0, 0.5, INF), {}, "c_coef"),
+    ((0.0, 1.0, 0.5, 0.1), {"d_coef": NAN}, "d_coef"),
+    ((0.0, 1.0, 0.5, 0.1), {"d_coef": INF}, "d_coef"),
+    ((1.5, 1.0, 0.5, 0.1), {}, "theta"),
+    ((-1.0, 1.0, 0.5, 0.1), {}, "theta"),
+    ((-1.5, 1.0, 0.5, 0.1), {}, "theta"),
+])
+def test_bad_input_is_rejected_before_any_weight(monkeypatch, args, kwargs,
+                                                 name):
+    monkeypatch.setattr(series, "_extend_coeffs", _no_weights)
+    with pytest.raises(DomainError, match=f"^{name} must"):
+        pmf_from_theta_pgf(*args, **kwargs)
+
+
+@pytest.mark.parametrize("build", [step_pmf, population_pmf])
+def test_nan_tail_tol_is_rejected_for_model_laws(monkeypatch, build):
+    monkeypatch.setattr(series, "_extend_coeffs", _no_weights)
+    with pytest.raises(DomainError, match="^tail_tol must be > 0, got nan"):
+        build(scenario_model("Ex2"), 5, tail_tol=NAN)
+
+
 def test_weights_are_read_only():
     pmf = pmf_from_theta_pgf(1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -254,7 +292,7 @@ def test_weights_above_recurrence_match_closed_form(theta, a, c, closed_form,
 def test_weights_above_recurrence_match_recurrence(theta, a, c):
     J = 2 ** 13
     p = series._coeffs(ThetaLaw(theta, 1.0, a, c, None), J)
-    q = series._coeffs_theta(theta, 1.0, a, c, J)
+    q = series._coeffs_theta(theta, 1.0, a, c, series._NO_WEIGHTS, J)
     assert np.array_equal(p[:series.RECURRENCE_MAX + 1],
                           q[:series.RECURRENCE_MAX + 1])
     assert np.max(np.abs(p - q)) <= 1e-13
@@ -290,18 +328,96 @@ def _single_law_recurrence(theta, r, a, c, J):
 def test_batched_recurrence_matches_single_law_loop(J, theta, r):
     a = np.array([0.3, 0.6, 0.9])
     c = np.array([0.8, 0.35, 0.1])
-    rows = series._coeffs_theta(theta, r, a, c, J)
+    rows = series._coeffs_theta(theta, r, a, c, series._NO_WEIGHTS, J)
     assert rows.shape == (3, J + 1)
     for i in range(3):
         want = _single_law_recurrence(theta, r, a[i], c[i], J)
         assert np.isfinite(want).all()
         assert np.array_equal(rows[i], want), i
-        single = series._coeffs_theta(theta, r, float(a[i]), float(c[i]), J)
+        single = series._coeffs_theta(theta, r, float(a[i]), float(c[i]),
+                                      series._NO_WEIGHTS, J)
         assert single.shape == (J + 1,)
         assert np.array_equal(single, want), i
-    one = series._coeffs_theta(theta, r, a[1:2], c[1:2], J)
+    one = series._coeffs_theta(theta, r, a[1:2], c[1:2], series._NO_WEIGHTS, J)
     assert one.shape == (1, J + 1)
     assert np.array_equal(one[0], rows[1])
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5, -0.5])
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_resumed_doubling_matches_one_pass(theta, r):
+    # the cutoffs of a build, 64 to 4096, each call resuming from the
+    # weights the last one returned
+    a = np.array([0.002, 0.004, 0.006])
+    c = np.array([1.0, 0.99, 0.98])
+    once = series._coeffs_theta(theta, r, a, c, series._NO_WEIGHTS, 4096)
+    # r = 1: no weight is zero, so every call resumes; r = 2: the weights
+    # fall like 2^-j and underflow to zero past j = 1050 or so, so the calls
+    # from there on start again at index 0
+    assert once[:, 1:].all() == (r == 1.0)
+    rows, single = series._NO_WEIGHTS, [series._NO_WEIGHTS] * 3
+    for J in 2 ** np.arange(6, 13):
+        rows = series._coeffs_theta(theta, r, a, c, rows, int(J))
+        single = [series._coeffs_theta(theta, r, float(a[i]), float(c[i]),
+                                       single[i], int(J)) for i in range(3)]
+    assert np.array_equal(rows, once)
+    for i in range(3):
+        assert np.array_equal(single[i], once[i]), i
+
+
+def test_build_resumes_the_recurrence(monkeypatch):
+    # Ex1 at n = 105 doubles to J = 4096: 4,096 recurrence steps in all,
+    # where restarting every doubling at index 0 costs 64 + ... + 4096 =
+    # 8,128.  The spy takes positional arguments only, as the benchmark
+    # tracer's wrapper does.
+    calls = []
+    coeffs_theta = series._coeffs_theta
+
+    def spy(*args):
+        known = args[-2]
+        calls.append((np.shape(known)[-1], args[-1]))
+        assert np.all(np.asarray(known)[..., 1:])   # so the call resumes
+        return coeffs_theta(*args)
+    monkeypatch.setattr(series, "_coeffs_theta", spy)
+    model = scenario_model("Ex1")
+    pmf = population_pmf(model, 105)
+    assert pmf.cutoff == 4096
+    assert [J for _, J in calls] == [2 ** k for k in range(6, 13)]
+    # a call that knows p_0..p_{K-1} runs the steps m = K..J
+    assert sum(J - max(K - 1, 0) for K, J in calls) == 4096
+    monkeypatch.undo()
+    assert np.array_equal(pmf.weights, series._coeffs(pmf.source, 4096))
+
+
+def test_extend_partial_matches_one_build():
+    # the Ex10ii law stops hopeless at J = 1024; extending its partial to
+    # 2^13 resumes the recurrence at 1025 and adds one Cauchy block
+    with pytest.raises(CutoffExceeded) as info:
+        population_pmf(scenario_model("Ex10ii"), 37)
+    partial = info.value.partial
+    assert partial.cutoff == 1024 and partial.weights[1:].all()
+    extended = extend_pmf(partial, 2 ** 13)
+    assert np.array_equal(extended.weights,
+                          series._coeffs(partial.source, 2 ** 13))
+
+
+def test_clipped_weight_restarts_the_recurrence():
+    # a weight clipped to +0.0 is not -v_m, so the recurrence starts again
+    # at index 0 and the new weights are still the one-pass ones
+    law = ThetaLaw(-0.5, 1.0, 0.4, 0.35, None)
+    full = series._coeffs(law, 2048)
+    clipped = full[:1025].copy()
+    clipped[300] = 0.0
+    pmf = series.Pmf(clipped, 0.0, 0.0, 1024, law)
+    extended = extend_pmf(pmf, 2048)
+    assert np.array_equal(extended.weights[:1025], clipped)
+    assert np.array_equal(extended.weights[1025:], full[1025:])
+    # a nonzero weight is taken as the law's own: the recurrence resumes
+    # from it, so a wrong one moves the weights after it
+    wrong = full[:1025].copy()
+    wrong[300] *= 2.0
+    moved = extend_pmf(series.Pmf(wrong, 0.0, 0.0, 1024, law), 2048)
+    assert not np.array_equal(moved.weights[1025:], full[1025:])
 
 
 @pytest.mark.parametrize("theta,coefs", [
