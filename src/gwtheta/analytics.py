@@ -50,9 +50,6 @@ _ORIGIN = CompositeConstants(0, 1.0, 0.0, 0.0, 0.0)
 
 # generations per block of the constants scan: memory is O(_BLOCK) at any n
 _BLOCK = 2 ** 14
-# constants below this generation come from the scalar recursion, which
-# skips the fixed numpy cost of a block
-_SCALAR_UP_TO = 64
 
 
 class _Block(NamedTuple):
@@ -116,25 +113,6 @@ def _blocks(model: ThetaModel, up_to: int):
         yield _Block(n0, a, c, lg, A, C, log_D, B)
 
 
-def _scalar_constants(model: ThetaModel, wanted: Sequence[int]) -> dict:
-    """The constants at the sorted wanted n >= 0 (0 left out), one
-    generation at a time: the float operations of _blocks, in its order."""
-    picks, out = set(wanted), {}
-    A, C, log_D = 1.0, 0.0, 0.0
-    for n in range(1, wanted[-1] + 1):
-        a, c = model.step(n)
-        lg = model.log_r_minus(n, c)
-        A_prev, A = A, A * a
-        C += A_prev * c
-        if log_D is not None:
-            log_D = (None if lg is None or math.isnan(lg)
-                     else log_D + (A_prev - A) * lg)
-        if n in picks:
-            out[n] = CompositeConstants(n, A, C, log_D,
-                                        C / A if A > 0.0 else math.inf)
-    return out
-
-
 def constants_iter(model: ThetaModel, up_to: int):
     """Yield CompositeConstants for n = 0, 1, ..., up_to in one O(n) pass.
     An invalid index raises before the entries of its block are yielded."""
@@ -162,9 +140,6 @@ def constants_at(model: ThetaModel, ns: Iterable[int]) -> dict:
     if wanted and wanted[0] < 0:
         raise DomainError("indices must be >= 0")
     out = {0: _ORIGIN} if wanted and wanted[0] == 0 else {}
-    if wanted and wanted[-1] < _SCALAR_UP_TO:
-        out.update(_scalar_constants(model, wanted))
-        return out
     for blk in _blocks(model, wanted[-1] if wanted else 0):
         for n in blk.picks(wanted):
             out[n] = blk.at(n)
@@ -405,7 +380,7 @@ def limit_constants(model: ThetaModel, horizon: int,
     for B) with evidence attached when no rule fires."""
     if horizon < MIN_HORIZON:
         raise DomainError(f"horizon must be >= {MIN_HORIZON}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError("tol must be > 0")
     half, quarter = horizon // 2, horizon // 4
     order = [horizon // 8, quarter, half, 3 * horizon // 4, horizon]

@@ -186,7 +186,8 @@ class VerifyConfig:
     tolerance_scale: float = 1.0
 
     def __post_init__(self):
-        for name, least in (("replicates", 1), ("horizon", an.MIN_HORIZON)):
+        for name, least in (("replicates", 1), ("horizon", an.MIN_HORIZON),
+                            ("workers", 1)):
             value = getattr(self, name)
             if value is not None and value < least:
                 raise DomainError(f"{name} must be >= {least}, got {value}")
@@ -282,11 +283,8 @@ _RATE_TOL = 0.01
 _GRID = tuple(j / 10.0 for j in range(11))
 
 
-def _checks_t1(sc, model, cfg, limits, law):
-    n_big = cfg.horizon or _ANALYTIC_N
-    cc = composite_constants(model, n_big)
-    F = cc.law(model.theta, model.r)
-    theta = model.theta
+def _checks_t1(sc, cfg, limits, law, n_big, cc, F):
+    model, theta = sc.model, sc.model.theta
     checks = [
         _ratio("restricted_mean_identity",
                F.restricted_mean() * cc.A ** (1.0 / theta), 1e-9,
@@ -310,23 +308,21 @@ def _checks_t1(sc, model, cfg, limits, law):
     return checks, reps, (n_big, n_mc)
 
 
-def _checks_t2(sc, model, cfg, limits, law):
-    n_big = cfg.horizon or _ANALYTIC_N
-    F = composite_law(model, n_big)
+def _checks_t2(sc, cfg, limits, law, n_big, cc, F):
     checks = [
         _ratio("mean_vs_limit",
                F.restricted_mean() / law.law.restricted_mean(), _RATE_TOL),
         _sup_check("pgf_grid_sup_diff", F.pgf, law, _RATE_TOL,
                    detail="F_n(s) vs limit pgf"),
     ]
-    rep = convergence_conditions(model, n_big)
+    rep = convergence_conditions(sc.model, n_big)
     checks.append(Check("church_lindvall_holds", 1.0, 1.0, 0.0,
                         rep.church_lindvall == "holds", kind="analytic",
                         detail=f"verdict={rep.church_lindvall}"))
     reps = min(cfg.replicates or 2000, 20000)
     n_tr = 40
     seed = scenario_seed(cfg.seed, sc.id)
-    paths = simulate_trajectories(model, n_tr, range(seed, seed + reps))
+    paths = simulate_trajectories(sc.model, n_tr, range(seed, seed + reps))
     stable = sum(len(set(tr.states[n_tr // 2:])) == 1 for tr in paths)
     checks.append(Check("stabilization_proxy", stable / reps, 1.0, 0.2,
                         stable / reps >= 0.8, kind="proxy",
@@ -369,14 +365,13 @@ def _t4_style_checks(model, cc, law, tol, tag=""):
     return checks
 
 
-def _checks_t3_t4(sc, model, cfg, limits, law):
-    n_big = cfg.horizon or _ANALYTIC_N
-    cc = composite_constants(model, n_big)
+def _checks_t3_t4(sc, cfg, limits, law, n_big, cc, F):
     style = _t3_style_checks if sc.theorem_id == "T3" else _t4_style_checks
-    return (style(model, cc, law, _RATE_TOL), 0, (n_big,))
+    return (style(sc.model, cc, law, _RATE_TOL), 0, (n_big,))
 
 
-def _checks_t5(sc, model, cfg, limits, law_unused):
+def _checks_t5(sc, cfg, limits, law_unused):
+    model = sc.model
     m = 12
     sub_up = [2 ** k for k in range(4, m + 1)]
     sub_down = [2 ** k - 1 for k in range(4, m + 1)]
@@ -416,10 +411,7 @@ def _checks_t5(sc, model, cfg, limits, law_unused):
     return checks, 0, (k_up, k_down)
 
 
-def _checks_t6(sc, model, cfg, limits, law):
-    n_big = cfg.horizon or 2000
-    cc = composite_constants(model, n_big)
-    F = cc.law(model.theta, model.r)
+def _checks_t6(sc, cfg, limits, law, n_big, cc, F):
     checks = [
         _approx("survival_equals_D_n", F.p_alive(),
                 math.exp(cc.log_D), 1e-12,
@@ -461,7 +453,7 @@ def _checks_t6(sc, model, cfg, limits, law):
         return checks, 0, (n_big,)
     # T6iv
     checks.append(_sup_check("pgf_sup_diff", F.pgf, law, _RATE_TOL))
-    rep = convergence_conditions(model, max(n_big, 1000))
+    rep = convergence_conditions(sc.model, max(n_big, 1000))
     checks.append(Check("conditions_a0_A1_hold", 1.0, 1.0, 0.0,
                         rep.condition_a0 == "holds"
                         and rep.condition_A1 == "holds",
@@ -500,12 +492,12 @@ def _restricted_law_checks(model, F, law, limits, tol):
     return checks
 
 
-def _mc_absorption_checks(sc, model, cfg, n_mc, reps):
+def _mc_absorption_checks(sc, cfg, n_mc, reps):
     """Generational Monte Carlo frequencies of Z_n = 0 and Z_n = Delta at
     n_mc against F_n(0) and 1 - F_n(1), within 4 standard errors."""
-    F_mc = composite_law(model, n_mc)
-    stats = run_ensemble(model, n_mc, reps, scenario_seed(cfg.seed, sc.id),
-                         cfg.workers)
+    F_mc = composite_law(sc.model, n_mc)
+    stats = run_ensemble(sc.model, n_mc, reps,
+                         scenario_seed(cfg.seed, sc.id), cfg.workers)
     return [_approx(f"mc_{name}_freq", est, target,
                     4.0 * max(se, 1e-9) * cfg.tolerance_scale,
                     kind="distributional",
@@ -515,11 +507,8 @@ def _mc_absorption_checks(sc, model, cfg, n_mc, reps):
                 ("delta", stats.delta_freq, 1.0 - F_mc.pgf(1.0)))]
 
 
-def _checks_t7_t8(sc, model, cfg, limits, law):
-    n_big = cfg.horizon or _ANALYTIC_N
-    cc = composite_constants(model, n_big)
-    F = cc.law(model.theta, model.r)
-    theta, r = model.theta, model.r
+def _checks_t7_t8(sc, cfg, limits, law, n_big, cc, F):
+    theta, r = sc.model.theta, sc.model.r
     if law.theorem_id in ("T7i", "T8i"):
         C = law.param("C")
         rate = (cc.A * ((r - 1.0) ** (-theta) - r ** (-theta)) / theta
@@ -528,21 +517,18 @@ def _checks_t7_t8(sc, model, cfg, limits, law):
             F, law, rate, _conditional_mean_limit(theta, r), _RATE_TOL)
         reps = min(cfg.replicates or 20000, 10 ** 5)
         n_mc = 30
-        checks += _mc_absorption_checks(sc, model, cfg, n_mc, reps)
+        checks += _mc_absorption_checks(sc, cfg, n_mc, reps)
         return checks, reps, (n_big, n_mc)
     # (ii) variants
-    checks = _restricted_law_checks(model, F, law, limits, _RATE_TOL)
+    checks = _restricted_law_checks(sc.model, F, law, limits, _RATE_TOL)
     checks.append(_ratio("restricted_mean",
                          F.restricted_mean() / law.law.restricted_mean(),
                          _RATE_TOL))
     return checks, 0, (n_big,)
 
 
-def _checks_t9(sc, model, cfg, limits, law):
-    n_big = cfg.horizon or _ANALYTIC_N
-    cc = composite_constants(model, n_big)
-    F = cc.law(model.theta, model.r)
-    r = model.r
+def _checks_t9(sc, cfg, limits, law, n_big, cc, F):
+    model, r = sc.model, sc.model.r
     if law.theorem_id == "T9i":
         rate = ((math.log(r) - math.log(r - 1.0)) * cc.A
                 * math.exp(cc.log_D))
@@ -566,14 +552,12 @@ def _checks_t9(sc, model, cfg, limits, law):
                          _RATE_TOL))
     reps = cfg.replicates or 10 ** 5
     n_mc = 200
-    checks += _mc_absorption_checks(sc, model, cfg, n_mc, reps)
+    checks += _mc_absorption_checks(sc, cfg, n_mc, reps)
     return checks, reps, (n_big, n_mc)
 
 
-def _checks_t10(sc, model, cfg, limits, law):
-    n_big = cfg.horizon or _ANALYTIC_N
-    cc = composite_constants(model, n_big)
-    F = cc.law(model.theta, model.r)
+def _checks_t10(sc, cfg, limits, law, n_big, cc, F):
+    model = sc.model
     alpha = -1.0 / model.theta
     if law.theorem_id == "T10i":
         C = law.param("C")
@@ -626,12 +610,17 @@ def verify_theorem(scenario: Scenario,
         config = replace(config, tolerance_scale=max(
             config.tolerance_scale,
             math.sqrt(1000.0 / config.replicates)))
+    # every suite but T5's reads the n-step law F at one analytic horizon
     if scenario.theorem_id == "T5":
-        law = None
+        law, n_step = None, ()
     else:
         law = limit_law(model, limits)
+        n_big = config.horizon or (2000 if scenario.theorem_id == "T6"
+                                   else _ANALYTIC_N)
+        cc = composite_constants(model, n_big)
+        n_step = (n_big, cc, cc.law(model.theta, model.r))
     checks, reps, horizons = _SUITES[scenario.theorem_id](
-        scenario, model, config, limits, law)
+        scenario, config, limits, law, *n_step)
     checks = list(checks)
     checks.append(Check("regime_label", 1.0, 1.0, 0.0,
                         label.regime == scenario.expected_regime

@@ -24,9 +24,9 @@ replicate and steps of at most SLAB uniforms.  DELTA, zero, truncation and
 draws beyond the cutoff budget retire a replicate, each with the outcome a
 loop over its batches gives.
 
-Step samplers of a theta != 0 model are built a block of generations at a
-time, on the first miss, from one batched power recurrence per cutoff
-doubling: FIRST_BLOCK laws, then four times as many, up to STEP_BLOCK.
+Step samplers are built a block of generations at a time, on the first
+miss: FIRST_BLOCK laws, then four times as many, up to STEP_BLOCK.  A block
+of theta != 0 laws takes one batched power recurrence per cutoff doubling.
 Each is the sampler its law gives alone, so this changes no draw, and a law
 that fails lazy validation still raises only when a path reaches it.  Each
 simulate_trajectory call builds its own table: many paths are cheaper from
@@ -47,8 +47,9 @@ import numpy as np
 from .analytics import LimitLawDescriptor, composite_constants, composite_law
 from .environment import ThetaLaw, ThetaModel
 from .errors import CutoffExceeded, DomainError, GwThetaError
-from .series import (DEFAULT_MAX_CUTOFF, DEFAULT_TAIL_TOL, Pmf, _build_all,
-                     extend_pmf, population_pmf, step_pmf)
+# step_pmf is re-exported from here
+from .series import (DEFAULT_MAX_CUTOFF, DEFAULT_TAIL_TOL, Pmf,  # noqa: F401
+                     _build_all, extend_pmf, step_pmf)
 
 DELTA = "delta"                  # absorbing symbol
 _DELTA_CODE = -1                 # internal integer encoding
@@ -300,14 +301,9 @@ class _MixtureHeavySampler:
     """Exact sampler for a law g(s) = 1 - d (1-s)^a (theta = 0, r = 1):
     0 with probability 1-d, else a heavy-tail index draw with parameter a."""
 
-    emits_delta = False
-
     def __init__(self, law: ThetaLaw):
         self.a = law.a
         self.p_zero = law.pgf(0.0)
-
-    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        return self.place(rng.random(k))
 
     def place(self, u: np.ndarray, cutoff_code=None) -> np.ndarray:
         """The draws at the uniforms u; the law has no tail to resolve."""
@@ -332,8 +328,6 @@ class _PmfSampler:
     def __init__(self, pmf: Pmf, max_cutoff: int):
         self.max_cutoff = max_cutoff
         self._proper = 1.0 - pmf.defect_mass
-        # with no defect mass _proper is 1 > u, so no draw can be DELTA
-        self.emits_delta = pmf.defect_mass > 0.0
         self._set_pmf(pmf)
 
     def _set_pmf(self, pmf: Pmf) -> None:
@@ -381,20 +375,23 @@ class _PmfSampler:
         return out
 
 
+def _samplers(laws: list, max_cutoff: int) -> list:
+    """The samplers of laws that share theta and r: the mixture sampler for
+    theta = 0 and r = 1, else one _PmfSampler each from one batched build.
+    An unreachable tail tolerance is fine: the sampler extends (or raises)
+    only when a draw actually lands in the tail."""
+    if laws[0].theta == 0.0 and laws[0].r == 1.0:
+        return [_MixtureHeavySampler(law) for law in laws]
+    return [_PmfSampler(pmf.partial if isinstance(pmf, CutoffExceeded)
+                        else pmf, max_cutoff)
+            for pmf in _build_all(laws, DEFAULT_TAIL_TOL, max_cutoff)]
+
+
 def _sampler(model: ThetaModel, n: int, max_cutoff: int, population: bool):
     """Sampler of the one-step law f_n, or of the law F_n of Z_n when
     population is set."""
-    if model.theta == 0.0 and model.r == 1.0:
-        law = composite_law(model, n) if population else model.step_law(n)
-        return _MixtureHeavySampler(law)
-    build_pmf = population_pmf if population else step_pmf
-    try:
-        pmf = build_pmf(model, n, max_cutoff=max_cutoff)
-    except CutoffExceeded as err:
-        # an unreachable tail tolerance is fine: the sampler extends (or
-        # raises) only when a draw actually lands in the tail
-        pmf = err.partial
-    return _PmfSampler(pmf, max_cutoff)
+    law = composite_law(model, n) if population else model.step_law(n)
+    return _samplers([law], max_cutoff)[0]
 
 
 class _SamplerTable:
@@ -403,15 +400,14 @@ class _SamplerTable:
     keyed by n.  Draws do not depend on a sampler's history, so every chunk
     and every path of the call can share them.
 
-    The first miss of a theta != 0 step sampler builds the samplers of a
-    block of generations from n on, up to the horizon, in one batched pass
-    (series._build_all): FIRST_BLOCK of them the first time, then four times
-    the last block, at most STEP_BLOCK.  Each is the sampler _sampler would
-    build.  Generations are reached in order, so the layout is the same
-    whichever paths reach them.  A
-    generation whose law fails validation is left out, and a build that
-    fails leaves the whole block out, so _sampler builds those laws one by
-    one and an error is raised only when a path reaches its generation."""
+    The first miss of a step sampler builds the samplers of a block of
+    generations from n on, up to the horizon, in one _samplers call:
+    FIRST_BLOCK of them the first time, then four times the last block, at
+    most STEP_BLOCK.  Each is the sampler _sampler would build.  Generations
+    are reached in order, so the layout is the same whichever paths reach
+    them.  A block with a law that fails validation or a build that fails
+    is left out whole, so _sampler builds its laws one by one, and a path,
+    which cannot get past the failing generation, raises its error there."""
 
     def __init__(self, model: ThetaModel, max_cutoff: int, horizon: int):
         self.model, self.max_cutoff, self.horizon = model, max_cutoff, horizon
@@ -433,23 +429,12 @@ class _SamplerTable:
         self._block = min(4 * self._block or FIRST_BLOCK, STEP_BLOCK)
         n1 = min(n0 + self._block, self.horizon + 1)
         self._blocked = n1 - 1
-        if self.model.theta == 0.0:
-            return
-        ns, laws = [], []
-        for n in range(n0, n1):
-            try:
-                laws.append(self.model.step_law(n))
-            except GwThetaError:
-                continue
-            ns.append(n)
         try:
-            built = _build_all(laws, DEFAULT_TAIL_TOL, self.max_cutoff)
+            laws = [self.model.step_law(n) for n in range(n0, n1)]
+            built = _samplers(laws, self.max_cutoff)
         except GwThetaError:
             return
-        for n, pmf in zip(ns, built):
-            if isinstance(pmf, CutoffExceeded):
-                pmf = pmf.partial              # as in _sampler
-            self.step[n] = _PmfSampler(pmf, self.max_cutoff)
+        self.step.update(zip(range(n0, n1), built))
 
 
 def sample_offspring(pmf: Pmf, rng: np.random.Generator,
@@ -590,7 +575,7 @@ def _large_generation(sampler, streams: _Streams, live: np.ndarray,
 
 
 def _check_cap(population_cap: int) -> None:
-    if population_cap < 1:
+    if not population_cap >= 1:
         raise DomainError("population_cap must be >= 1")
 
 
@@ -807,6 +792,8 @@ def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
     pool task builds its own."""
     if replicates < 1:
         raise DomainError("replicates must be >= 1")
+    if horizon < 1:
+        raise DomainError("horizon must be >= 1")
     if workers < 1:
         raise DomainError("workers must be >= 1")
     _check_cap(population_cap)

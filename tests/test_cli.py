@@ -182,6 +182,22 @@ def test_negative_workers_exit_2(capsys):
     assert err == "gwtheta: workers must be >= 1\n"
 
 
+@pytest.mark.parametrize("mode", ["generational", "direct"])
+def test_simulate_horizon_below_one_exit_2(capsys, mode):
+    code, out, err = run(capsys, "simulate", "--scenario", "Ex1",
+                         "--horizon", "0", "--replicates", "10", "--seed",
+                         "1", "--mode", mode)
+    assert code == 2 and out == ""
+    assert err == "gwtheta: horizon must be >= 1\n"
+
+
+def test_verify_workers_below_one_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "--scenario", "Ex4a", "--seed",
+                         "7", "--workers", "0")
+    assert code == 2 and out == ""
+    assert err == "gwtheta: workers must be >= 1, got 0\n"
+
+
 def test_non_integer_workers_variable_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("GWTHETA_WORKERS", "abc")
     code, out, err = run(capsys, "classify", "--scenario", "Ex1")

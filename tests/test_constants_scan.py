@@ -220,9 +220,9 @@ def test_eager_validation_reports_the_same_errors():
         validate_model(1.0, 1.0, short, EnvSequence.constant(0.6))
 
 
-# -- the scalar recursion below _SCALAR_UP_TO ---------------------------------
+# -- small n: constants_at and composite_constants below one block -----------
 
-SMALL_NS = range(analytics._SCALAR_UP_TO)
+SMALL_NS = range(64)
 
 
 def _small_models():
@@ -240,8 +240,8 @@ def _small_models():
 @pytest.mark.parametrize("name,model", _small_models(),
                          ids=[name for name, _ in _small_models()])
 def test_small_n_constants_match_the_scan(name, model):
-    # constants_at runs the scalar recursion below _SCALAR_UP_TO; every
-    # constant is the scan's, where log_D stops short too
+    # a query of a few small n is the scan's, constant for constant, where
+    # log_D stops short too
     want = {cc.n: repr(cc) for cc in constants_iter(model, max(SMALL_NS))}
     got = analytics.constants_at(model, SMALL_NS)
     assert {n: repr(cc) for n, cc in got.items()} == want

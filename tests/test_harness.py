@@ -117,7 +117,7 @@ def test_get_scenario_builds_only_its_own_model(monkeypatch):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("field", ["replicates", "horizon"])
+@pytest.mark.parametrize("field", ["replicates", "horizon", "workers"])
 def test_verify_config_rejects_counts_below_one(field):
     least = 10 if field == "horizon" else 1
     for value in (0, -1, least - 1):

@@ -89,6 +89,9 @@ def test_horizon_and_tol_validation():
         limit_constants(model, 5)
     with pytest.raises(DomainError):
         limit_constants(model, 100, tol=0.0)
+    # NaN fails every comparison, so it must not pass as a positive tol
+    with pytest.raises(DomainError, match="tol must be > 0"):
+        limit_constants(model, 100, tol=math.nan)
 
 
 def test_finite_value_raises_on_undetermined():

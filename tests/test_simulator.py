@@ -160,7 +160,7 @@ def test_sampler_chi_square_against_pmf(case, population):
     draws = []
     for _ in range(size):
         try:
-            draws.append(int(sampler.draw(rng, 1)[0]))
+            draws.append(int(sampler.place(rng.random(1))[0]))
         except CutoffExceeded:
             draws.append(budget + 1)         # beyond the budget: tail
     draws = np.array(draws)
@@ -358,7 +358,7 @@ def test_ensemble_frequencies_sum_to_one():
 # test_scalar_sum_* names date from the scalar path these checks first
 # pinned, which the lockstep engine replaced.)  _array_states is the
 # generation loop as it was before either, drawing every generation of one
-# replicate through draw in batches of BATCH.
+# replicate through place in batches of BATCH.
 # ---------------------------------------------------------------------------
 
 def _array_sum(sampler, u):
@@ -422,7 +422,7 @@ def test_scalar_sum_delta():
     model = scenario_model("Ex9i")
     scalar, array = (simulator._sampler(model, 1, 2 ** 12, False)
                      for _ in range(2))
-    assert scalar.emits_delta
+    assert scalar.pmf.defect_mass > 0.0
     near_one = np.nextafter(1.0, 0.0)
     uniforms = [[near_one], [0.1, near_one], [near_one, 0.1, 0.2],
                 [0.5] * 7 + [near_one], [scalar._proper]]
@@ -500,7 +500,7 @@ def test_scalar_sum_cutoff_exceeded_at_a_capped_budget():
 
 def _array_states(samplers, horizon, rng, population_cap, log=None):
     """The generation loop of one replicate: every generation is drawn
-    through sampler.draw in batches of BATCH, stopping at the first batch
+    through sampler.place in batches of BATCH, stopping at the first batch
     with a DELTA or whose running total passes the cap; a draw beyond the
     budget raises.  log, when given, gets (n, batch, outcome) at each
     stop."""
@@ -518,12 +518,12 @@ def _array_states(samplers, horizon, rng, population_cap, log=None):
         while remaining > 0:
             k = min(remaining, simulator.BATCH)
             try:
-                draws = sampler.draw(rng, k)
+                draws = sampler.place(rng.random(k))
             except CutoffExceeded:
                 if log is not None:
                     log.append((n, batch, "cutoff"))
                 raise
-            if sampler.emits_delta and (draws == _DELTA_CODE).any():
+            if (draws == _DELTA_CODE).any():
                 total = _DELTA_CODE
                 if log is not None:
                     log.append((n, batch, "delta"))
@@ -719,13 +719,20 @@ def test_trajectories_raise_the_first_failing_seed():
         alone[s][0] for s in fine]
 
 
-@pytest.mark.parametrize("cap", [0, -3])
+@pytest.mark.parametrize("cap", [0, -3, math.nan])
 def test_population_cap_below_one_is_rejected(cap):
     model = scenario_model("Ex1")
     with pytest.raises(DomainError, match="population_cap must be >= 1"):
         run_ensemble(model, 10, 200, 5, population_cap=cap)
     with pytest.raises(DomainError, match="population_cap must be >= 1"):
         simulate_trajectories(model, 10, [1, 2], population_cap=cap)
+
+
+@pytest.mark.parametrize("mode", ["generational", "direct"])
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_ensemble_horizon_below_one_is_rejected(mode, horizon):
+    with pytest.raises(DomainError, match="^horizon must be >= 1$"):
+        run_ensemble(scenario_model("Ex1"), horizon, 200, 5, mode=mode)
 
 
 def test_simulator_calls_are_exported():
@@ -739,8 +746,7 @@ def test_simulator_calls_are_exported():
         simulator.simulate_trajectory)
 
 
-@pytest.mark.parametrize("sid", [sc.id for sc in registry()
-                                 if scenario_model(sc.id).theta != 0.0])
+@pytest.mark.parametrize("sid", [sc.id for sc in registry()])
 def test_block_built_step_samplers_match_per_law(sid):
     model = scenario_model(sid)
     table = _SamplerTable(model, DEFAULT_MAX_CUTOFF, 200)
@@ -755,8 +761,13 @@ def test_block_built_step_samplers_match_per_law(sid):
     assert STEP_BLOCK == 64
     cutoffs = set()
     for n in range(1, 201):
-        got = table.get(n).pmf
-        want = simulator._sampler(model, n, DEFAULT_MAX_CUTOFF, False).pmf
+        got = table.get(n)
+        want = simulator._sampler(model, n, DEFAULT_MAX_CUTOFF, False)
+        assert type(got) is type(want), n
+        if model.theta == 0.0 and model.r == 1.0:      # Ex6: the mixture
+            assert (got.a, got.p_zero) == (want.a, want.p_zero), n
+            continue
+        got, want = got.pmf, want.pmf
         assert np.array_equal(got.weights, want.weights), n
         assert (got.cutoff, got.tail_mass, got.defect_mass) == (
             want.cutoff, want.tail_mass, want.defect_mass), n
@@ -877,7 +888,7 @@ def _loop_chunk(job, start, count, samplers=None):
         rng = replicate_rng(job.base_seed, i)
         try:
             if direct is not None:
-                z = int(direct.draw(rng, 1)[0])
+                z = int(direct.place(rng.random(1))[0])
             else:
                 states, truncated = _array_states(
                     samplers, job.horizon, rng, job.population_cap)
