@@ -17,7 +17,7 @@ from .errors import (ConditioningOnNull, CutoffExceeded, DomainError,
                      GwThetaError, NoLimitLaw, RejectedParameter,
                      ScenarioInfeasible, UndeterminedLimit)
 from .harness import (Scenario, VerificationReport, VerifyConfig,
-                      get_scenario, registry, run_all, scenario_model,
+                      get_scenario, registry, scenario_model,
                       verify_theorem)
 from .series import (Pmf, extend_pmf, pmf_from_theta_pgf, population_pmf,
                      step_pmf, write_pmf_csv)

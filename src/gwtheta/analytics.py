@@ -581,46 +581,40 @@ class LimitLawDescriptor:
         return float(z)
 
     def evaluate(self, x: float) -> float:
-        """The transform at x: the pgf of `law` when there is one; else a
-        Laplace transform in lambda >= 0 (T1, T3, T5i), a cdf (T6i, T6ii)
-        or an A -> 0 conditional pgf (T7i, T8i, T9i)."""
+        """The transform at x: the pgf of `law` when there is one; else, by
+        kind, the Laplace transform 1 - (x^(-theta) + C)^(-1/theta) in
+        lambda >= 0 (T1; T3 and T5i have no C and take C = 1), the cdf
+        1 - e^(-x) D (T6ii; T6i takes D = 1) or the A -> 0 conditional pgf
+        (h(r) - h(r-x)) / (h(r) - h(r-1)) with h increasing: -w^(-theta)
+        for T7i, w^(1/alpha) for T8i and ln w for T9i."""
         if self.law is not None:
             return self.law.pgf(x)
-        tid = self.theorem_id
-        if tid == "T1":
-            theta, C = self.param("theta"), self.param("C")
+        p = dict(self.parameters)
+        if self.kind == LAPLACE:
             if x == 0.0:
                 return 1.0
-            return 1.0 - (x ** (-theta) + C) ** (-1.0 / theta)
-        if tid in ("T3", "T5i"):
-            theta = self.param("theta")
-            if x == 0.0:
-                return 1.0
-            return 1.0 - (1.0 + x ** (-theta)) ** (-1.0 / theta)
-        if tid == "T6i":
-            return 1.0 - math.exp(-x)
-        if tid == "T6ii":
-            return 1.0 - math.exp(-x) * self.param("D")
-        if tid == "T7i":
-            theta, r = self.param("theta"), self.param("r")
-            return (((r - x) ** (-theta) - r ** (-theta))
-                    / ((r - 1.0) ** (-theta) - r ** (-theta)))
-        if tid == "T8i":
-            alpha, r = self.param("alpha"), self.param("r")
-            ia = 1.0 / alpha
-            return (r ** ia - (r - x) ** ia) / (r ** ia - (r - 1.0) ** ia)
-        if tid == "T9i":
-            r = self.param("r")
-            return ((math.log(r) - math.log(r - x))
-                    / (math.log(r) - math.log(r - 1.0)))
-        raise AssertionError(tid)
+            theta = p["theta"]
+            return 1.0 - (x ** (-theta) + p.get("C", 1.0)) ** (-1.0 / theta)
+        if self.kind == CDF:
+            return 1.0 - math.exp(-x) * p.get("D", 1.0)
+
+        def h(w):
+            if "theta" in p:
+                return -w ** (-p["theta"])
+            if "alpha" in p:
+                return w ** (1.0 / p["alpha"])
+            return math.log(w)
+
+        r = p["r"]
+        return (h(r) - h(r - x)) / (h(r) - h(r - 1.0))
 
 
-def _conditional_law(theta: float, B: float) -> ThetaLaw:
+def _conditional_law(v: dict, limits: LimitConstants) -> ThetaLaw:
     """The T4/T5ii limit of Z_n given Z_n > 0: 1 - ((w + B)/(1 + B))^(-1/theta)
     with w = (1-s)^(-theta), which vanishes at s = 0 and has mean
     (1+B)^(1/theta)."""
-    return ThetaLaw(theta, 1.0, 1.0 / (1.0 + B), B / (1.0 + B), None)
+    B = v["B"]
+    return ThetaLaw(v["theta"], 1.0, 1.0 / (1.0 + B), B / (1.0 + B), None)
 
 
 def _at_limits(v: dict, limits: LimitConstants) -> ThetaLaw:
@@ -640,8 +634,12 @@ _DESCRIPTORS = {
     "T3": (LAPLACE, ("theta",),
            "Laplace argument lambda_n = lambda * B_n^(-1/theta), "
            "conditioned on Z_n > 0", None),
-    "T4": (PGF, ("theta", "B"), _POSITIVE,
-           lambda v, limits: _conditional_law(v["theta"], v["B"])),
+    "T4": (PGF, ("theta", "B"), _POSITIVE, _conditional_law),
+    "T5i": (LAPLACE, ("theta",),
+            "Laplace argument lambda_n = lambda * B_kn^(-1/theta), "
+            "conditioned on Z_kn > 0", None),
+    "T5ii": (PGF, ("theta", "B"), "pgf of Z_kn conditioned on Z_kn > 0",
+             _conditional_law),
     "T6i": (CDF, (), _LN_TIMES_A + ", conditioned on Z_n > 0", None),
     "T6ii": (CDF, ("D",), _LN_TIMES_A, None),
     "T6iii": (PGF, ("A",), _POSITIVE,
@@ -671,39 +669,36 @@ def limit_law(model: ThetaModel, limits: LimitConstants,
     a law exists only along an explicit subsequence, which the caller
     supplies as the index sequence itself."""
     theta, r, case = model.theta, model.r, model.case_label
+    # T4's B: 0 when C < inf (so A_n -> inf), else lim B_n
+    B = 0.0 if limits.C.is_determined else limits.B.value
     if case == "a" and subsequence is not None:
         bs = subsequence_b_values(model, subsequence)
         tail = bs[len(bs) // 2:]
         lo, hi = min(tail), max(tail)
         if lo > max(100.0, 2.0 * min(bs[:max(1, len(bs) // 2)])):
-            return LimitLawDescriptor(
-                "T5i", LAPLACE, (("theta", theta),),
-                "Laplace argument lambda_n = lambda * B_kn^(-1/theta), "
-                "conditioned on Z_kn > 0")
-        if hi - lo <= 0.05 * max(1.0, abs(hi)):
-            return LimitLawDescriptor(
-                "T5ii", PGF, (("theta", theta), ("B", tail[-1])),
-                "pgf of Z_kn conditioned on Z_kn > 0",
-                _conditional_law(theta, tail[-1]))
-        raise NoLimitLaw(
-            "B does not settle along the supplied subsequence")
-    name, basis, sub = regime(case, limits)
-    if name == UNDETERMINED_REGIME:
-        raise UndeterminedLimit(basis)
-    if name == LOOSELY_SUBCRITICAL:
-        raise NoLimitLaw(
-            "loosely subcritical regime: supply an explicit subsequence")
-    if name == INFINITE_MEAN:
-        tid = "T6" + sub
-    elif name == DEFECTIVE:
-        tid = _DEFECTIVE_THEOREM[case] + ("i" if sub == "A=0" else "ii")
+            tid = "T5i"
+        elif hi - lo <= 0.05 * max(1.0, abs(hi)):
+            tid, B = "T5ii", tail[-1]
+        else:
+            raise NoLimitLaw(
+                "B does not settle along the supplied subsequence")
     else:
-        tid = _PROPER_THEOREM[name]
+        name, basis, sub = regime(case, limits)
+        if name == UNDETERMINED_REGIME:
+            raise UndeterminedLimit(basis)
+        if name == LOOSELY_SUBCRITICAL:
+            raise NoLimitLaw(
+                "loosely subcritical regime: supply an explicit subsequence")
+        if name == INFINITE_MEAN:
+            tid = "T6" + sub
+        elif name == DEFECTIVE:
+            tid = _DEFECTIVE_THEOREM[case] + ("i" if sub == "A=0" else "ii")
+        else:
+            tid = _PROPER_THEOREM[name]
     kind, names, scaling, law = _DESCRIPTORS[tid]
     v = {"theta": theta, "r": r, "A": limits.A.value, "C": limits.C.value,
          "D": limits.D.value, "alpha": -1.0 / theta if theta else None,
-         # T4's B: 0 when C < inf (so A_n -> inf), else lim B_n
-         "B": 0.0 if limits.C.is_determined else limits.B.value}
+         "B": B}
     return LimitLawDescriptor(tid, kind, tuple((k, v[k]) for k in names),
                               scaling, law(v, limits) if law else None)
 

@@ -93,15 +93,13 @@ class EnvSequence:
         object.__setattr__(self, "params",
                            tuple(sorted(self.params, key=lambda kv: kv[0])))
 
-    def _param(self, name: str, default=None):
+    def _param(self, name: str):
         for key, val in self.params:
             if key == name:
                 return val
-        if default is None:
-            raise RejectedParameter(
-                f"family {self.family!r} requires parameter {name!r}",
-                constraint=name)
-        return default
+        raise RejectedParameter(
+            f"family {self.family!r} requires parameter {name!r}",
+            constraint=name)
 
     def value(self, n: int) -> float:
         """Value at index n >= 1."""

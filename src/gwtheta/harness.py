@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -28,8 +28,9 @@ from .environment import EnvSequence, ThetaModel, validate_model
 from .errors import (CutoffExceeded, DomainError, RejectedParameter,
                      ScenarioInfeasible)
 from .series import extend_pmf, population_pmf
-from .simulator import (heavy_tail_log_sf, replicate_rng, run_ensemble,
-                        sample_heavy_tail_log, simulate_trajectories)
+from .simulator import (DEFAULT_S_GRID, heavy_tail_log_sf, replicate_rng,
+                        run_ensemble, sample_heavy_tail_log,
+                        simulate_trajectories)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +184,6 @@ class VerifyConfig:
     horizon: Optional[int] = None
     seed: int = 20240901
     workers: int = 1
-    tolerance_scale: float = 1.0
 
     def __post_init__(self):
         for name, least in (("replicates", 1), ("horizon", an.MIN_HORIZON),
@@ -191,6 +191,14 @@ class VerifyConfig:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise DomainError(f"{name} must be >= {least}, got {value}")
+
+    @property
+    def tolerance_scale(self) -> float:
+        """The factor on Monte Carlo tolerances: sqrt(1000 / replicates)
+        below 1000 replicates (a low-power run), else 1."""
+        if self.replicates is not None and self.replicates < 1000:
+            return math.sqrt(1000.0 / self.replicates)
+        return 1.0
 
 
 @dataclass(frozen=True)
@@ -258,8 +266,8 @@ def _ratio(name, statistic, tol, detail=""):
 
 def _sup_check(name, f, law, tol, detail=""):
     """sup over the s grid of |f(s) - the limit law at s|, against 0."""
-    return _approx(name, max(abs(f(s) - law.evaluate(s)) for s in _GRID),
-                   0.0, tol, detail=detail)
+    sup = max(abs(f(s) - law.evaluate(s)) for s in DEFAULT_S_GRID)
+    return _approx(name, sup, 0.0, tol, detail=detail)
 
 
 def _conditional_mean_limit(theta: float, r: float) -> float:
@@ -280,7 +288,6 @@ def _conditional_mean_limit(theta: float, r: float) -> float:
 
 _ANALYTIC_N = 10 ** 4
 _RATE_TOL = 0.01
-_GRID = tuple(j / 10.0 for j in range(11))
 
 
 def _checks_t1(sc, cfg, limits, law, n_big, cc, F):
@@ -605,11 +612,6 @@ def verify_theorem(scenario: Scenario,
         raise ScenarioInfeasible(
             f"scenario {scenario.id} classified as {label.regime}, "
             f"expected {scenario.expected_regime}")
-    low_power = config.replicates is not None and config.replicates < 1000
-    if low_power:
-        config = replace(config, tolerance_scale=max(
-            config.tolerance_scale,
-            math.sqrt(1000.0 / config.replicates)))
     # every suite but T5's reads the n-step law F at one analytic horizon
     if scenario.theorem_id == "T5":
         law, n_step = None, ()
@@ -630,19 +632,8 @@ def verify_theorem(scenario: Scenario,
                         detail=f"{label.regime} / {label.sub_label}"))
     return VerificationReport(scenario.id, scenario.theorem_id,
                               tuple(checks), reps, tuple(horizons),
-                              config.seed, low_power)
-
-
-def run_all(config: VerifyConfig = VerifyConfig(),
-            scenario_ids: Optional[Sequence[str]] = None) -> list[VerificationReport]:
-    """verify_theorem across the registry; failures are recorded per report,
-    not raised."""
-    reports = []
-    for sc in registry():
-        if scenario_ids is not None and sc.id not in scenario_ids:
-            continue
-        reports.append(verify_theorem(sc, config))
-    return reports
+                              config.seed,
+                              low_power=config.tolerance_scale > 1.0)
 
 
 def summary_table(reports: Sequence[VerificationReport]) -> list[dict]:

@@ -69,14 +69,9 @@ _MASK64 = (1 << 64) - 1
 
 
 def replicate_rng(base_seed: int, replicate_index: int) -> np.random.Generator:
-    """Counter-based stream keyed by (base_seed, replicate_index).  The
-    Philox is seeded with 0 and then re-keyed: built with a key alone it
-    would first draw OS entropy for a seed that the key overrides."""
-    bitgen = np.random.Philox(0)
-    state = bitgen.state
-    state["state"]["key"] = (base_seed & _MASK64, replicate_index & _MASK64)
-    bitgen.state = state
-    return np.random.Generator(bitgen)
+    """Counter-based stream keyed by (base_seed, replicate_index): block 0
+    of _replicate_streams, the one writer of the Philox state."""
+    return next(_replicate_streams([(base_seed, replicate_index)], [0]))
 
 
 def _replicate_streams(keys, blocks):
@@ -85,7 +80,9 @@ def _replicate_streams(keys, blocks):
     4b of the stream.  One Philox is re-keyed in place (numpy bumps the
     counter before each block, so the counter is set to b) instead of
     constructing a generator per stream; each one is valid only until the
-    next is drawn."""
+    next is drawn.  The Philox is seeded with 0 before it is re-keyed: built
+    with a key alone it would first draw OS entropy for a seed that the key
+    overrides."""
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     zero = (0, 0, 0, 0)

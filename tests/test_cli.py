@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from gwtheta.cli import main
 from gwtheta.environment import EnvSequence, ThetaModel
 from gwtheta.harness import scenario_model
+from gwtheta.series import step_pmf, write_pmf_csv
 
 
 def run(capsys, *argv):
@@ -235,3 +237,23 @@ def test_verify_horizon_below_ten_exit_2(capsys, scenario):
                          "7", "--horizon", "5", "--replicates", "50")
     assert code == 2 and out == ""
     assert err == "gwtheta: horizon must be >= 10, got 5\n"
+
+
+def test_constant_sequence_without_value_exit_2(capsys, tmp_path):
+    spec = {"theta": 0.0, "r": 2.0,
+            "a": EnvSequence.constant(0.5).to_dict(),
+            "c": {"family": "constant", "params": {}}}
+    path = tmp_path / "no_value.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "analyze", "--model", str(path))
+    assert code == 2 and out == ""
+    assert "requires parameter 'value'" in err
+
+
+def test_pmf_step_kind_writes_step_pmf(capsys):
+    code, out, _ = run(capsys, "pmf", "--scenario", "Ex9i", "--n", "3",
+                       "--kind", "step")
+    assert code == 0
+    want = io.StringIO()
+    write_pmf_csv(step_pmf(scenario_model("Ex9i"), 3), want)
+    assert out == want.getvalue()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwtheta import series
-from gwtheta.analytics import composed_pgf
+from gwtheta.analytics import composed_pgf, composite_constants
 from gwtheta.environment import ThetaLaw, step_pgf_weight_one
 from gwtheta.errors import CutoffExceeded, DomainError, GwThetaError
 from gwtheta.harness import scenario_model
@@ -136,6 +136,22 @@ def test_invalid_arguments():
         pmf_from_theta_pgf(1.0, 1.0, 1.0, 1.0, tail_tol=0.0)
     with pytest.raises(DomainError):
         pmf_from_theta_pgf(0.0, 1.0, 0.5, 1.5)
+    for d_coef in (0.0, -0.5):
+        with pytest.raises(DomainError):
+            pmf_from_theta_pgf(0.0, 2.0, 0.5, d_coef=d_coef)
+    with pytest.raises(DomainError):
+        pmf_from_theta_pgf(0.5, 2.0, 0.5, -0.1)
+
+
+def test_composite_form_matches_population_pmf():
+    # theta = 0 with d_coef = D_n is the composite law F_n of the model
+    model = scenario_model("Ex9i")
+    cc = composite_constants(model, 6)
+    pmf = pmf_from_theta_pgf(0.0, model.r, cc.A, d_coef=cc.D)
+    want = population_pmf(model, 6)
+    assert pmf.cutoff == want.cutoff
+    np.testing.assert_allclose(pmf.weights, want.weights, rtol=1e-12,
+                               atol=0.0)
 
 
 NAN, INF = math.nan, math.inf
