@@ -21,7 +21,8 @@ law, and every row is bit-identical to the law's own.  It resumes from
 the weights a law already has, so a cutoff doubling or a pmf extension
 runs only the new steps: _build_all doubles the cutoffs of a batch in
 step, one recurrence call per doubling, and a build that stops at 2^12
-runs 2^12 steps in all.
+runs 2^12 steps in all.  A batch is finished as arrays (_build_all), and
+a single law is a batch of one.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .analytics import composite_law
-from .environment import ThetaLaw, ThetaModel
+from .environment import ThetaLaw, ThetaModel, _libm
 from .errors import CutoffExceeded, DomainError, GwThetaError
 
 log = logging.getLogger(__name__)
@@ -131,28 +131,41 @@ def _coeffs_theta(theta: float, r: float, a, c, known, J: int) -> np.ndarray:
             v[J - m] = (g1 * float(ju1[:m].dot(win))
                         - m * float(u1[:m].dot(win))) * inv / m
     else:
+        # the same operations in place, a ufunc call each
         rows, cols = uu[:, :, None, 1:], w[None, :, :, None]
+        g1, wT = gamma + 1.0, w.T
+        d, t = np.empty((2, a.size, 1, 1)), np.empty(a.size)
+        d0, d1 = d[:, :, 0, 0]
         for m in range(K, J + 1):
-            d = np.matmul(rows[..., :m], cols[:, :, J - m + 1:])
-            w[:, J - m] = ((gamma + 1.0) * d[0, :, 0, 0]
-                           - m * d[1, :, 0, 0]) * inv_u0 / m
+            np.matmul(rows[..., :m], cols[:, :, J - m + 1:], out=d)
+            np.multiply(g1, d0, out=t)
+            d1 *= m
+            t -= d1
+            t *= inv_u0
+            t /= m
+            wT[J - m] = t
     p = -w[:, ::-1]
     p[:, 0] = r - w[:, J]
     return p if batch else p[0]
 
 
-def _coeffs_theta_zero(r: float, a: float, log_d: float,
+def _coeffs_theta_zero(r: float, a: np.ndarray, log_d: np.ndarray,
                        J: int) -> np.ndarray:
-    """Taylor weights of r - d (r-s)^a (binomial series, O(J))."""
-    p = np.empty(J + 1)
-    p[0] = r - math.exp(log_d + a * math.log(r))
+    """Taylor weights p_0..p_J of r - d (r-s)^a (binomial series, O(J)) for
+    a batch of laws, a and log_d arrays of one length: one row per law, and
+    one sequential cumprod of the ratios over the rows, so that each row is
+    the law's own, bit for bit."""
+    p = np.empty((a.size, J + 1))
+    log_r = math.log(r)
+    p[:, 0] = r - _libm(math.exp, log_d + a * log_r)
     if J >= 1:
-        p[1] = a * math.exp(log_d + (a - 1.0) * math.log(r))
+        p[:, 1] = a * _libm(math.exp, log_d + (a - 1.0) * log_r)
         if J >= 2:
             # p_{j+1}/p_j = (j - a) / ((j+1) r)
             j = np.arange(1, J, dtype=float)
-            np.cumprod((j - a) / ((j + 1.0) * r), out=p[2:])
-            p[2:] *= p[1]
+            np.cumprod((j - a[:, None]) / ((j + 1.0) * r), axis=1,
+                       out=p[:, 2:])
+            p[:, 2:] *= p[:, 1:2]
     return p
 
 
@@ -192,47 +205,70 @@ def _cauchy_block(law: ThetaLaw, k: int) -> np.ndarray:
     return np.exp(-math.log(rho) * j) / N * acc.real
 
 
-def _extend_coeffs(law: ThetaLaw, p: np.ndarray, J: int,
-                   head: np.ndarray = None) -> np.ndarray:
-    """Taylor weights p_0..p_J of the law, keeping the weights p it already
-    has (indices 0..len(p)-1, computed here, possibly none).  Only the new
-    indices are computed, and only their negative round-off is clipped.
-    head, when given, holds the law's recurrence weights p_0..p_min(J, 2^12)
-    from a batched _coeffs_theta call that resumed from p."""
-    K = len(p)
-    if law.theta == 0.0:
-        parts = [_coeffs_theta_zero(law.r, law.a, law.log_d, J)[K:]]
+def _batch(laws: list) -> ThetaLaw:
+    """laws, which share theta and r, as one ThetaLaw of arrays."""
+    theta, r = laws[0].theta, laws[0].r
+    if any(law.theta != theta or law.r != r for law in laws):
+        raise DomainError("a batch of laws must share theta and r")
+    a = np.array([law.a for law in laws], dtype=float)
+    if theta == 0.0:
+        return ThetaLaw(theta, r, a, None,
+                        np.array([law.log_d for law in laws], dtype=float))
+    return ThetaLaw(theta, r, a, np.array([law.c for law in laws],
+                                          dtype=float), None)
+
+
+def _rows(laws: ThetaLaw, keep) -> ThetaLaw:
+    """The laws of the batch laws at keep."""
+    return ThetaLaw(laws.theta, laws.r, laws.a[keep],
+                    None if laws.c is None else laws.c[keep],
+                    None if laws.log_d is None else laws.log_d[keep])
+
+
+def _extend_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
+    """Taylor weights p_K..p_J, K = p.shape[1], of each law of the batch
+    laws, a row each: row i of p holds the weights p_0..p_{K-1} that law
+    already has (possibly none).  Only the new indices are computed, and
+    only their negative round-off is clipped.  theta = 0 and the recurrence
+    take the whole batch at once, a Cauchy block one law at a time."""
+    K = p.shape[1]
+    theta, r = laws.theta, laws.r
+    if theta == 0.0:
+        new = _coeffs_theta_zero(r, laws.a, laws.log_d, J)[:, K:]
     else:
         parts = []
         if K <= RECURRENCE_MAX:
             # the recurrence resumes from the weights p already has
-            if head is None:
-                head = _coeffs_theta(law.theta, law.r, law.a, law.c, p,
-                                     min(J, RECURRENCE_MAX))
-            parts.append(head[K:])
+            parts.append(_coeffs_theta(theta, r, laws.a, laws.c, p,
+                                       min(J, RECURRENCE_MAX))[:, K:])
         lo = max(K, RECURRENCE_MAX + 1)
         while lo <= J:
             k = (lo - 1).bit_length() - 1       # 2^k < lo <= 2^(k+1)
             B = 2 ** k
             hi = min(J, 2 * B)
-            parts.append(_cauchy_block(law, k)[lo - B - 1:hi - B])
+            parts.append(np.array([
+                _cauchy_block(ThetaLaw(theta, r, a, c, None), k)[
+                    lo - B - 1:hi - B]
+                for a, c in zip(laws.a.tolist(), laws.c.tolist())]))
             lo = hi + 1
-    new = np.concatenate(parts)
-    worst = float(new.min())
-    if worst < 0.0:
-        if worst < -NEGATIVE_CLIP:
+        new = np.concatenate(parts, axis=1)
+    worst = new.min(axis=1)
+    if worst.min() < 0.0:
+        bad = np.flatnonzero(worst < -NEGATIVE_CLIP)
+        if bad.size:
             raise GwThetaError(
-                f"negative pmf coefficient {worst} at cutoff {J}; "
+                f"negative pmf coefficient {worst[bad[0]]} at cutoff {J}; "
                 "true coefficients are nonnegative, so the parameters "
                 "(or their validation) are inconsistent")
-        log.debug("clipped negative round-off of magnitude %g", -worst)
+        log.debug("clipped negative round-off of magnitude %g",
+                  -worst.min())
         new = np.where(new < 0.0, 0.0, new)
-    return np.concatenate([p, new])
+    return new
 
 
 def _coeffs(law: ThetaLaw, J: int) -> np.ndarray:
     """Taylor weights p_0..p_J of the law, negative round-off clipped."""
-    return _extend_coeffs(law, _NO_WEIGHTS, J)
+    return _extend_coeffs(_batch([law]), _NO_WEIGHTS[None], J)[0]
 
 
 def _build(law: ThetaLaw, tail_tol: float, max_cutoff: int) -> Pmf:
@@ -244,69 +280,80 @@ def _build(law: ThetaLaw, tail_tol: float, max_cutoff: int) -> Pmf:
     return built[0]
 
 
+def _theta_one_tail(laws: ThetaLaw, J: int) -> np.ndarray:
+    """The exact tail mass above J of theta = 1 laws: with b = a + c r and
+    q = c / b, the weights are p_j = a q^(j-1) / b^2 for j >= 1, so the
+    tail is a q^J / (b^2 (1 - q))."""
+    b = laws.a + laws.c * laws.r
+    q = laws.c / b
+    return laws.a * q ** J / (b * b * (1.0 - q))
+
+
 def _build_all(laws: list, tail_tol: float, max_cutoff: int) -> list:
     """For each of laws that share theta and r, the Pmf that doubling the
     cutoff from 64 until the tail meets tail_tol gives, or, when the
     budget cannot meet tail_tol, a CutoffExceeded carrying the partial pmf.
-    The laws double in step, so while their cutoffs are within the
-    recurrence one batched _coeffs_theta call serves all those still
-    open, and each law's outcome is the one it has alone."""
+
+    The laws still open share their cutoff, so they are held as one 2-d
+    array, a row each, and a doubling finishes them as arrays: one
+    _extend_coeffs call for the new weights, one g(1) evaluation, an fsum
+    per row, and the rows that close leave the array as copies.  Each
+    law's outcome is the one it has alone.  A heavy tail is called hopeless
+    from J = 1024 on: for theta = 1 when its exact tail at the budget is
+    above tail_tol, otherwise when the observed per-doubling decay projects
+    a cutoff beyond the budget."""
     if not tail_tol > 0.0:
         raise DomainError(f"tail_tol must be > 0, got {tail_tol}")
     if max_cutoff < 1:
         raise DomainError("max_cutoff must be >= 1")
-    if len({(law.theta, law.r) for law in laws}) > 1:
-        raise DomainError("a batch of laws must share theta and r")
+    batch = _batch(laws)
+    g1 = np.zeros(len(laws)) + batch.pgf(1.0)
+    defect = np.maximum(0.0, 1.0 - g1)
     out = [None] * len(laws)
-    g1 = [law.pgf(1.0) for law in laws]
-    p = [_NO_WEIGHTS] * len(laws)
-    prev_tail = [None] * len(laws)
-    todo = range(len(laws))
+    rows = np.arange(len(laws))        # the law of each open row
+    p = np.empty((len(laws), 0))
+    prev_tail = None
     J = min(64, max_cutoff)
-    while todo:
-        heads = repeat(None)
-        # the laws still open share their cutoffs, so they need the
-        # recurrence together, resumed from the same index to the same index
-        if laws[0].theta != 0.0 and len(p[todo[0]]) <= RECURRENCE_MAX:
-            heads = _coeffs_theta(laws[0].theta, laws[0].r,
-                                  np.array([laws[i].a for i in todo]),
-                                  np.array([laws[i].c for i in todo]),
-                                  np.array([p[i] for i in todo]),
-                                  min(J, RECURRENCE_MAX))
-        left = []
-        for i, head in zip(todo, heads):
-            law = laws[i]
-            p[i] = _extend_coeffs(law, p[i], J, head)
-            tail = g1[i] - math.fsum(p[i])
-            defect = max(0.0, 1.0 - g1[i])
-            if tail <= tail_tol:
-                out[i] = Pmf(p[i], max(0.0, tail), defect, J, law)
-                continue
-            hopeless = False
-            if J >= 1024 and prev_tail[i] is not None and tail > 0.0:
-                # projected cutoff from the observed per-doubling tail decay;
-                # heavy tails (rate ~ J^-(1+theta)) would otherwise burn the
-                # whole quadratic budget before reporting failure
-                rho = tail / prev_tail[i]
-                if rho >= 0.999:
-                    hopeless = True
-                else:
-                    doublings = math.log(tail_tol / tail) / math.log(rho)
-                    # compared in log2: 2^doublings overflows for slow tails
-                    hopeless = doublings > math.log2(max_cutoff / J)
-            if J >= max_cutoff or hopeless:
-                partial = Pmf(p[i], max(0.0, tail), defect, J, law)
-                out[i] = CutoffExceeded(
-                    f"tail mass {tail:.3e} cannot reach tail_tol "
-                    f"{tail_tol:.3e} within the cutoff budget {max_cutoff} "
-                    "(heavy-tailed law; raise max_cutoff or tail_tol)",
-                    partial=partial)
-                continue
-            prev_tail[i] = tail
-            left.append(i)
-        todo = left
+    while True:
+        new = _extend_coeffs(batch, p, J)
+        p = np.concatenate([p, new], axis=1) if p.size else new
+        tail = g1[rows] - np.array([math.fsum(row) for row in p.tolist()])
+        done = tail <= tail_tol
+        if J >= max_cutoff:
+            done[:] = True
+        elif J >= 1024 and not done.all():
+            if batch.theta == 1.0:
+                done |= _theta_one_tail(batch, max_cutoff) > tail_tol
+            else:
+                for i in np.flatnonzero(~done & (tail > 0.0)).tolist():
+                    # projected cutoff from the observed per-doubling tail
+                    # decay; heavy tails (rate ~ J^-(1+theta)) would
+                    # otherwise burn the whole quadratic budget first
+                    rho = tail[i] / prev_tail[i]
+                    if rho >= 0.999:
+                        done[i] = True
+                    else:
+                        doublings = (math.log(tail_tol / tail[i])
+                                     / math.log(rho))
+                        # compared in log2: 2^doublings overflows
+                        done[i] = doublings > math.log2(max_cutoff / J)
+        for i in np.flatnonzero(done).tolist():
+            j, t = rows[i], float(tail[i])
+            pmf = Pmf(p[i].copy(), max(0.0, t), float(defect[j]), J,
+                      laws[j])
+            out[j] = pmf if t <= tail_tol else CutoffExceeded(
+                f"tail mass {t:.3e} cannot reach tail_tol "
+                f"{tail_tol:.3e} within the cutoff budget {max_cutoff} "
+                "(heavy-tailed law; raise max_cutoff or tail_tol)",
+                partial=pmf)
+        if done.all():
+            return out
+        if done.any():
+            keep = ~done
+            rows, p, batch = rows[keep], p[keep], _rows(batch, keep)
+            tail = tail[keep]
+        prev_tail = tail
         J = min(2 * J, max_cutoff)
-    return out
 
 
 def pmf_from_theta_pgf(theta: float, r: float, a_coef: float,
@@ -363,7 +410,9 @@ def extend_pmf(pmf: Pmf, cutoff: int) -> Pmf:
     only the new ones are computed, so the tail is resolved further."""
     if cutoff <= pmf.cutoff:
         return pmf
-    p = _extend_coeffs(pmf.source, pmf.weights, cutoff)
+    w = pmf.weights
+    p = np.concatenate([w, _extend_coeffs(_batch([pmf.source]), w[None],
+                                          cutoff)[0]])
     tail = max(0.0, 1.0 - pmf.defect_mass - math.fsum(p))
     return Pmf(p, tail, pmf.defect_mass, cutoff, pmf.source)
 

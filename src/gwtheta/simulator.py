@@ -22,15 +22,19 @@ segment of its stream (_Streams); a generation makes one gather, one place
 on its step sampler and one np.add.reduceat, in batches of BATCH draws per
 replicate and steps of at most SLAB uniforms.  DELTA, zero, truncation and
 draws beyond the cutoff budget retire a replicate, each with the outcome a
-loop over its batches gives.
+loop over its batches gives.  Refills are sized by the demand the step
+law predicts (_Streams), within PREFETCH uniforms ahead over all streams;
+as any position of a stream can be read, no refill schedule moves a draw.
 
 Step samplers are built a block of generations at a time, on the first
 miss: FIRST_BLOCK laws, then four times as many, up to STEP_BLOCK.  A block
-of theta != 0 laws takes one batched power recurrence per cutoff doubling.
-Each is the sampler its law gives alone, so this changes no draw, and a law
-that fails lazy validation still raises only when a path reaches it.  Each
-simulate_trajectory call builds its own table: many paths are cheaper from
-one simulate_trajectories call.
+reads its (a_n, c_n) in one model.steps call and is finished as arrays:
+series._build_all holds its open laws as one 2-d array, and the laws that
+close at one cutoff get their cumulative tables from one cumsum over their
+rows.  Each is the sampler its law gives alone, so this changes no draw,
+and a law that fails lazy validation still raises only when a path
+reaches it.  Each simulate_trajectory call builds its own table: many
+paths are cheaper from one simulate_trajectories call.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -58,8 +62,8 @@ _FAILED_CODE = -3                # a step sampler that could not be built
 POPULATION_CAP = 10 ** 9
 BATCH = 10 ** 4                  # a replicate's draws between cap checks
 SLAB = 2 ** 17                   # max uniforms gathered in a step, >= BATCH
-FIRST_SEGMENT = 16               # uniforms first fetched per stream
-PREFETCH = 2 ** 15               # most uniforms fetched ahead, all streams
+FIRST_SEGMENT = 4                # uniforms first fetched per stream
+PREFETCH = 2 ** 17               # most uniforms fetched ahead, all streams
 CHUNK = 4096                     # replicates per reduction chunk
 FIRST_BLOCK = 8                  # step samplers in the first batched pass
 STEP_BLOCK = 64                  # most step samplers in one batched pass
@@ -164,17 +168,20 @@ class _Streams:
 
     Live replicate j (the one at ids[j]) has read pos[j] uniforms of its
     stream, and uniform p, for p < hi[j] and p at least the block that held
-    pos[j] when it was last fetched, sits at buf[off[j] + p].  A take past
-    hi[j] fetches the stream again from the block that holds pos[j], by at
-    least FIRST_SEGMENT uniforms and otherwise four times what it has
-    fetched so far, but never more than its share of PREFETCH ahead, so a
-    replicate is refilled about log4 of its draws times.  A wave of refills
-    is one call of the array kernel when it is many short segments, else
-    one re-keyed Philox per segment: the kernel costs about 0.5 ms a call
-    and 0.25 us a block, a re-keyed Philox about 4 us a segment.  Segments
-    go at the top of one flat buffer; when it is full, the unread uniforms
-    of the live replicates are moved to its front, into a buffer twice as
-    large when that leaves less than half of it free.  Nothing is
+    pos[j] when it was last fetched, sits at buf[off[j] + p].  Every stream
+    is first fetched by FIRST_SEGMENT uniforms, all in one wave.  A take
+    past hi[j] starts a wave of refills, sized by demand: a replicate is
+    predicted to want k·later more uniforms after its k now, and those wants
+    are scaled down together when they add up to more than PREFETCH.  The
+    wave refetches, from the block that holds pos[j], every live replicate
+    that holds less than half its want, short or not, so that a replicate
+    that keeps to its prediction refills O(1) times and the waves are few.
+    A wave is one call of the array kernel when it is many short segments,
+    else one re-keyed Philox per segment: the kernel costs about 0.3 ms a
+    call and 0.2 us a block, a re-keyed Philox about 2.5 us a segment.
+    Segments go at the top of one flat buffer; when it is full, the unread
+    uniforms of the live replicates are moved to its front, into a buffer
+    twice as large when that leaves less than half of it free.  Nothing is
     concatenated, and the pages of a new buffer past its top are not
     touched until used."""
 
@@ -183,16 +190,21 @@ class _Streams:
         self.ids = np.arange(k0.size)
         self.pos, self.hi, self.off = (np.zeros(k0.size, dtype=np.int64)
                                        for _ in range(3))
-        self.buf = np.empty(FIRST_SEGMENT * k0.size)
+        first = (FIRST_SEGMENT + 3) // 4
+        self.buf = np.empty(4 * first * k0.size)
         self.top = 0
+        if k0.size:
+            self._fetch(self.ids, self.pos, np.full(k0.size, first))
 
-    def take(self, k: np.ndarray, ends: Optional[np.ndarray]) -> np.ndarray:
+    def take(self, k: np.ndarray, ends: Optional[np.ndarray],
+             later: Callable[[], float]) -> np.ndarray:
         """The next k[j] uniforms of each live replicate j, one replicate
-        after the other; ends is k.cumsum(), or None when every k[j] is 1."""
+        after the other; ends is k.cumsum(), or None when every k[j] is 1.
+        later() predicts how many draws one draw now begets in all the
+        generations after this one."""
         end = self.pos + k
-        short = end > self.hi
-        if np.count_nonzero(short):
-            self._refill(np.flatnonzero(short), end)
+        if np.count_nonzero(end > self.hi):
+            self._refill(k, end, later())
         first = self.off + self.pos
         self.pos = end
         if ends is None:
@@ -204,13 +216,22 @@ class _Streams:
         self.ids, self.pos, self.hi, self.off = (
             self.ids[mask], self.pos[mask], self.hi[mask], self.off[mask])
 
-    def _refill(self, rows: np.ndarray, end: np.ndarray) -> None:
-        p = self.pos[rows]
-        lo = p // 4 * 4
-        grow = np.clip(4 * self.hi[rows], FIRST_SEGMENT,
-                       max(FIRST_SEGMENT, PREFETCH // self.pos.size))
-        blocks = (np.maximum(end[rows], lo + grow) - lo + 3) // 4
-        self.hi[rows] = p                  # fetched again, so not kept
+    def _refill(self, k: np.ndarray, end: np.ndarray, later: float) -> None:
+        # capped first: a take may ask nothing of a replicate (k = 0)
+        want = np.minimum(k * float(min(later, PREFETCH)), PREFETCH)
+        total = float(want.sum())
+        if total > PREFETCH:
+            want *= PREFETCH / total
+        want = want.astype(np.int64)
+        rows = np.flatnonzero(end + want // 2 > self.hi)
+        lo = self.pos[rows] // 4 * 4
+        self._fetch(rows, lo, (end[rows] + want[rows] - lo + 3) // 4)
+
+    def _fetch(self, rows: np.ndarray, lo: np.ndarray,
+               blocks: np.ndarray) -> None:
+        """Fetch blocks[i] blocks of the stream of live replicate rows[i],
+        from its uniform lo[i], a multiple of 4."""
+        self.hi[rows] = self.pos[rows]     # fetched again, so not kept
         size = 4 * int(blocks.sum())
         if self.top + size > self.buf.size:
             self._compact(size)
@@ -298,6 +319,8 @@ class _MixtureHeavySampler:
     """Exact sampler for a law g(s) = 1 - d (1-s)^a (theta = 0, r = 1):
     0 with probability 1-d, else a heavy-tail index draw with parameter a."""
 
+    growth = math.inf            # the mean draw
+
     def __init__(self, law: ThetaLaw):
         self.a = law.a
         self.p_zero = law.pgf(0.0)
@@ -322,16 +345,24 @@ class _PmfSampler:
     stable, so no probability is reassigned).  A draw depends on the law and
     the cutoff budget alone, not on how far earlier draws extended it."""
 
-    def __init__(self, pmf: Pmf, max_cutoff: int):
+    def __init__(self, pmf: Pmf, max_cutoff: int,
+                 cum: Optional[np.ndarray] = None):
         self.max_cutoff = max_cutoff
         self._proper = 1.0 - pmf.defect_mass
-        self._set_pmf(pmf)
+        self._set_pmf(pmf, cum)
 
-    def _set_pmf(self, pmf: Pmf) -> None:
+    def _set_pmf(self, pmf: Pmf, cum: Optional[np.ndarray] = None) -> None:
         # the running sum can round above 1 - defect; clamped there, every
-        # u >= 1 - defect falls past the table, and so is DELTA, at any cutoff
+        # u >= 1 - defect falls past the table, and so is DELTA, at any
+        # cutoff.  cum, when given, is that table, computed with others
         self.pmf = pmf
-        self._cum = np.minimum(np.cumsum(pmf.weights), self._proper)
+        self._cum = (np.minimum(np.cumsum(pmf.weights), self._proper)
+                     if cum is None else cum)
+
+    @property
+    def growth(self) -> float:
+        """The mean draw within the table."""
+        return self.pmf.mean_truncated()
 
     def beyond_budget(self) -> CutoffExceeded:
         """The error of a draw that the cutoff budget cannot resolve."""
@@ -379,9 +410,21 @@ def _samplers(laws: list, max_cutoff: int) -> list:
     only when a draw actually lands in the tail."""
     if laws[0].theta == 0.0 and laws[0].r == 1.0:
         return [_MixtureHeavySampler(law) for law in laws]
-    return [_PmfSampler(pmf.partial if isinstance(pmf, CutoffExceeded)
-                        else pmf, max_cutoff)
+    pmfs = [pmf.partial if isinstance(pmf, CutoffExceeded) else pmf
             for pmf in _build_all(laws, DEFAULT_TAIL_TOL, max_cutoff)]
+    # the cumulative tables of the laws that share a cutoff in one cumsum
+    # over their rows: a row's running sum is its own, element by element
+    groups = {}
+    for i, pmf in enumerate(pmfs):
+        groups.setdefault(pmf.cutoff, []).append(i)
+    out = [None] * len(pmfs)
+    for idx in groups.values():
+        cum = np.cumsum([pmfs[i].weights for i in idx], axis=1)
+        proper = 1.0 - np.array([pmfs[i].defect_mass for i in idx])
+        np.minimum(cum, proper[:, None], out=cum)
+        for i, row in zip(idx, cum):
+            out[i] = _PmfSampler(pmfs[i], max_cutoff, row)
+    return out
 
 
 def _sampler(model: ThetaModel, n: int, max_cutoff: int, population: bool):
@@ -426,8 +469,18 @@ class _SamplerTable:
         self._block = min(4 * self._block or FIRST_BLOCK, STEP_BLOCK)
         n1 = min(n0 + self._block, self.horizon + 1)
         self._blocked = n1 - 1
+        model = self.model
         try:
-            laws = [self.model.step_law(n) for n in range(n0, n1)]
+            a, c = model.steps(n0, n1)
+            if model.theta == 0.0:
+                log_d = (1.0 - a) * model.log_r_minus_values(n0, c)
+                if np.isnan(log_d).any():
+                    return             # r - c_n <= 0: step_law raises
+                log_d = log_d.tolist()
+            else:
+                log_d = repeat(None)
+            laws = [ThetaLaw(model.theta, model.r, x, y, z)
+                    for x, y, z in zip(a.tolist(), c.tolist(), log_d)]
             built = _samplers(laws, self.max_cutoff)
         except GwThetaError:
             return
@@ -456,6 +509,16 @@ class Trajectory:
     tau: Optional[int]
     seed: int
     truncated: bool = False
+
+
+def _later(m: float, left: int) -> float:
+    """m + m^2 + ... + m^left: the draws that one draw predicts over the
+    next left generations when each draw is m on average."""
+    if m == 1.0 or left == 0:
+        return float(left)
+    if m > 1.0 and left * math.log(m) > 700.0:
+        return math.inf
+    return m * (m ** left - 1.0) / (m - 1.0)
 
 
 def _lockstep(samplers: _SamplerTable, horizon: int, k0: np.ndarray,
@@ -496,13 +559,19 @@ def _lockstep(samplers: _SamplerTable, horizon: int, k0: np.ndarray,
                 return z, truncated, when, rows, err
         ends = live.cumsum()
         draws = int(ends[-1])
+
+        def later(sampler=sampler, left=horizon - n):
+            # a line that survives draws at least once a generation
+            return _later(max(sampler.growth, 1.0), left)
         if draws > SLAB or draws > BATCH and int(live.max()) > BATCH:
-            total, lows = _large_generation(sampler, streams, live, cap)
+            total, lows = _large_generation(sampler, streams, live, cap,
+                                            later)
         elif draws == live.size:         # one draw each
-            total = lows = sampler.place(streams.take(live, None),
+            total = lows = sampler.place(streams.take(live, None, later),
                                          cutoff_code=_CUTOFF_CODE)
         else:
-            total, lows = _place_sums(sampler, streams.take(live, ends),
+            total, lows = _place_sums(sampler,
+                                      streams.take(live, ends, later),
                                       ends - live)
         # out: zero or past the cap (as uint64, a negative code too), or a
         # negative code in the draws
@@ -534,7 +603,7 @@ def _place_sums(sampler, u: np.ndarray, starts: np.ndarray):
 
 
 def _large_generation(sampler, streams: _Streams, live: np.ndarray,
-                      cap: int):
+                      cap: int, later: Callable[[], float]):
     """One generation that does not fit one step: (total, lows) per live
     replicate, as one step gives them, but each step gathers at most SLAB
     uniforms (or one batch) and a replicate's draws go in batches of BATCH.
@@ -557,7 +626,8 @@ def _large_generation(sampler, streams: _Streams, live: np.ndarray,
         first = np.cumsum(nb) - nb
         starts = (np.repeat(np.cumsum(kg) - kg - BATCH * first, nb)
                   + BATCH * np.arange(int(nb.sum())))
-        sums, mins = _place_sums(sampler, streams.take(k, np.cumsum(k)),
+        sums, mins = _place_sums(sampler,
+                                 streams.take(k, np.cumsum(k), later),
                                  starts)
         run = np.cumsum(sums)
         run -= np.repeat(run[first] - sums[first] - total[go], nb)
@@ -796,13 +866,19 @@ def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
     _check_cap(population_cap)
     if mode not in ("generational", "direct"):
         raise DomainError(f"unknown mode {mode!r}")
+    s_grid = tuple(s_grid)
+    for s in s_grid:
+        if not 0.0 <= s <= 1.0:
+            raise DomainError(f"s_grid entries must lie in [0, 1], got {s}")
     cc = composite_constants(model, horizon) if scaling is not None else None
-    job = _Job(model, horizon, mode, base_seed, tuple(s_grid), scaling, cc,
+    job = _Job(model, horizon, mode, base_seed, s_grid, scaling, cc,
                population_cap, max_cutoff)
     starts = range(0, replicates, CHUNK)
     sizes = [min(CHUNK, replicates - start) for start in starts]
     if workers > 1 and len(starts) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers,
+                                                 len(starts))) as pool:
             results = list(pool.map(_run_chunk, repeat(job), starts, sizes))
     else:
         samplers = _SamplerTable(model, max_cutoff, horizon)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwtheta import series
-from gwtheta.analytics import composed_pgf, composite_constants
+from gwtheta.analytics import (composed_pgf, composite_constants,
+                               composite_law)
 from gwtheta.environment import ThetaLaw, step_pgf_weight_one
 from gwtheta.errors import CutoffExceeded, DomainError, GwThetaError
 from gwtheta.harness import scenario_model
@@ -501,3 +502,60 @@ def test_extension_memory_is_per_block():
         tracemalloc.stop()
     assert extended.cutoff == 2 ** 15
     assert peak < 3 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("sid,ns", [
+    # Ex10ii, theta = -1/2, under tail_tol 1e-6 and a budget of 2^13: a
+    # partial at 1024 (n = 3, 20), closing past 2^12 at 8192 (n = 120), and
+    # closing at 1024, 256 and 64 (n = 200, 300, 400)
+    ("Ex10ii", [300, 3, 120, 400, 200, 20]),
+    # Ex9ii, theta = 0 and r = 2: the binomial closed form of a block
+    ("Ex9ii", [1, 2, 3, 10, 50, 200])])
+def test_block_closing_at_different_cutoffs_matches_per_law(sid, ns):
+    model = scenario_model(sid)
+    laws = [model.step_law(n) for n in ns]
+    tol, budget = 1e-6, 2 ** 13
+    got = series._build_all(laws, tol, budget)
+    cutoffs = set()
+    for law, pmf in zip(laws, got):
+        (want,) = series._build_all([law], tol, budget)
+        assert type(pmf) is type(want)
+        if isinstance(want, CutoffExceeded):
+            assert str(pmf) == str(want)
+            pmf, want = pmf.partial, want.partial
+        assert np.array_equal(pmf.weights, want.weights)
+        assert (pmf.cutoff, pmf.tail_mass, pmf.defect_mass) == (
+            want.cutoff, want.tail_mass, want.defect_mass)
+        assert pmf.source is law
+        # a closed law's weights are its own array, not a view of the block
+        assert pmf.weights.base is None
+        cutoffs.add(pmf.cutoff)
+    if sid == "Ex10ii":
+        assert cutoffs == {64, 256, 1024, 8192}
+        assert sum(isinstance(pmf, CutoffExceeded) for pmf in got) == 2
+
+
+@pytest.mark.parametrize("n", [150, 300, 500])
+def test_theta_one_population_law_matches_closed_form(n):
+    # theta = 1: g(s) = r - (r-s) / (b - c s) with b = a + c r, so
+    # p_0 = r - r / b and p_j = a q^(j-1) / b^2 with q = c / b; the tail
+    # above 1024 is geometric, not hopeless, and the law builds past it
+    model = scenario_model("Ex1")
+    pmf = population_pmf(model, n)
+    law = composite_law(model, n)
+    a, c, r = law.a, law.c, law.r
+    b = a + c * r
+    q = c / b
+    j = np.arange(1, pmf.cutoff + 1)
+    want = np.concatenate([[r - r / b], a * q ** (j - 1) / b ** 2])
+    assert pmf.cutoff > 1024
+    assert np.max(np.abs(pmf.weights - want)) < 1e-13
+    assert pmf.tail_mass < series.DEFAULT_TAIL_TOL
+
+
+def test_theta_one_law_hopeless_by_its_exact_tail():
+    # the exact tail at the budget decides: 2^12 cannot reach 1e-12 at
+    # n = 300 (q^4096 is about 1e-6), so the law stops at 1024 as before
+    with pytest.raises(CutoffExceeded) as info:
+        population_pmf(scenario_model("Ex1"), 300, max_cutoff=2 ** 12)
+    assert info.value.partial.cutoff == 1024

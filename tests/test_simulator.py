@@ -341,6 +341,47 @@ def test_run_ensemble_validates_arguments():
         run_ensemble(model, 5, 10, base_seed=1, workers=0)
 
 
+@pytest.mark.parametrize("mode", ["generational", "direct"])
+@pytest.mark.parametrize("s", [math.nan, -0.1, 1.5, math.inf, -math.inf])
+def test_s_grid_outside_the_unit_interval_is_rejected(mode, s):
+    with pytest.raises(DomainError, match=r"^s_grid entries must lie in"):
+        run_ensemble(scenario_model("Ex1"), 5, 50, 1, mode=mode,
+                      s_grid=(0.5, s))
+
+
+def test_empty_s_grid_is_valid():
+    stats = run_ensemble(scenario_model("Ex1"), 5, 50, 1, s_grid=())
+    assert stats.empirical_pgf == ()
+
+
+@pytest.mark.parametrize("workers,replicates,size", [
+    (8, 1100, 3), (2, 1100, 2), (64, 600, 2)])
+def test_pool_is_no_larger_than_the_work(monkeypatch, workers, replicates,
+                                         size):
+    # a stand-in for the pool that records its size and maps in this
+    # process, so no worker process is started
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+    monkeypatch.setattr(simulator, "CHUNK", 512)
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", Pool)
+    model = scenario_model("Ex9ii")
+    got = run_ensemble(model, 10, replicates, 3, workers=workers)
+    assert sizes == [size]
+    assert got == run_ensemble(model, 10, replicates, 3, workers=1)
+
+
 def test_ensemble_frequencies_sum_to_one():
     model = scenario_model("Ex9i")
     stats = run_ensemble(model, 15, 2000, base_seed=21)
@@ -604,6 +645,38 @@ def test_lockstep_gathers_at_most_a_slab(monkeypatch):
     assert got == want
     assert max(sizes) == 64
     assert any(tr.truncated for tr in got)
+
+
+@pytest.mark.parametrize("prefetch,first", [(1, 1), (2 ** 20, 4096)])
+def test_refill_budgets_do_not_move_draws(monkeypatch, prefetch, first):
+    # a stream can be read at any position, so tiny budgets, which refill
+    # at nearly every take, and large ones, which fetch far ahead, leave
+    # every path and every ensemble the oracle's; BATCH = 16 and SLAB = 64
+    # send Ex1 at a cap of 60 through _large_generation
+    cases = [("Ex1", 20, POPULATION_CAP, {}),
+             ("Ex9ii", 200, POPULATION_CAP, {}),
+             ("Ex7i", 30, POPULATION_CAP, {}),
+             ("Ex1", 30, 60, {"BATCH": 16, "SLAB": 64})]
+    for sid, horizon, cap, sizes in cases:
+        model = scenario_model(sid)
+        with monkeypatch.context() as patch:
+            for name, value in sizes.items():
+                patch.setattr(simulator, name, value)
+            array = _SamplerTable(model, 2 ** 20, horizon)
+            want = [_oracle_path(array, horizon, seed, cap)
+                    for seed in range(100)]
+            patch.setattr(simulator, "PREFETCH", prefetch)
+            patch.setattr(simulator, "FIRST_SEGMENT", first)
+            got = simulate_trajectories(model, horizon, range(100), cap)
+        assert got == want, sid
+    monkeypatch.setattr(simulator, "CHUNK", 256)
+    model = scenario_model("Ex1")
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_run_chunk", _loop_chunk)
+        want = run_ensemble(model, 20, 600, 9)
+    monkeypatch.setattr(simulator, "PREFETCH", prefetch)
+    monkeypatch.setattr(simulator, "FIRST_SEGMENT", first)
+    assert run_ensemble(model, 20, 600, 9) == want
 
 
 def _ex_c_model():
