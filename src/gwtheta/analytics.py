@@ -6,6 +6,7 @@ descriptors."""
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -83,6 +84,10 @@ class _Block(NamedTuple):
         return x[max(lo - self.n0, 0):max(hi - self.n0, 0)]
 
 
+# the last walk that fit in one block, ((model, _BLOCK), block) or None
+_last = None
+
+
 def _blocks(model: ThetaModel, up_to: int):
     """Yield the constants for n = 1..up_to in blocks of _BLOCK generations.
 
@@ -90,7 +95,17 @@ def _blocks(model: ThetaModel, up_to: int):
     ln D_n = ln D_{n-1} + (A_{n-1} - A_n) ln(r - c_n) are prefix products and
     sums.  Each block prepends the running values of the last one, and
     cumprod/cumsum accumulate left to right, so every entry equals the
-    one-generation-at-a-time recursion bit for bit."""
+    one-generation-at-a-time recursion bit for bit.
+
+    A walk that fits in one block is kept, read-only, in place of the last
+    one: a later walk of an equal model to no greater up_to yields a prefix
+    of it, which is the block that walk would compute."""
+    global _last
+    last = _last
+    if (last is not None and 1 <= up_to <= last[1].a.size
+            and last[0] == (model, _BLOCK)):
+        yield _Block(1, *(x[:up_to] for x in last[1][1:]))
+        return
     A_end, C_end, log_D_end = 1.0, 0.0, 0.0
     for n0 in range(1, up_to + 1, _BLOCK):
         a, c = model.steps(n0, min(n0 + _BLOCK, up_to + 1))
@@ -110,7 +125,21 @@ def _blocks(model: ThetaModel, up_to: int):
             B = np.divide(C, A, out=np.full(A.size, math.inf), where=A > 0.0)
         A_end, C_end = A[-1], C[-1]
         log_D_end = log_D[-1] if log_D.size == a.size else None
-        yield _Block(n0, a, c, lg, A, C, log_D, B)
+        blk = _Block(n0, a, c, lg, A, C, log_D, B)
+        if up_to <= _BLOCK:
+            for x in blk[1:]:
+                x.flags.writeable = False
+            _last = ((model, _BLOCK), blk)
+        yield blk
+
+
+def _index(n) -> int:
+    """n as a Python int; DomainError unless it is an integer."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"generation index must be an integer, got {n!r}") \
+            from None
 
 
 def constants_iter(model: ThetaModel, up_to: int):
@@ -124,6 +153,7 @@ def constants_iter(model: ThetaModel, up_to: int):
 
 def composite_constants(model: ThetaModel, n: int) -> CompositeConstants:
     """Exact recursion values at generation n >= 0."""
+    n = _index(n)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     return constants_at(model, [n])[n]
@@ -136,7 +166,7 @@ def composite_law(model: ThetaModel, n: int) -> ThetaLaw:
 
 def constants_at(model: ThetaModel, ns: Iterable[int]) -> dict:
     """Constants at several indices in a single pass."""
-    wanted = sorted(set(int(n) for n in ns))
+    wanted = sorted(set(_index(n) for n in ns))
     if wanted and wanted[0] < 0:
         raise DomainError("indices must be >= 0")
     out = {0: _ORIGIN} if wanted and wanted[0] == 0 else {}
@@ -378,6 +408,7 @@ def limit_constants(model: ThetaModel, horizon: int,
     """Estimate the limits of A_n, C_n, D_n, B_n by tail diagnostics over a
     finite horizon.  Never guesses: returns 'undetermined' (or 'oscillating'
     for B) with evidence attached when no rule fires."""
+    horizon = _index(horizon)
     if horizon < MIN_HORIZON:
         raise DomainError(f"horizon must be >= {MIN_HORIZON}")
     if not tol > 0.0:
@@ -755,6 +786,7 @@ def convergence_conditions(model: ThetaModel, horizon: int) -> ConvergenceReport
     """Partial-sum diagnostics for the almost-sure-convergence conditions:
     sum(1 - p_n(1)) (Church-Lindvall), sum(1 - a_n), the defective variant
     with the normalized one-step laws, and sum (1-a_n) ln 1/(1-c_n)."""
+    horizon = _index(horizon)
     if horizon < MIN_HORIZON:
         raise DomainError(f"horizon must be >= {MIN_HORIZON}")
     theta, r = model.theta, model.r

@@ -1,12 +1,14 @@
 """The blockwise constants scan against the one-generation-at-a-time
 recursion it replaced, kept here as the oracle: every constant, the
 limit_constants evidence and the convergence partial sums must agree bit
-for bit, errors must surface at the same index, and memory stays O(block).
+for bit, errors must surface at the same index, memory stays O(block), and
+a later walk that reuses the last one-block walk gives what a fresh one does.
 """
 
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import gwtheta.analytics as analytics
@@ -268,3 +270,89 @@ def test_small_n_errors_match_the_scan():
         assert want[0] in (RejectedParameter, DomainError)
         assert _error(composite_constants, model, 50) == want
         assert _error(model.step, n) == want
+
+
+# -- the last one-block walk, reused ------------------------------------------
+
+def _outcome(fn, *args):
+    """repr of what fn returns, or the type and message of what it raises."""
+    try:
+        return repr(fn(*args))
+    except (RejectedParameter, DomainError) as err:
+        return repr((type(err), str(err)))
+
+
+def _memo_consumers(n):
+    return [
+        lambda m: limit_constants(m, n),
+        lambda m: constants_table(m, [0, 1, n // 3, n]),
+        lambda m: convergence_conditions(m, n),
+        lambda m: composite_constants(m, n),
+    ]
+
+
+@pytest.mark.parametrize("sc", SCENARIOS, ids=IDS)
+def test_reused_walk_matches_a_fresh_one(sc, block, monkeypatch):
+    # the longest walk kept is one block; n leaves room for a longer one
+    top = analytics._BLOCK
+    n = 90 if block else 10 ** 4
+    other = scenario_model("Ex2" if sc.id == "Ex1" else "Ex1")
+    for consume in _memo_consumers(n):
+        monkeypatch.setattr(analytics, "_last", None)
+        want = _outcome(consume, sc.model)
+        # after another model's walk the walk misses and is computed again
+        composite_constants(other, n)
+        assert _outcome(consume, sc.model) == want
+        # after a longer walk of the same model it is a prefix of that one
+        composite_constants(sc.model, top)
+        kept = analytics._last
+        assert kept[1].a.size == top
+        assert _outcome(consume, sc.model) == want
+        assert analytics._last is kept
+
+
+def test_cached_walk_does_not_hide_a_later_bad_entry(monkeypatch):
+    # a_700 = -1 lies past check_horizon = 100 and past the kept walk to 500
+    a = [0.5] * 1000
+    a[699] = -1.0
+    model = validate_model(1.0, 1.0, EnvSequence.from_table(a),
+                           EnvSequence.constant(0.6))
+    want = _error(model.step, 700)
+    assert want[0] is RejectedParameter and want[2] == 700
+    for consume in CONSUMERS + [composite_constants]:
+        monkeypatch.setattr(analytics, "_last", None)
+        composite_constants(model, 500)
+        assert analytics._last[1].a.size == 500
+        assert _error(consume, model, 1000) == want
+        assert analytics._last[1].a.size == 500
+
+
+def test_kept_walk_is_read_only():
+    composite_constants(scenario_model("Ex1"), 50)
+    for x in analytics._last[1][1:]:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[:1] = 1.0
+
+
+def test_walk_longer_than_a_block_is_not_kept(monkeypatch):
+    monkeypatch.setattr(analytics, "_last", None)
+    limit_constants(scenario_model("Ex1"), 10 ** 6)
+    assert analytics._last is None
+
+
+# -- generation indices must be integers --------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda m, n: composite_constants(m, n),
+    lambda m, n: constants_table(m, [n]),
+    lambda m, n: limit_constants(m, 100 + n),
+    lambda m, n: convergence_conditions(m, 10 ** 4 + n),
+], ids=["composite_constants", "constants_table", "limit_constants",
+        "convergence_conditions"])
+def test_non_integral_index_is_a_domain_error(call):
+    model = scenario_model("Ex1")
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(model, 2.5)
+    # integers and numpy integers are indices
+    assert repr(call(model, np.int64(2))) == repr(call(model, 2))
