@@ -133,18 +133,19 @@ def _blocks(model: ThetaModel, up_to: int):
         yield blk
 
 
-def _index(n) -> int:
+def _index(n, name: str = "generation index") -> int:
     """n as a Python int; DomainError unless it is an integer."""
     try:
         return operator.index(n)
     except TypeError:
-        raise DomainError(f"generation index must be an integer, got {n!r}") \
-            from None
+        raise DomainError(f"{name} must be an integer, got {n!r}") from None
 
 
 def constants_iter(model: ThetaModel, up_to: int):
     """Yield CompositeConstants for n = 0, 1, ..., up_to in one O(n) pass.
     An invalid index raises before the entries of its block are yielded."""
+    if _index(up_to) < 0:
+        raise DomainError(f"up_to must be >= 0, got {up_to}")
     yield _ORIGIN
     for blk in _blocks(model, up_to):
         for n in range(blk.n0, blk.n0 + blk.a.size):

@@ -12,8 +12,8 @@ SC'11), so a stream can be read at any position without replaying it.
 
 Direct draws of Z_n take one uniform each, so a direct-mode chunk and a
 sample_zn call draw all their replicates at once: one kernel call, one
-search of the cumulative table, and one vectorized tally.  Entries past the
-table follow the rules of a single draw, in replicate order.
+search of the cumulative table, and one vectorized tally.  The table of F_n
+starts at the first cutoff and grows only as far as the uniforms reach.
 
 Generational replicates run in lockstep (_lockstep): the replicates of a
 chunk, or the paths of a simulate_trajectories call, advance one
@@ -48,7 +48,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .analytics import LimitLawDescriptor, composite_constants, composite_law
+from .analytics import (LimitLawDescriptor, _index, composite_constants,
+                        composite_law)
 from .environment import ThetaLaw, ThetaModel
 from .errors import CutoffExceeded, DomainError, GwThetaError
 # step_pmf is re-exported from here
@@ -340,10 +341,10 @@ class _MixtureHeavySampler:
 
 
 class _PmfSampler:
-    """Inverse-transform sampler over (weights, tail, defect); a draw landing
-    in the tail region extends the cutoff until resolved (prefix weights are
-    stable, so no probability is reassigned).  A draw depends on the law and
-    the cutoff budget alone, not on how far earlier draws extended it."""
+    """Inverse-transform sampler over (weights, tail, defect).  Its table (64
+    weights at first, for F_n) doubles toward the budget, in one step a place
+    call, when proper uniforms land past it.  A weight depends only on the
+    law and its index, so a draw depends on the law and the budget alone."""
 
     def __init__(self, pmf: Pmf, max_cutoff: int,
                  cum: Optional[np.ndarray] = None):
@@ -370,48 +371,46 @@ class _PmfSampler:
             f"draw fell in unresolved tail mass beyond cutoff "
             f"{self.pmf.cutoff} (budget {self.max_cutoff})", partial=self.pmf)
 
-    def _resolve_tail(self, u: float) -> int:
-        """Index of a proper u past the table: extend the cutoff until the
-        table holds u, or raise CutoffExceeded at the budget."""
-        while u >= self._cum[-1]:
-            if self.pmf.cutoff >= self.max_cutoff:
-                raise self.beyond_budget()
-            self._set_pmf(extend_pmf(self.pmf, min(2 * self.pmf.cutoff,
-                                                   self.max_cutoff)))
-        return int(np.searchsorted(self._cum, u, side="right"))
-
     def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
         return self.place(rng.random(k))
 
     def place(self, u: np.ndarray, cutoff_code=None) -> np.ndarray:
-        """The draws at the uniforms u, resolved in order: an index, or
-        _DELTA_CODE.  A tail beyond the budget raises CutoffExceeded, or
-        gives cutoff_code in that entry alone when one is given."""
+        """The draws at the uniforms u: an index, or _DELTA_CODE for a u at
+        or above the proper mass.  The proper u past the table are placed
+        in one search, once the cutoff has doubled until the table holds
+        the largest of them or reached the budget; a u beyond the budget
+        raises CutoffExceeded, or gives cutoff_code in its entry alone."""
         out = self._cum.searchsorted(u, side="right").astype(np.int64,
                                                              copy=False)
-        if out.size and out.max() > self.pmf.cutoff:
-            for i in np.nonzero(out > self.pmf.cutoff)[0]:
-                if u[i] >= self._proper:
-                    out[i] = _DELTA_CODE
-                else:
-                    try:
-                        out[i] = self._resolve_tail(float(u[i]))
-                    except CutoffExceeded:
-                        if cutoff_code is None:
-                            raise
-                        out[i] = cutoff_code
+        past = out > self.pmf.cutoff
+        if past.any():
+            v = u[past]
+            proper = v < self._proper
+            top = v.max(initial=-1.0, where=proper)
+            while top >= self._cum[-1] and self.pmf.cutoff < self.max_cutoff:
+                self._set_pmf(extend_pmf(self.pmf, min(2 * self.pmf.cutoff,
+                                                       self.max_cutoff)))
+            found = np.where(proper, self._cum.searchsorted(v, side="right"),
+                             _DELTA_CODE)
+            beyond = found > self.pmf.cutoff
+            if beyond.any():
+                if cutoff_code is None:
+                    raise self.beyond_budget()
+                found[beyond] = cutoff_code
+            out[past] = found
         return out
 
 
-def _samplers(laws: list, max_cutoff: int) -> list:
+def _samplers(laws: list, max_cutoff: int,
+              tail_tol: float = DEFAULT_TAIL_TOL) -> list:
     """The samplers of laws that share theta and r: the mixture sampler for
-    theta = 0 and r = 1, else one _PmfSampler each from one batched build.
-    An unreachable tail tolerance is fine: the sampler extends (or raises)
-    only when a draw actually lands in the tail."""
+    theta = 0 and r = 1, else one _PmfSampler each from one batched build
+    to tail_tol.  Any tail_tol is fine (an infinite one stops at the first
+    cutoff): a sampler extends only when a draw lands in the tail."""
     if laws[0].theta == 0.0 and laws[0].r == 1.0:
         return [_MixtureHeavySampler(law) for law in laws]
     pmfs = [pmf.partial if isinstance(pmf, CutoffExceeded) else pmf
-            for pmf in _build_all(laws, DEFAULT_TAIL_TOL, max_cutoff)]
+            for pmf in _build_all(laws, tail_tol, max_cutoff)]
     # the cumulative tables of the laws that share a cutoff in one cumsum
     # over their rows: a row's running sum is its own, element by element
     groups = {}
@@ -428,17 +427,18 @@ def _samplers(laws: list, max_cutoff: int) -> list:
 
 
 def _sampler(model: ThetaModel, n: int, max_cutoff: int, population: bool):
-    """Sampler of the one-step law f_n, or of the law F_n of Z_n when
-    population is set."""
+    """Sampler of the one-step law f_n, or of the law F_n of Z_n, built to
+    the first cutoff alone, when population is set."""
     law = composite_law(model, n) if population else model.step_law(n)
-    return _samplers([law], max_cutoff)[0]
+    return _samplers([law], max_cutoff,
+                     math.inf if population else DEFAULT_TAIL_TOL)[0]
 
 
 class _SamplerTable:
     """The samplers of one simulation call, each built on first use and kept
-    for the whole call: f_n's in ``step`` and F_n's in ``population``, both
-    keyed by n.  Draws do not depend on a sampler's history, so every chunk
-    and every path of the call can share them.
+    for the whole call: f_n's in ``step`` and F_n's (64 weights at first,
+    extended by the draws) in ``population``, both keyed by n.  Draws do not
+    depend on a sampler's history, so every chunk and path can share them.
 
     The first miss of a step sampler builds the samplers of a block of
     generations from n on, up to the horizon, in one _samplers call:
@@ -641,9 +641,11 @@ def _large_generation(sampler, streams: _Streams, live: np.ndarray,
     return total, lows
 
 
-def _check_cap(population_cap: int) -> None:
-    if not population_cap >= 1:
-        raise DomainError("population_cap must be >= 1")
+def _count(x, name: str) -> int:
+    """x as a Python int; DomainError unless it is an integer >= 1."""
+    if not x >= 1:
+        raise DomainError(f"{name} must be >= 1")
+    return _index(x, name)
 
 
 def simulate_trajectories(model: ThetaModel, horizon: int,
@@ -654,9 +656,9 @@ def simulate_trajectories(model: ThetaModel, horizon: int,
     of seeds at a time over one sampler table; each path is deterministic
     in (model, horizon, seed) and reads the stream keyed (seed, 0).  The
     error of the first path that fails, in seed order, is raised."""
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
-    _check_cap(population_cap)
+    horizon = _count(horizon, "horizon")
+    population_cap = _count(population_cap, "population_cap")
+    max_cutoff = _index(max_cutoff, "max_cutoff")
     seeds = list(seeds)
     samplers = _SamplerTable(model, max_cutoff, horizon)
     paths = []
@@ -700,8 +702,7 @@ def sample_zn(model: ThetaModel, n: int, seeds: Iterable[int],
     under composition, so Z_n's law needs no generation loop), one per seed,
     all from one sampler and one kernel call over the keys (seed, 0); each
     is deterministic in (model, n, seed)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n, max_cutoff = _count(n, "n"), _index(max_cutoff, "max_cutoff")
     sampler = _SamplerTable(model, max_cutoff, n).get(n, population=True)
     k0 = _keys(seeds)
     values = sampler.place(_philox_uniforms(k0, np.zeros_like(k0))).tolist()
@@ -857,13 +858,11 @@ def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
     reduced in index order, so the result is bit-identical for any number of
     workers.  The chunks run in this process share one sampler table; each
     pool task builds its own."""
-    if replicates < 1:
-        raise DomainError("replicates must be >= 1")
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
-    _check_cap(population_cap)
+    replicates = _count(replicates, "replicates")
+    horizon = _count(horizon, "horizon")
+    workers = _count(workers, "workers")
+    population_cap = _count(population_cap, "population_cap")
+    max_cutoff = _index(max_cutoff, "max_cutoff")
     if mode not in ("generational", "direct"):
         raise DomainError(f"unknown mode {mode!r}")
     s_grid = tuple(s_grid)

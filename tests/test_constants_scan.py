@@ -348,11 +348,19 @@ def test_walk_longer_than_a_block_is_not_kept(monkeypatch):
     lambda m, n: constants_table(m, [n]),
     lambda m, n: limit_constants(m, 100 + n),
     lambda m, n: convergence_conditions(m, 10 ** 4 + n),
+    lambda m, n: list(constants_iter(m, n)),
 ], ids=["composite_constants", "constants_table", "limit_constants",
-        "convergence_conditions"])
+        "convergence_conditions", "constants_iter"])
 def test_non_integral_index_is_a_domain_error(call):
     model = scenario_model("Ex1")
     with pytest.raises(DomainError, match="must be an integer"):
         call(model, 2.5)
     # integers and numpy integers are indices
     assert repr(call(model, np.int64(2))) == repr(call(model, 2))
+
+
+def test_negative_constants_iter_bound_is_a_domain_error():
+    # it yielded n = 0 alone before
+    with pytest.raises(DomainError, match="^up_to must be >= 0, got -1$"):
+        next(constants_iter(scenario_model("Ex1"), -1))
+    assert [cc.n for cc in constants_iter(scenario_model("Ex1"), 0)] == [0]

@@ -8,13 +8,14 @@ import pytest
 from scipy import stats as sps
 
 from gwtheta import simulator
-from gwtheta.analytics import composed_pgf, composite_constants
+from gwtheta.analytics import (composed_pgf, composite_constants,
+                               composite_law)
 from gwtheta.environment import EnvSequence, ThetaLaw, validate_model
 from gwtheta.errors import CutoffExceeded, DomainError
 from gwtheta.harness import registry, scenario_model
-from gwtheta.series import (DEFAULT_MAX_CUTOFF, RECURRENCE_MAX, Pmf,
-                            extend_pmf, pmf_from_theta_pgf, population_pmf,
-                            step_pmf)
+from gwtheta.series import (DEFAULT_MAX_CUTOFF, DEFAULT_TAIL_TOL,
+                            RECURRENCE_MAX, Pmf, extend_pmf,
+                            pmf_from_theta_pgf, population_pmf, step_pmf)
 from gwtheta.simulator import (DELTA, POPULATION_CAP, STEP_BLOCK,
                                Trajectory, _CUTOFF_CODE, _DELTA_CODE,
                                _PmfSampler, _SamplerTable, _replicate_streams,
@@ -528,15 +529,70 @@ def test_scalar_sum_cutoff_exceeded_at_a_capped_budget():
     assert [_scalar_sum(scalar, u) for u in uniforms] == [
         "CutoffExceeded"] * 4 + [_DELTA_CODE, 1]
     assert _agree(scalar, array, uniforms)
-    # a capped heavy tail: Ex10ii at the cutoff of its base build
+    # a capped heavy tail: Ex10ii, first extended to its 2^10 budget by a
+    # uniform just below its proper mass
     model = scenario_model("Ex10ii")
     scalar = simulator._sampler(model, 30, 2 ** 10, True)
     array = simulator._sampler(model, 30, 2 ** 10, True)
+    scalar.place(np.array([np.nextafter(scalar._proper, 0.0)]),
+                 cutoff_code=_CUTOFF_CODE)
+    assert scalar.pmf.cutoff == 2 ** 10
     past = float(np.nextafter(scalar._cum[-1], 1.0))
     uniforms = [[past], [0.5, past], [past, 0.5], [0.5, 0.5]]
     assert [_scalar_sum(scalar, u) for u in uniforms][:3] == [
         "CutoffExceeded"] * 3
     assert _agree(scalar, array, uniforms)
+
+
+# A population sampler starts at the first cutoff (64) and extends its table
+# to the demand of each place call; it must place every uniform as a sampler
+# built to DEFAULT_TAIL_TOL does, and extend no further than it needs.
+# ---------------------------------------------------------------------------
+
+def _place_outcome(sampler, u, cutoff_code=None):
+    """place's output, or the CutoffExceeded it raises with its partial."""
+    try:
+        return sampler.place(u, cutoff_code=cutoff_code).tolist()
+    except CutoffExceeded as err:
+        return (str(err), err.partial.cutoff, err.partial.weights.tolist())
+
+
+@pytest.mark.parametrize("budget", [2 ** 10, 2 ** 13, 2 ** 20])
+@pytest.mark.parametrize("sid,n", [("Ex1", 100), ("Ex3", 500), ("Ex10i", 50),
+                                   ("Ex10ii", 50)])
+def test_demand_sized_table_places_as_the_full_build(sid, n, budget):
+    model = scenario_model(sid)
+    short = simulator._sampler(model, n, budget, True)
+    full = simulator._samplers([composite_law(model, n)], budget,
+                               DEFAULT_TAIL_TOL)[0]
+    proper = short._proper
+    assert short.pmf.cutoff == 64 and full._proper == proper
+    edges = [np.nextafter(short._cum[-1], 1.0),
+             np.nextafter(full._cum[-1], 1.0), np.nextafter(proper, 0.0),
+             proper, 1.0 - 2.0 ** -53]
+    u = np.random.default_rng(budget + n).random(4000)
+    # one place extends the table to the first doubling that holds the
+    # largest proper uniform, or to the budget, and no further
+    first = [_place_outcome(s, u, _CUTOFF_CODE) for s in (short, full)]
+    assert first[0] == first[1]
+    top, cutoff = u[u < proper].max(), short.pmf.cutoff
+    assert top < short._cum[-1] or cutoff == budget
+    assert cutoff == 64 or top >= short._cum[cutoff // 2]
+    # a uniform in the last slice of the 128-weight table needs that table
+    last = full._cum[127:128]
+    assert short._cum[64] < last[0] < full._cum[128]
+    fresh = simulator._sampler(model, n, budget, True)
+    assert fresh.place(last).tolist() == [128] == full.place(last).tolist()
+    assert fresh.pmf.cutoff == 128
+    # the edges among the uniforms: equal draws with a code, and without
+    # one the same CutoffExceeded when a uniform lies beyond the budget
+    u = np.insert(u, [0, 1000, 2000, 3000, 4000], edges)
+    coded = [_place_outcome(s, u, _CUTOFF_CODE) for s in (short, full)]
+    bare = [_place_outcome(s, u) for s in (short, full)]
+    assert coded[0] == coded[1] and bare[0] == bare[1]
+    assert isinstance(bare[0], tuple) == (_CUTOFF_CODE in coded[0])
+    if budget == 2 ** 10 and sid.startswith("Ex10"):
+        assert isinstance(bare[0], tuple)
 
 
 def _array_states(samplers, horizon, rng, population_cap, log=None):
@@ -806,6 +862,34 @@ def test_population_cap_below_one_is_rejected(cap):
 def test_ensemble_horizon_below_one_is_rejected(mode, horizon):
     with pytest.raises(DomainError, match="^horizon must be >= 1$"):
         run_ensemble(scenario_model("Ex1"), horizon, 200, 5, mode=mode)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("horizon", lambda m, x: run_ensemble(m, x, 200, 5)),
+    ("replicates", lambda m, x: run_ensemble(m, 10, x, 5)),
+    ("workers", lambda m, x: run_ensemble(m, 10, 200, 5, workers=x)),
+    ("max_cutoff", lambda m, x: run_ensemble(m, 10, 200, 5, max_cutoff=x)),
+    ("max_cutoff", lambda m, x: run_ensemble(m, 10, 200, 5, mode="direct",
+                                             max_cutoff=x)),
+    ("population_cap",
+     lambda m, x: run_ensemble(m, 10, 200, 5, population_cap=x)),
+    ("horizon", lambda m, x: simulate_trajectory(m, x, 1)),
+    ("population_cap",
+     lambda m, x: simulate_trajectory(m, 10, 1, population_cap=x)),
+    ("max_cutoff", lambda m, x: simulate_trajectory(m, 10, 1, max_cutoff=x)),
+    ("max_cutoff", lambda m, x: sample_zn(m, 10, [1, 2], max_cutoff=x)),
+    ("n", lambda m, x: sample_zn(m, x, [1, 2])),
+], ids=["ensemble-horizon", "ensemble-replicates", "ensemble-workers",
+        "ensemble-max_cutoff", "direct-max_cutoff", "ensemble-population_cap",
+        "trajectory-horizon", "trajectory-population_cap",
+        "trajectory-max_cutoff", "sample_zn-max_cutoff", "sample_zn-n"])
+def test_non_integral_inputs_are_domain_errors(name, call):
+    model = scenario_model("Ex1")
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, "
+                                          "got 2.5$"):
+        call(model, 2.5)
+    # numpy integers are integers
+    assert repr(call(model, np.int64(50))) == repr(call(model, 50))
 
 
 def test_simulator_calls_are_exported():
