@@ -252,6 +252,9 @@ def main(argv=None) -> int:
         print(f"gwtheta: invalid model: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (GwThetaError, OSError, KeyError, ValueError) as err:
+        # str() of a KeyError is the repr of its key
+        if isinstance(err, KeyError) and err.args:
+            err = err.args[0]
         print(f"gwtheta: {err}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as err:

@@ -186,6 +186,7 @@ class VerifyConfig:
     workers: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", an._index(self.seed, "seed"))
         for name, least in (("replicates", 1), ("horizon", an.MIN_HORIZON),
                             ("workers", 1)):
             value = getattr(self, name)

@@ -18,23 +18,24 @@ starts at the first cutoff and grows only as far as the uniforms reach.
 Generational replicates run in lockstep (_lockstep): the replicates of a
 chunk, or the paths of a simulate_trajectories call, advance one
 generation at a time.  Each keeps its stream offset and a prefetched
-segment of its stream (_Streams); a generation makes one gather, one place
-on its step sampler and one np.add.reduceat, in batches of BATCH draws per
-replicate and steps of at most SLAB uniforms.  DELTA, zero, truncation and
-draws beyond the cutoff budget retire a replicate, each with the outcome a
-loop over its batches gives.  Refills are sized by the demand the step
-law predicts (_Streams), within PREFETCH uniforms ahead over all streams;
-as any position of a stream can be read, no refill schedule moves a draw.
+segment of its stream (_Streams); a generation, one draw per replicate
+included, makes one gather, one place on its step sampler and one
+np.add.reduceat, in batches of BATCH draws per replicate and steps of at
+most SLAB uniforms.  DELTA, zero, truncation and draws beyond the cutoff
+budget retire a replicate, each with the outcome a loop over its batches
+gives.  Refills are sized by the demand the step law predicts (_Streams),
+within PREFETCH uniforms ahead over all streams; as any position of a
+stream can be read, no refill schedule moves a draw.
 
-Step samplers are built a block of generations at a time, on the first
-miss: FIRST_BLOCK laws, then four times as many, up to STEP_BLOCK.  A block
-reads its (a_n, c_n) in one model.steps call and is finished as arrays:
-series._build_all holds its open laws as one 2-d array, and the laws that
-close at one cutoff get their cumulative tables from one cumsum over their
-rows.  Each is the sampler its law gives alone, so this changes no draw,
-and a law that fails lazy validation still raises only when a path
-reaches it.  Each simulate_trajectory call builds its own table: many
-paths are cheaper from one simulate_trajectories call.
+Step samplers are built STEP_BLOCK generations at a time, capped at the
+horizon, on the first miss.  A block reads its (a_n, c_n) in one
+model.steps call and is finished as arrays: series._build_all holds its
+open laws as one 2-d array, and the laws that close at one cutoff get
+their cumulative tables from one cumsum over their rows.  Each is the
+sampler its law gives alone, so this changes no draw, and a law that fails
+lazy validation still raises only when a path reaches it.  Each
+simulate_trajectory call builds its own table: many paths are cheaper
+from one simulate_trajectories call.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ SLAB = 2 ** 17                   # max uniforms gathered in a step, >= BATCH
 FIRST_SEGMENT = 4                # uniforms first fetched per stream
 PREFETCH = 2 ** 17               # most uniforms fetched ahead, all streams
 CHUNK = 4096                     # replicates per reduction chunk
-FIRST_BLOCK = 8                  # step samplers in the first batched pass
-STEP_BLOCK = 64                  # most step samplers in one batched pass
+STEP_BLOCK = 64                  # step samplers in one batched pass
 DEFAULT_S_GRID = tuple(j / 10.0 for j in range(11))
 
 _MASK64 = (1 << 64) - 1
@@ -76,7 +76,9 @@ _MASK64 = (1 << 64) - 1
 def replicate_rng(base_seed: int, replicate_index: int) -> np.random.Generator:
     """Counter-based stream keyed by (base_seed, replicate_index): block 0
     of _replicate_streams, the one writer of the Philox state."""
-    return next(_replicate_streams([(base_seed, replicate_index)], [0]))
+    key = (_index(base_seed, "base_seed"),
+           _index(replicate_index, "replicate_index"))
+    return next(_replicate_streams([key], [0]))
 
 
 def _replicate_streams(keys, blocks):
@@ -160,7 +162,8 @@ def _philox_uniforms(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
 
 def _keys(values) -> np.ndarray:
     """Integers as the uint64 words of Philox keys (two's complement)."""
-    return np.array([v & _MASK64 for v in values], dtype=np.uint64)
+    return np.array([_index(v, "seed") & _MASK64 for v in values],
+                    dtype=np.uint64)
 
 
 class _Streams:
@@ -197,19 +200,16 @@ class _Streams:
         if k0.size:
             self._fetch(self.ids, self.pos, np.full(k0.size, first))
 
-    def take(self, k: np.ndarray, ends: Optional[np.ndarray],
+    def take(self, k: np.ndarray, ends: np.ndarray,
              later: Callable[[], float]) -> np.ndarray:
         """The next k[j] uniforms of each live replicate j, one replicate
-        after the other; ends is k.cumsum(), or None when every k[j] is 1.
-        later() predicts how many draws one draw now begets in all the
-        generations after this one."""
+        after the other; ends is k.cumsum().  later() predicts how many
+        draws one draw now begets in all the generations after this one."""
         end = self.pos + k
         if np.count_nonzero(end > self.hi):
             self._refill(k, end, later())
         first = self.off + self.pos
         self.pos = end
-        if ends is None:
-            return self.buf[first]
         return self.buf[np.repeat(first - ends + k, k) + np.arange(ends[-1])]
 
     def keep(self, mask: np.ndarray) -> None:
@@ -371,9 +371,6 @@ class _PmfSampler:
             f"draw fell in unresolved tail mass beyond cutoff "
             f"{self.pmf.cutoff} (budget {self.max_cutoff})", partial=self.pmf)
 
-    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        return self.place(rng.random(k))
-
     def place(self, u: np.ndarray, cutoff_code=None) -> np.ndarray:
         """The draws at the uniforms u: an index, or _DELTA_CODE for a u at
         or above the proper mass.  The proper u past the table are placed
@@ -440,20 +437,18 @@ class _SamplerTable:
     extended by the draws) in ``population``, both keyed by n.  Draws do not
     depend on a sampler's history, so every chunk and path can share them.
 
-    The first miss of a step sampler builds the samplers of a block of
-    generations from n on, up to the horizon, in one _samplers call:
-    FIRST_BLOCK of them the first time, then four times the last block, at
-    most STEP_BLOCK.  Each is the sampler _sampler would build.  Generations
-    are reached in order, so the layout is the same whichever paths reach
-    them.  A block with a law that fails validation or a build that fails
-    is left out whole, so _sampler builds its laws one by one, and a path,
-    which cannot get past the failing generation, raises its error there."""
+    The first miss of a step sampler builds the samplers of the STEP_BLOCK
+    generations from n on, capped at the horizon, in one _samplers call.
+    Each is the sampler _sampler would build.  Generations are reached in
+    order, so the layout is the same whichever paths reach them.  A block
+    with a law that fails validation or a build that fails is left out
+    whole, so _sampler builds its laws one by one, and a path, which cannot
+    get past the failing generation, raises its error there."""
 
     def __init__(self, model: ThetaModel, max_cutoff: int, horizon: int):
         self.model, self.max_cutoff, self.horizon = model, max_cutoff, horizon
         self.step, self.population = {}, {}
         self._blocked = 0          # last generation a block has covered
-        self._block = 0            # size of the last block
 
     def get(self, n: int, population: bool = False):
         built = self.population if population else self.step
@@ -466,8 +461,7 @@ class _SamplerTable:
         return built[n]
 
     def _build_block(self, n0: int) -> None:
-        self._block = min(4 * self._block or FIRST_BLOCK, STEP_BLOCK)
-        n1 = min(n0 + self._block, self.horizon + 1)
+        n1 = min(n0 + STEP_BLOCK, self.horizon + 1)
         self._blocked = n1 - 1
         model = self.model
         try:
@@ -490,7 +484,7 @@ class _SamplerTable:
 def sample_offspring(pmf: Pmf, rng: np.random.Generator,
                      max_cutoff: int = DEFAULT_MAX_CUTOFF):
     """One inverse-transform draw from a Pmf: count, or DELTA."""
-    value = int(_PmfSampler(pmf, max_cutoff).draw(rng, 1)[0])
+    value = int(_PmfSampler(pmf, max_cutoff).place(rng.random(1))[0])
     return DELTA if value == _DELTA_CODE else value
 
 
@@ -526,14 +520,15 @@ def _lockstep(samplers: _SamplerTable, horizon: int, k0: np.ndarray,
     """Run the replicates keyed (k0[j], k1[j]) from Z_0 = 1, all live ones
     one generation at a time.
 
-    A generation reads each live replicate's next z uniforms from its
-    prefetched stream segment, places them all in one call on the step
-    sampler and sums them per replicate with np.add.reduceat (larger
-    generations go by _large_generation).  Within the batch it draws, a
-    replicate's outcome is a draw beyond the cutoff budget (_CUTOFF_CODE),
-    else a DELTA, else a total past the cap (truncated, at the cap).  Zero,
-    DELTA, truncation and a cutoff retire a replicate; so does a step
-    sampler that cannot be built, with _FAILED_CODE for the live ones.
+    A generation that fits one step, one draw per replicate included, reads
+    each live replicate's next z uniforms from its prefetched stream
+    segment, places them all in one call on the step sampler and sums them
+    per replicate with np.add.reduceat (_place_sums); larger generations go
+    by _large_generation.  Within the batch it draws, a replicate's outcome
+    is a draw beyond the cutoff budget (_CUTOFF_CODE), else a DELTA, else a
+    total past the cap (truncated, at the cap).  Zero, DELTA, truncation
+    and a cutoff retire a replicate; so does a step sampler that cannot be
+    built, with _FAILED_CODE for the live ones.
 
     Returns (z, truncated, when, rows, error): the final states, the
     truncation mask, the generation at which each replicate retired (0 if
@@ -566,18 +561,13 @@ def _lockstep(samplers: _SamplerTable, horizon: int, k0: np.ndarray,
         if draws > SLAB or draws > BATCH and int(live.max()) > BATCH:
             total, lows = _large_generation(sampler, streams, live, cap,
                                             later)
-        elif draws == live.size:         # one draw each
-            total = lows = sampler.place(streams.take(live, None, later),
-                                         cutoff_code=_CUTOFF_CODE)
         else:
             total, lows = _place_sums(sampler,
                                       streams.take(live, ends, later),
                                       ends - live)
         # out: zero or past the cap (as uint64, a negative code too), or a
         # negative code in the draws
-        out = (total - 1).view(np.uint64) >= ucap
-        if lows is not total:
-            out |= lows < 0
+        out = ((total - 1).view(np.uint64) >= ucap) | (lows < 0)
         if np.count_nonzero(out):
             ids, low, tot = streams.ids[out], lows[out], total[out]
             cut = (low >= 0) & (tot > cap)
@@ -858,6 +848,7 @@ def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
     reduced in index order, so the result is bit-identical for any number of
     workers.  The chunks run in this process share one sampler table; each
     pool task builds its own."""
+    base_seed = _index(base_seed, "base_seed")
     replicates = _count(replicates, "replicates")
     horizon = _count(horizon, "horizon")
     workers = _count(workers, "workers")

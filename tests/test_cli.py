@@ -56,6 +56,13 @@ def test_pmf_rejects_nan_tail_tol(capsys):
     assert err == "gwtheta: tail_tol must be > 0, got nan\n"
 
 
+def test_unknown_scenario_message_is_unquoted(capsys):
+    # str() of the KeyError would quote the message a second time
+    code, out, err = run(capsys, "verify", "--scenario", "Bogus")
+    assert (code, out) == (2, "")
+    assert err == "gwtheta: unknown scenario 'Bogus'\n"
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "--scenario", "Ex3")
     assert code == 0

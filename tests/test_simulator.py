@@ -1,4 +1,5 @@
 import cProfile
+import json
 import math
 import pstats
 from itertools import repeat
@@ -12,7 +13,7 @@ from gwtheta.analytics import (composed_pgf, composite_constants,
                                composite_law)
 from gwtheta.environment import EnvSequence, ThetaLaw, validate_model
 from gwtheta.errors import CutoffExceeded, DomainError
-from gwtheta.harness import registry, scenario_model
+from gwtheta.harness import VerifyConfig, registry, scenario_model
 from gwtheta.series import (DEFAULT_MAX_CUTOFF, DEFAULT_TAIL_TOL,
                             RECURRENCE_MAX, Pmf, extend_pmf,
                             pmf_from_theta_pgf, population_pmf, step_pmf)
@@ -94,16 +95,12 @@ def test_defective_draws_hit_delta():
 
 
 class _FixedUniforms:
-    """Stands in for a Generator: random(k) returns the next k of u, and
-    random() the next one as a float."""
+    """Stands in for a Generator: random(k) returns the next k of u."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, k=None):
-        if k is None:
-            head, self.u = float(self.u[0]), self.u[1:]
-            return head
+    def random(self, k):
         head, self.u = self.u[:k], self.u[k:]
         return head
 
@@ -132,7 +129,7 @@ def test_pmf_sampler_draws_do_not_depend_on_extension(sid):
         out = []
         for v in u:
             try:
-                out.append(int(sampler.draw(_FixedUniforms([v]), 1)[0]))
+                out.append(int(sampler.place(np.array([v]))[0]))
             except CutoffExceeded:
                 out.append(None)
         return out
@@ -395,8 +392,9 @@ def test_ensemble_frequencies_sum_to_one():
 # ---------------------------------------------------------------------------
 # The lockstep reduction against one array draw per replicate: the sums and
 # lows that _place_sums gives for a segment of uniforms must be, from the
-# same uniforms, the sum of draw(rng, k), DELTA if any draw is DELTA, or
-# CutoffExceeded if any draw falls in a tail beyond the budget.  (The
+# same uniforms, the sum of one place over them, DELTA if any draw is
+# DELTA, or CutoffExceeded if any draw falls in a tail beyond the budget.
+# (The
 # test_scalar_sum_* names date from the scalar path these checks first
 # pinned, which the lockstep engine replaced.)  _array_states is the
 # generation loop as it was before either, drawing every generation of one
@@ -405,7 +403,7 @@ def test_ensemble_frequencies_sum_to_one():
 
 def _array_sum(sampler, u):
     try:
-        draws = sampler.draw(_FixedUniforms(u), len(u))
+        draws = sampler.place(np.asarray(u, dtype=float))
     except CutoffExceeded:
         return "CutoffExceeded"
     return _DELTA_CODE if (draws == _DELTA_CODE).any() else int(draws.sum())
@@ -515,7 +513,7 @@ def test_array_draw_resolves_a_second_tail_uniform_at_the_budget():
     u = [float(np.nextafter(ahead._cum[-1], 0.0)),
          float(np.nextafter(array._cum[-1], 1.0))]
     want = np.searchsorted(ahead._cum, u, side="right")
-    assert np.array_equal(array.draw(_FixedUniforms(u), 2), want)
+    assert np.array_equal(array.place(np.array(u)), want)
 
 
 def test_scalar_sum_cutoff_exceeded_at_a_capped_budget():
@@ -892,6 +890,24 @@ def test_non_integral_inputs_are_domain_errors(name, call):
     assert repr(call(model, np.int64(50))) == repr(call(model, 50))
 
 
+@pytest.mark.parametrize("call", [
+    lambda s: json.dumps(run_ensemble(scenario_model("Ex1"), 5, 10,
+                                      s).to_dict()),
+    lambda s: json.dumps(run_ensemble(scenario_model("Ex1"), 5, 10, s,
+                                      mode="direct").to_dict()),
+    lambda s: simulate_trajectory(scenario_model("Ex1"), 5, s),
+    lambda s: sample_zn(scenario_model("Ex1"), 5, [s]),
+    lambda s: replicate_rng(s, 0).random(4).tolist(),
+    lambda s: replicate_rng(0, s).random(4).tolist(),
+    lambda s: repr(VerifyConfig(seed=s)),
+], ids=["ensemble", "direct", "trajectory", "sample_zn", "replicate_rng",
+        "replicate_index", "verify_config"])
+def test_numpy_integer_seeds_are_their_int(call):
+    assert call(np.int64(2)) == call(2)
+    with pytest.raises(DomainError, match="must be an integer, got 2.5$"):
+        call(2.5)
+
+
 def test_simulator_calls_are_exported():
     # the calls README names as the simulator's public ones
     from gwtheta import (run_ensemble, sample_zn, sample_zn_direct,
@@ -907,14 +923,13 @@ def test_simulator_calls_are_exported():
 def test_block_built_step_samplers_match_per_law(sid):
     model = scenario_model(sid)
     table = _SamplerTable(model, DEFAULT_MAX_CUTOFF, 200)
-    # blocks of 8, 32 and then STEP_BLOCK = 64 laws, the last one capped at
-    # the horizon: a path absorbed at generation 1 builds 8 laws
+    # blocks of STEP_BLOCK = 64 laws, the last one capped at the horizon
     blocks = []
     for n in range(1, 201):
         if n not in table.step:
             table.get(n)
             blocks.append((n, max(table.step)))
-    assert blocks == [(1, 8), (9, 40), (41, 104), (105, 168), (169, 200)]
+    assert blocks == [(1, 64), (65, 128), (129, 192), (193, 200)]
     assert STEP_BLOCK == 64
     cutoffs = set()
     for n in range(1, 201):
@@ -950,11 +965,12 @@ def _trajectory_or_error(model, horizon, seed):
         return type(err), str(err)
 
 
-@pytest.mark.parametrize("k", [12, 41, STEP_BLOCK + 1])
+@pytest.mark.parametrize("k", [12, STEP_BLOCK + 1, STEP_BLOCK + 12])
 def test_block_build_keeps_validation_lazy(monkeypatch, k):
     # critical linear-fractional steps, checked eagerly up to 5 only; a_k < 0
-    # fails validation inside the second block, 9 .. 40 (k = 12), at the
-    # start of the third, 41 .. 104 (k = 41), or inside it (k = 65)
+    # fails validation inside the first block, 1 .. 64 (k = 12), at the
+    # start of the second, 65 .. 128 capped at the horizon (k = 65), or
+    # inside it (k = 76)
     model = validate_model(1.0, 1.0,
                            EnvSequence.from_table([1.0] * (k - 1) + [-1.0]),
                            EnvSequence.constant(0.5), check_horizon=5)
@@ -1142,7 +1158,8 @@ def test_sample_zn_matches_the_per_seed_draws():
     model = scenario_model("Ex9ii")
     seeds = list(EDGE_SEEDS) + list(range(-40, 200))
     sampler = simulator._sampler(model, 30, DEFAULT_MAX_CUTOFF, True)
-    want = [int(sampler.draw(replicate_rng(s, 0), 1)[0]) for s in seeds]
+    want = [int(sampler.place(replicate_rng(s, 0).random(1))[0])
+            for s in seeds]
     want = [DELTA if v == _DELTA_CODE else v for v in want]
     assert sample_zn(model, 30, seeds) == want
     assert DELTA in want and 0 in want
