@@ -12,8 +12,9 @@ SC'11), so a stream can be read at any position without replaying it.
 
 Direct draws of Z_n take one uniform each, so a direct-mode chunk and a
 sample_zn call draw all their replicates at once: one kernel call, one
-search of the cumulative table, and one vectorized tally.  The table of F_n
-starts at the first cutoff and grows only as far as the uniforms reach.
+search of the cumulative table, and one vectorized tally.  Every sampler's
+table, of F_n as of f_n, starts at the first cutoff and grows only as far
+as the uniforms reach.
 
 Generational replicates run in lockstep (_lockstep): the replicates of a
 chunk, or the paths of a simulate_trajectories call, advance one
@@ -30,10 +31,11 @@ stream can be read, no refill schedule moves a draw.
 Step samplers are built STEP_BLOCK generations at a time, capped at the
 horizon, on the first miss.  A block reads its (a_n, c_n) in one
 model.steps call and is finished as arrays: series._build_all holds its
-open laws as one 2-d array, and the laws that close at one cutoff get
-their cumulative tables from one cumsum over their rows.  Each is the
-sampler its law gives alone, so this changes no draw, and a law that fails
-lazy validation still raises only when a path reaches it.  Each
+laws as one 2-d array to the first cutoff, and their cumulative tables
+come from one cumsum over their rows, so a block of 64 laws costs about
+twice one of 8, heavy tails included.  Each is the sampler its law
+gives alone, so this changes no draw, and a law that fails lazy
+validation still raises only when a path reaches it.  Each
 simulate_trajectory call builds its own table: many paths are cheaper
 from one simulate_trajectories call.
 """
@@ -342,8 +344,8 @@ class _MixtureHeavySampler:
 
 class _PmfSampler:
     """Inverse-transform sampler over (weights, tail, defect).  Its table (64
-    weights at first, for F_n) doubles toward the budget, in one step a place
-    call, when proper uniforms land past it.  A weight depends only on the
+    weights at first) doubles toward the budget, in one step a place call,
+    when proper uniforms land past it.  A weight depends only on the
     law and its index, so a draw depends on the law and the budget alone."""
 
     def __init__(self, pmf: Pmf, max_cutoff: int,
@@ -398,16 +400,15 @@ class _PmfSampler:
         return out
 
 
-def _samplers(laws: list, max_cutoff: int,
-              tail_tol: float = DEFAULT_TAIL_TOL) -> list:
+def _samplers(laws: list, max_cutoff: int) -> list:
     """The samplers of laws that share theta and r: the mixture sampler for
     theta = 0 and r = 1, else one _PmfSampler each from one batched build
-    to tail_tol.  Any tail_tol is fine (an infinite one stops at the first
-    cutoff): a sampler extends only when a draw lands in the tail."""
+    to the first cutoff.  A sampler extends only when a draw lands in the
+    tail, and places every uniform as one built to any tail_tol would."""
     if laws[0].theta == 0.0 and laws[0].r == 1.0:
         return [_MixtureHeavySampler(law) for law in laws]
     pmfs = [pmf.partial if isinstance(pmf, CutoffExceeded) else pmf
-            for pmf in _build_all(laws, tail_tol, max_cutoff)]
+            for pmf in _build_all(laws, math.inf, max_cutoff)]
     # the cumulative tables of the laws that share a cutoff in one cumsum
     # over their rows: a row's running sum is its own, element by element
     groups = {}
@@ -424,18 +425,18 @@ def _samplers(laws: list, max_cutoff: int,
 
 
 def _sampler(model: ThetaModel, n: int, max_cutoff: int, population: bool):
-    """Sampler of the one-step law f_n, or of the law F_n of Z_n, built to
-    the first cutoff alone, when population is set."""
+    """Sampler of the one-step law f_n, or of the law F_n of Z_n when
+    population is set."""
     law = composite_law(model, n) if population else model.step_law(n)
-    return _samplers([law], max_cutoff,
-                     math.inf if population else DEFAULT_TAIL_TOL)[0]
+    return _samplers([law], max_cutoff)[0]
 
 
 class _SamplerTable:
     """The samplers of one simulation call, each built on first use and kept
-    for the whole call: f_n's in ``step`` and F_n's (64 weights at first,
-    extended by the draws) in ``population``, both keyed by n.  Draws do not
-    depend on a sampler's history, so every chunk and path can share them.
+    for the whole call: f_n's in ``step`` and F_n's in ``population``, both
+    keyed by n, each with 64 weights at first, extended by the draws.  Draws
+    do not depend on a sampler's history, so every chunk and path can share
+    them.
 
     The first miss of a step sampler builds the samplers of the STEP_BLOCK
     generations from n on, capped at the horizon, in one _samplers call.

@@ -15,7 +15,7 @@ from gwtheta.environment import EnvSequence, ThetaLaw, validate_model
 from gwtheta.errors import CutoffExceeded, DomainError
 from gwtheta.harness import VerifyConfig, registry, scenario_model
 from gwtheta.series import (DEFAULT_MAX_CUTOFF, DEFAULT_TAIL_TOL,
-                            RECURRENCE_MAX, Pmf, extend_pmf,
+                            RECURRENCE_MAX, Pmf, _build_all, extend_pmf,
                             pmf_from_theta_pgf, population_pmf, step_pmf)
 from gwtheta.simulator import (DELTA, POPULATION_CAP, STEP_BLOCK,
                                Trajectory, _CUTOFF_CODE, _DELTA_CODE,
@@ -394,9 +394,8 @@ def test_ensemble_frequencies_sum_to_one():
 # lows that _place_sums gives for a segment of uniforms must be, from the
 # same uniforms, the sum of one place over them, DELTA if any draw is
 # DELTA, or CutoffExceeded if any draw falls in a tail beyond the budget.
-# (The
-# test_scalar_sum_* names date from the scalar path these checks first
-# pinned, which the lockstep engine replaced.)  _array_states is the
+# (The test_scalar_sum_* names date from the scalar path these checks
+# first pinned, which the lockstep engine replaced.)  _array_states is the
 # generation loop as it was before either, drawing every generation of one
 # replicate through place in batches of BATCH.
 # ---------------------------------------------------------------------------
@@ -555,14 +554,21 @@ def _place_outcome(sampler, u, cutoff_code=None):
         return (str(err), err.partial.cutoff, err.partial.weights.tolist())
 
 
+def _full_samplers(laws, budget):
+    """Samplers of laws whose tables are built to DEFAULT_TAIL_TOL, or to
+    the budget when that cannot reach it."""
+    return [_PmfSampler(pmf.partial if isinstance(pmf, CutoffExceeded)
+                        else pmf, budget)
+            for pmf in _build_all(laws, DEFAULT_TAIL_TOL, budget)]
+
+
 @pytest.mark.parametrize("budget", [2 ** 10, 2 ** 13, 2 ** 20])
 @pytest.mark.parametrize("sid,n", [("Ex1", 100), ("Ex3", 500), ("Ex10i", 50),
                                    ("Ex10ii", 50)])
 def test_demand_sized_table_places_as_the_full_build(sid, n, budget):
     model = scenario_model(sid)
     short = simulator._sampler(model, n, budget, True)
-    full = simulator._samplers([composite_law(model, n)], budget,
-                               DEFAULT_TAIL_TOL)[0]
+    full = _full_samplers([composite_law(model, n)], budget)[0]
     proper = short._proper
     assert short.pmf.cutoff == 64 and full._proper == proper
     edges = [np.nextafter(short._cum[-1], 1.0),
@@ -591,6 +597,36 @@ def test_demand_sized_table_places_as_the_full_build(sid, n, budget):
     assert isinstance(bare[0], tuple) == (_CUTOFF_CODE in coded[0])
     if budget == 2 ** 10 and sid.startswith("Ex10"):
         assert isinstance(bare[0], tuple)
+
+
+@pytest.mark.parametrize("sid,budget", [
+    ("Ex3", 2 ** 10), ("Ex5", 2 ** 10), ("Ex5", 2 ** 13), ("Ex10i", 2 ** 10),
+    ("Ex10ii", 2 ** 10)])
+def test_block_built_step_tables_place_as_the_full_build(sid, budget):
+    # step laws whose tables reach past 64 weights at DEFAULT_TAIL_TOL: Ex3
+    # at every odd n, Ex5 at n = 4, 8, 16, 32, 64 (128 to 2048 weights),
+    # Ex10 at 1024 and beyond; the block-built table starts at 64 weights
+    # and places every uniform as the full build does
+    model = scenario_model(sid)
+    table = _SamplerTable(model, budget, STEP_BLOCK)
+    fulls = _full_samplers([model.step_law(n)
+                            for n in range(1, STEP_BLOCK + 1)], budget)
+    rng = np.random.default_rng(budget)
+    reached = set()
+    for n, full in enumerate(fulls, 1):
+        short = table.get(n)
+        assert short.pmf.cutoff == 64, n
+        proper = short._proper
+        edges = [np.nextafter(short._cum[-1], 1.0),
+                 np.nextafter(full._cum[-1], 1.0), np.nextafter(proper, 0.0),
+                 proper, 1.0 - 2.0 ** -53]
+        u = np.insert(rng.random(400), [0, 200, 400], edges[:3])
+        u = np.append(u, edges[3:])
+        coded = [_place_outcome(s, u, _CUTOFF_CODE) for s in (short, full)]
+        bare = [_place_outcome(s, u) for s in (short, full)]
+        assert coded[0] == coded[1] and bare[0] == bare[1], n
+        reached.add(short.pmf.cutoff)
+    assert max(reached) > 64
 
 
 def _array_states(samplers, horizon, rng, population_cap, log=None):
@@ -945,10 +981,9 @@ def test_block_built_step_samplers_match_per_law(sid):
             want.cutoff, want.tail_mass, want.defect_mass), n
         assert got.source == want.source, n
         cutoffs.add(got.cutoff)
-    if sid in ("Ex10i", "Ex10ii"):
-        assert cutoffs == {1024}      # partials of unreachable tails
-    if sid in ("Ex3", "Ex5"):
-        assert max(cutoffs) >= 128
+    # every step table starts at the first cutoff, heavy tails included
+    # (test_block_built_step_tables_place_as_the_full_build)
+    assert cutoffs <= {64}
 
 
 def _per_law(monkeypatch, call):
