@@ -19,10 +19,10 @@ one-step laws of a model do: it keeps v reversed, so that the window of
 each step is a contiguous slice and its inner products are one ddot per
 law, and every row is bit-identical to the law's own.  It resumes from
 the weights a law already has, so a cutoff doubling or a pmf extension
-runs only the new steps: _build_all doubles the cutoffs of a batch in
-step, one recurrence call per doubling, and a build that stops at 2^12
-runs 2^12 steps in all.  A batch is finished as arrays (_build_all), and
-a single law is a batch of one.
+runs only the new steps, and a build that stops at 2^12 runs 2^12 steps
+in all.  A batch is built to the first cutoff only, as arrays
+(_first_pmfs); _build doubles the cutoff of one law, a batch of one,
+until its tail meets the tolerance.
 """
 
 from __future__ import annotations
@@ -218,19 +218,14 @@ def _batch(laws: list) -> ThetaLaw:
                                           dtype=float), None)
 
 
-def _rows(laws: ThetaLaw, keep) -> ThetaLaw:
-    """The laws of the batch laws at keep."""
-    return ThetaLaw(laws.theta, laws.r, laws.a[keep],
-                    None if laws.c is None else laws.c[keep],
-                    None if laws.log_d is None else laws.log_d[keep])
-
-
 def _extend_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
     """Taylor weights p_K..p_J, K = p.shape[1], of each law of the batch
     laws, a row each: row i of p holds the weights p_0..p_{K-1} that law
-    already has (possibly none).  Only the new indices are computed, and
-    only their negative round-off is clipped.  theta = 0 and the recurrence
-    take the whole batch at once, a Cauchy block one law at a time."""
+    already has (possibly none): none for the batch of _first_pmfs, the
+    weights below the old cutoff for a doubling of _build, a batch of one.
+    Only the new indices are computed, and only their negative round-off is
+    clipped; a non-finite weight raises.  theta = 0 and the recurrence take
+    the whole batch at once, a Cauchy block one law at a time."""
     K = p.shape[1]
     theta, r = laws.theta, laws.r
     if theta == 0.0:
@@ -252,6 +247,8 @@ def _extend_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
                 for a, c in zip(laws.a.tolist(), laws.c.tolist())]))
             lo = hi + 1
         new = np.concatenate(parts, axis=1)
+    if not np.isfinite(new).all():
+        raise GwThetaError(f"non-finite pmf coefficient at cutoff {J}")
     worst = new.min(axis=1)
     if worst.min() < 0.0:
         bad = np.flatnonzero(worst < -NEGATIVE_CLIP)
@@ -271,15 +268,6 @@ def _coeffs(law: ThetaLaw, J: int) -> np.ndarray:
     return _extend_coeffs(_batch([law]), _NO_WEIGHTS[None], J)[0]
 
 
-def _build(law: ThetaLaw, tail_tol: float, max_cutoff: int) -> Pmf:
-    built = _build_all([law], tail_tol, max_cutoff)
-    if isinstance(built[0], CutoffExceeded):
-        # popped, not named: a local would tie the error to its traceback
-        # in a cycle that holds the partial pmf until a collection
-        raise built.pop()
-    return built[0]
-
-
 def _theta_one_tail(laws: ThetaLaw, J: int) -> np.ndarray:
     """The exact tail mass above J of theta = 1 laws: with b = a + c r and
     q = c / b, the weights are p_j = a q^(j-1) / b^2 for j >= 1, so the
@@ -289,71 +277,62 @@ def _theta_one_tail(laws: ThetaLaw, J: int) -> np.ndarray:
     return laws.a * q ** J / (b * b * (1.0 - q))
 
 
-def _build_all(laws: list, tail_tol: float, max_cutoff: int) -> list:
-    """For each of laws that share theta and r, the Pmf that doubling the
-    cutoff from 64 until the tail meets tail_tol gives, or, when the
-    budget cannot meet tail_tol, a CutoffExceeded carrying the partial pmf.
-
-    The laws still open share their cutoff, so they are held as one 2-d
-    array, a row each, and a doubling finishes them as arrays: one
-    _extend_coeffs call for the new weights, one g(1) evaluation, an fsum
-    per row, and the rows that close leave the array as copies.  Each
-    law's outcome is the one it has alone.  A heavy tail is called hopeless
-    from J = 1024 on: for theta = 1 when its exact tail at the budget is
-    above tail_tol, otherwise when the observed per-doubling decay projects
-    a cutoff beyond the budget."""
-    if not tail_tol > 0.0:
-        raise DomainError(f"tail_tol must be > 0, got {tail_tol}")
+def _first_pmfs(laws: list, max_cutoff: int) -> list:
+    """The Pmfs of laws that share theta and r at the first cutoff
+    min(64, max_cutoff), finished as arrays: one _extend_coeffs call, one
+    g(1) evaluation and an fsum per row.  Each Pmf holds a copy of its row
+    and is the one the law gives alone, bit for bit."""
     if max_cutoff < 1:
         raise DomainError("max_cutoff must be >= 1")
     batch = _batch(laws)
-    g1 = np.zeros(len(laws)) + batch.pgf(1.0)
-    defect = np.maximum(0.0, 1.0 - g1)
-    out = [None] * len(laws)
-    rows = np.arange(len(laws))        # the law of each open row
-    p = np.empty((len(laws), 0))
-    prev_tail = None
     J = min(64, max_cutoff)
-    while True:
-        new = _extend_coeffs(batch, p, J)
-        p = np.concatenate([p, new], axis=1) if p.size else new
-        tail = g1[rows] - np.array([math.fsum(row) for row in p.tolist()])
-        done = tail <= tail_tol
-        if J >= max_cutoff:
-            done[:] = True
-        elif J >= 1024 and not done.all():
-            if batch.theta == 1.0:
-                done |= _theta_one_tail(batch, max_cutoff) > tail_tol
+    p = _extend_coeffs(batch, np.empty((len(laws), 0)), J)
+    g1 = np.zeros(len(laws)) + batch.pgf(1.0)
+    tail = g1 - [math.fsum(row) for row in p.tolist()]
+    defect = np.maximum(0.0, 1.0 - g1)
+    return [Pmf(row.copy(), max(0.0, t), d, J, law) for row, t, d, law
+            in zip(p, tail.tolist(), defect.tolist(), laws)]
+
+
+def _build(law: ThetaLaw, tail_tol: float, max_cutoff: int) -> Pmf:
+    """The Pmf that doubling the cutoff of law from its first cutoff until
+    the tail g(1) - sum p meets tail_tol gives.  When the budget cannot
+    meet tail_tol it raises CutoffExceeded carrying the partial pmf.  A
+    heavy tail is called hopeless from J = 1024 on: for theta = 1 when its
+    exact tail at the budget is above tail_tol, otherwise when the observed
+    per-doubling decay projects a cutoff beyond the budget."""
+    if not tail_tol > 0.0:
+        raise DomainError(f"tail_tol must be > 0, got {tail_tol}")
+    (pmf,) = _first_pmfs([law], max_cutoff)
+    # a first tail clamped to 0 meets any tail_tol either way
+    batch, g1, tail = _batch([law]), law.pgf(1.0), pmf.tail_mass
+    while tail > tail_tol:
+        J = pmf.cutoff
+        hopeless = J >= max_cutoff
+        if J >= 1024 and not hopeless:
+            if law.theta == 1.0:
+                hopeless = _theta_one_tail(batch, max_cutoff)[0] > tail_tol
             else:
-                for i in np.flatnonzero(~done & (tail > 0.0)).tolist():
-                    # projected cutoff from the observed per-doubling tail
-                    # decay; heavy tails (rate ~ J^-(1+theta)) would
-                    # otherwise burn the whole quadratic budget first
-                    rho = tail[i] / prev_tail[i]
-                    if rho >= 0.999:
-                        done[i] = True
-                    else:
-                        doublings = (math.log(tail_tol / tail[i])
-                                     / math.log(rho))
-                        # compared in log2: 2^doublings overflows
-                        done[i] = doublings > math.log2(max_cutoff / J)
-        for i in np.flatnonzero(done).tolist():
-            j, t = rows[i], float(tail[i])
-            pmf = Pmf(p[i].copy(), max(0.0, t), float(defect[j]), J,
-                      laws[j])
-            out[j] = pmf if t <= tail_tol else CutoffExceeded(
-                f"tail mass {t:.3e} cannot reach tail_tol "
+                # projected cutoff from the observed per-doubling tail
+                # decay; heavy tails (rate ~ J^-(1+theta)) would otherwise
+                # burn the whole quadratic budget first
+                rho = tail / prev
+                # compared in log2: 2^doublings overflows
+                hopeless = rho >= 0.999 or (math.log(tail_tol / tail)
+                                            / math.log(rho)
+                                            > math.log2(max_cutoff / J))
+        if hopeless:
+            raise CutoffExceeded(
+                f"tail mass {tail:.3e} cannot reach tail_tol "
                 f"{tail_tol:.3e} within the cutoff budget {max_cutoff} "
                 "(heavy-tailed law; raise max_cutoff or tail_tol)",
                 partial=pmf)
-        if done.all():
-            return out
-        if done.any():
-            keep = ~done
-            rows, p, batch = rows[keep], p[keep], _rows(batch, keep)
-            tail = tail[keep]
-        prev_tail = tail
-        J = min(2 * J, max_cutoff)
+        w = pmf.weights
+        p = np.concatenate([w, _extend_coeffs(
+            batch, w[None], min(2 * J, max_cutoff))[0]])
+        prev, tail = tail, g1 - math.fsum(p)
+        pmf = Pmf(p, max(0.0, tail), pmf.defect_mass, p.size - 1, law)
+    return pmf
 
 
 def pmf_from_theta_pgf(theta: float, r: float, a_coef: float,

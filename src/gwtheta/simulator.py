@@ -30,14 +30,14 @@ stream can be read, no refill schedule moves a draw.
 
 Step samplers are built STEP_BLOCK generations at a time, capped at the
 horizon, on the first miss.  A block reads its (a_n, c_n) in one
-model.steps call and is finished as arrays: series._build_all holds its
-laws as one 2-d array to the first cutoff, and their cumulative tables
-come from one cumsum over their rows, so a block of 64 laws costs about
-twice one of 8, heavy tails included.  Each is the sampler its law
-gives alone, so this changes no draw, and a law that fails lazy
-validation still raises only when a path reaches it.  Each
-simulate_trajectory call builds its own table: many paths are cheaper
-from one simulate_trajectories call.
+model.steps call and is finished as arrays: series._first_pmfs builds
+its laws as one 2-d array to the first cutoff, and only that far, and
+their cumulative tables come from one cumsum over their rows, so a block
+of 64 laws costs about twice one of 8, heavy tails included.  Each is the
+sampler its law gives alone, so this changes no draw, and a law that
+fails lazy validation, or has a non-finite weight, still raises only when
+a path reaches it.  Each simulate_trajectory call builds its own table:
+many paths are cheaper from one simulate_trajectories call.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ from .analytics import (LimitLawDescriptor, _index, composite_constants,
 from .environment import ThetaLaw, ThetaModel
 from .errors import CutoffExceeded, DomainError, GwThetaError
 # step_pmf is re-exported from here
-from .series import (DEFAULT_MAX_CUTOFF, DEFAULT_TAIL_TOL, Pmf,  # noqa: F401
-                     _build_all, extend_pmf, step_pmf)
+from .series import (DEFAULT_MAX_CUTOFF, Pmf, _first_pmfs,  # noqa: F401
+                     extend_pmf, step_pmf)
 
 DELTA = "delta"                  # absorbing symbol
 _DELTA_CODE = -1                 # internal integer encoding
@@ -402,26 +402,19 @@ class _PmfSampler:
 
 def _samplers(laws: list, max_cutoff: int) -> list:
     """The samplers of laws that share theta and r: the mixture sampler for
-    theta = 0 and r = 1, else one _PmfSampler each from one batched build
-    to the first cutoff.  A sampler extends only when a draw lands in the
-    tail, and places every uniform as one built to any tail_tol would."""
+    theta = 0 and r = 1, else one _PmfSampler each from one batch build to
+    the first cutoff (series._first_pmfs), where every table starts.  A
+    sampler extends only when a draw lands in the tail, one law at a time,
+    and places every uniform as one built to any tail_tol would."""
     if laws[0].theta == 0.0 and laws[0].r == 1.0:
         return [_MixtureHeavySampler(law) for law in laws]
-    pmfs = [pmf.partial if isinstance(pmf, CutoffExceeded) else pmf
-            for pmf in _build_all(laws, math.inf, max_cutoff)]
-    # the cumulative tables of the laws that share a cutoff in one cumsum
-    # over their rows: a row's running sum is its own, element by element
-    groups = {}
-    for i, pmf in enumerate(pmfs):
-        groups.setdefault(pmf.cutoff, []).append(i)
-    out = [None] * len(pmfs)
-    for idx in groups.values():
-        cum = np.cumsum([pmfs[i].weights for i in idx], axis=1)
-        proper = 1.0 - np.array([pmfs[i].defect_mass for i in idx])
-        np.minimum(cum, proper[:, None], out=cum)
-        for i, row in zip(idx, cum):
-            out[i] = _PmfSampler(pmfs[i], max_cutoff, row)
-    return out
+    pmfs = _first_pmfs(laws, max_cutoff)
+    # the cumulative tables in one cumsum over the rows: a row's running
+    # sum is its own, element by element
+    cum = np.cumsum([pmf.weights for pmf in pmfs], axis=1)
+    proper = 1.0 - np.array([pmf.defect_mass for pmf in pmfs])
+    np.minimum(cum, proper[:, None], out=cum)
+    return [_PmfSampler(pmf, max_cutoff, row) for pmf, row in zip(pmfs, cum)]
 
 
 def _sampler(model: ThetaModel, n: int, max_cutoff: int, population: bool):

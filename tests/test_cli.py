@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -54,6 +55,29 @@ def test_pmf_rejects_nan_tail_tol(capsys):
                          "--tail-tol", "nan")
     assert (code, out) == (2, "")
     assert err == "gwtheta: tail_tol must be > 0, got nan\n"
+
+
+def test_pmf_heavy_tail_exit_2(capsys):
+    code, out, err = run(capsys, "pmf", "--scenario", "Ex10ii", "--n", "10")
+    assert (code, out) == (2, "")
+    assert err == (
+        "gwtheta: tail mass 4.209e-03 cannot reach tail_tol 1.000e-12 "
+        "within the cutoff budget 1048576 (heavy-tailed law; raise "
+        "max_cutoff or tail_tol)\n")
+
+
+def test_pmf_non_finite_weight_exit_2(capsys, tmp_path):
+    # composite A_2 = 1e200^2 overflows to inf
+    spec = {"theta": 1.0, "r": 1.0,
+            "a": EnvSequence.from_table([1e200] * 3).to_dict(),
+            "c": EnvSequence.from_table([1.0] * 3).to_dict()}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(spec))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "pmf", "--model", str(path), "--n", "2")
+    assert time.perf_counter() - t0 < 0.1
+    assert (code, out) == (2, "")
+    assert err == "gwtheta: non-finite pmf coefficient at cutoff 64\n"
 
 
 def test_unknown_scenario_message_is_unquoted(capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from gwtheta import series
 from gwtheta.analytics import (composed_pgf, composite_constants,
                                composite_law)
-from gwtheta.environment import ThetaLaw, step_pgf_weight_one
+from gwtheta.environment import (EnvSequence, ThetaLaw, step_pgf_weight_one,
+                                 validate_model)
 from gwtheta.errors import CutoffExceeded, DomainError, GwThetaError
 from gwtheta.harness import scenario_model
 from gwtheta.series import (extend_pmf, pmf_from_theta_pgf, population_pmf,
@@ -437,32 +439,39 @@ def test_clipped_weight_restarts_the_recurrence():
     assert not np.array_equal(moved.weights[1025:], full[1025:])
 
 
-@pytest.mark.parametrize("theta,coefs", [
+@pytest.mark.parametrize("theta,coefs,cutoffs", [
     # geometric tails met at cutoffs 64, 256, 512 and 4096, the last two
     # beyond a budget of 2^8
-    (1.0, [(0.5, 0.5), (0.2, 0.9), (0.1, 0.9), (0.01, 1.0)]),
+    (1.0, [(0.5, 0.5), (0.2, 0.9), (0.1, 0.9), (0.01, 1.0)],
+     {2 ** 20: [64, 256, 512, 4096], 2 ** 8: [64, 256, -256, -256]}),
     # heavy tails, partial at 1024 or at the budget
-    (-0.5, [(0.5, 0.3), (0.3, 0.6)])])
-def test_build_all_matches_build_law_by_law(theta, coefs):
-    laws = [ThetaLaw(theta, 1.0, a, c, None) for a, c in coefs]
-    for max_cutoff in (2 ** 8, 2 ** 20):
-        got = series._build_all(laws, series.DEFAULT_TAIL_TOL, max_cutoff)
-        for law, pmf in zip(laws, got):
+    (-0.5, [(0.5, 0.3), (0.3, 0.6)],
+     {2 ** 20: [-1024, -1024], 2 ** 8: [-256, -256]})])
+def test_build_doubles_one_law_to_its_cutoff(theta, coefs, cutoffs):
+    # cutoffs holds each law's cutoff, negated for a CutoffExceeded partial
+    tol = series.DEFAULT_TAIL_TOL
+    for max_cutoff, want in cutoffs.items():
+        got = []
+        for a, c in coefs:
+            law = ThetaLaw(theta, 1.0, a, c, None)
             try:
-                want = series._build(law, series.DEFAULT_TAIL_TOL, max_cutoff)
+                pmf, sign = series._build(law, tol, max_cutoff), 1
             except CutoffExceeded as err:
-                assert type(pmf) is CutoffExceeded
-                assert str(pmf) == str(err)
-                pmf, want = pmf.partial, err.partial
-            assert np.array_equal(pmf.weights, want.weights)
-            assert (pmf.cutoff, pmf.tail_mass, pmf.defect_mass) == (
-                want.cutoff, want.tail_mass, want.defect_mass)
+                pmf, sign = err.partial, -1
+                assert str(err) == (
+                    f"tail mass {pmf.tail_mass:.3e} cannot reach tail_tol "
+                    f"{tol:.3e} within the cutoff budget {max_cutoff} "
+                    "(heavy-tailed law; raise max_cutoff or tail_tol)")
+            got.append(sign * pmf.cutoff)
+            # one-pass weights, and the tail g(1) - sum p at the cutoff
+            assert np.array_equal(pmf.weights,
+                                  series._coeffs(law, pmf.cutoff))
+            tail = law.pgf(1.0) - math.fsum(pmf.weights)
+            assert (tail <= tol) == (sign == 1)
+            assert (pmf.tail_mass, pmf.defect_mass) == (
+                max(0.0, tail), max(0.0, 1.0 - law.pgf(1.0)))
             assert pmf.source is law
-    if theta == 1.0:
-        assert [pmf.cutoff for pmf in got] == [64, 256, 512, 4096]
-    with pytest.raises(DomainError):
-        series._build_all(laws + [ThetaLaw(0.5, 1.0, 0.5, 0.5, None)],
-                          series.DEFAULT_TAIL_TOL, 2 ** 20)
+        assert got == want
 
 
 def test_weights_depend_on_index_only():
@@ -505,34 +514,49 @@ def test_extension_memory_is_per_block():
 
 
 @pytest.mark.parametrize("sid,ns", [
-    # Ex10ii, theta = -1/2, under tail_tol 1e-6 and a budget of 2^13: a
-    # partial at 1024 (n = 3, 20), closing past 2^12 at 8192 (n = 120), and
-    # closing at 1024, 256 and 64 (n = 200, 300, 400)
+    # Ex10ii, theta = -1/2: laws that doubling under tail_tol 1e-6 and a
+    # budget of 2^13 takes to 256, a partial at 1024, 8192 (past 2^12), 64,
+    # 1024 and a partial at 1024
     ("Ex10ii", [300, 3, 120, 400, 200, 20]),
-    # Ex9ii, theta = 0 and r = 2: the binomial closed form of a block
+    # Ex9ii, theta = 0 and r = 2: the binomial closed form of a batch
     ("Ex9ii", [1, 2, 3, 10, 50, 200])])
-def test_block_closing_at_different_cutoffs_matches_per_law(sid, ns):
+def test_first_cutoff_batch_matches_per_law(sid, ns):
     model = scenario_model(sid)
     laws = [model.step_law(n) for n in ns]
-    tol, budget = 1e-6, 2 ** 13
-    got = series._build_all(laws, tol, budget)
-    cutoffs = set()
-    for law, pmf in zip(laws, got):
-        (want,) = series._build_all([law], tol, budget)
-        assert type(pmf) is type(want)
-        if isinstance(want, CutoffExceeded):
-            assert str(pmf) == str(want)
-            pmf, want = pmf.partial, want.partial
-        assert np.array_equal(pmf.weights, want.weights)
-        assert (pmf.cutoff, pmf.tail_mass, pmf.defect_mass) == (
-            want.cutoff, want.tail_mass, want.defect_mass)
-        assert pmf.source is law
-        # a closed law's weights are its own array, not a view of the block
-        assert pmf.weights.base is None
-        cutoffs.add(pmf.cutoff)
+    for budget in (2 ** 13, 40):
+        for law, pmf in zip(laws, series._first_pmfs(laws, budget)):
+            (want,) = series._first_pmfs([law], budget)
+            assert np.array_equal(pmf.weights, want.weights)
+            assert (pmf.cutoff, pmf.tail_mass, pmf.defect_mass) == (
+                want.cutoff, want.tail_mass, want.defect_mass)
+            assert pmf.cutoff == min(64, budget)
+            assert pmf.source is law
+            # a law's weights are its own array, not a view of the batch
+            assert pmf.weights.base is None
+    with pytest.raises(DomainError):
+        series._first_pmfs(laws + [ThetaLaw(0.5, 1.0, 0.5, 0.5, None)],
+                           2 ** 13)
     if sid == "Ex10ii":
-        assert cutoffs == {64, 256, 1024, 8192}
-        assert sum(isinstance(pmf, CutoffExceeded) for pmf in got) == 2
+        cutoffs = []
+        for law in laws:
+            try:
+                cutoffs.append(series._build(law, 1e-6, 2 ** 13).cutoff)
+            except CutoffExceeded as err:
+                cutoffs.append(-err.partial.cutoff)
+        assert cutoffs == [256, -1024, 8192, 64, 1024, -1024]
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_non_finite_weight_is_an_error(theta):
+    # a valid model whose composite A_2 = 1e200^2 overflows to inf: the
+    # NaN weights of F_2 raise at once instead of doubling to the budget
+    model = validate_model(theta, 1.0, EnvSequence.from_table([1e200] * 3),
+                           EnvSequence.from_table([1.0] * 3))
+    t0 = time.perf_counter()
+    with pytest.raises(GwThetaError,
+                       match="^non-finite pmf coefficient at cutoff 64$"):
+        population_pmf(model, 2)
+    assert time.perf_counter() - t0 < 0.1
 
 
 @pytest.mark.parametrize("n", [150, 300, 500])

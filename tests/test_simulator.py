@@ -2,6 +2,7 @@ import cProfile
 import json
 import math
 import pstats
+import time
 from itertools import repeat
 
 import numpy as np
@@ -12,10 +13,10 @@ from gwtheta import simulator
 from gwtheta.analytics import (composed_pgf, composite_constants,
                                composite_law)
 from gwtheta.environment import EnvSequence, ThetaLaw, validate_model
-from gwtheta.errors import CutoffExceeded, DomainError
+from gwtheta.errors import CutoffExceeded, DomainError, GwThetaError
 from gwtheta.harness import VerifyConfig, registry, scenario_model
 from gwtheta.series import (DEFAULT_MAX_CUTOFF, DEFAULT_TAIL_TOL,
-                            RECURRENCE_MAX, Pmf, _build_all, extend_pmf,
+                            RECURRENCE_MAX, Pmf, _build, extend_pmf,
                             pmf_from_theta_pgf, population_pmf, step_pmf)
 from gwtheta.simulator import (DELTA, POPULATION_CAP, STEP_BLOCK,
                                Trajectory, _CUTOFF_CODE, _DELTA_CODE,
@@ -245,6 +246,20 @@ def test_sample_zn_direct_is_the_one_seed_case():
     assert DELTA in draws and 0 in draws
     with pytest.raises(DomainError):
         sample_zn(model, 0, seeds)
+
+
+def test_direct_ensemble_of_non_finite_law_raises():
+    # composite A_2 = 1e200^2 overflows: the direct ensemble raises at the
+    # first cutoff instead of drawing from a table of NaNs; the step laws
+    # are finite, so a generational ensemble still runs
+    model = validate_model(1.0, 1.0, EnvSequence.from_table([1e200] * 3),
+                           EnvSequence.from_table([1.0] * 3))
+    t0 = time.perf_counter()
+    with pytest.raises(GwThetaError,
+                       match="^non-finite pmf coefficient at cutoff 64$"):
+        run_ensemble(model, 2, 100, 1, mode="direct")
+    assert time.perf_counter() - t0 < 0.1
+    assert run_ensemble(model, 2, 100, 1).zero_freq == (1.0, 0.0)
 
 
 def test_run_ensemble_modes_agree():
@@ -556,10 +571,15 @@ def _place_outcome(sampler, u, cutoff_code=None):
 
 def _full_samplers(laws, budget):
     """Samplers of laws whose tables are built to DEFAULT_TAIL_TOL, or to
-    the budget when that cannot reach it."""
-    return [_PmfSampler(pmf.partial if isinstance(pmf, CutoffExceeded)
-                        else pmf, budget)
-            for pmf in _build_all(laws, DEFAULT_TAIL_TOL, budget)]
+    the partial table of the build when the budget cannot reach it."""
+    out = []
+    for law in laws:
+        try:
+            pmf = _build(law, DEFAULT_TAIL_TOL, budget)
+        except CutoffExceeded as err:
+            pmf = err.partial
+        out.append(_PmfSampler(pmf, budget))
+    return out
 
 
 @pytest.mark.parametrize("budget", [2 ** 10, 2 ** 13, 2 ** 20])
