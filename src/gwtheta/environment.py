@@ -394,75 +394,55 @@ def _case_label(theta: float, r: float) -> str:
     return "e" if r == 1.0 else "f"
 
 
-def _check_index(case: str, theta: float, r: float, a: float, c: float,
-                 n: int) -> None:
-    """Raise RejectedParameter if (a_n, c_n) violates its row."""
-
-    def bad(constraint: str):
-        raise RejectedParameter(
-            f"case ({case}): (a_{n}, c_{n}) = ({a}, {c}) violates "
-            f"{constraint}", index=n, constraint=constraint)
-
-    if not (a > 0.0) or not math.isfinite(a):
-        bad("a_n > 0")
-    if not math.isfinite(c):
-        # NaN passes every comparison below
-        bad("c_n finite")
-    if case != "a" and not a < 1.0:
+def _row_checks(case: str, theta: float, r: float, a, c) -> list:
+    """The constraints of the row of case, in checking order, each as
+    (name, violated) for (a_n, c_n) = (a, c), floats or float arrays.  The
+    first two catch NaN and infinities, so the later ones, whose
+    comparisons NaN would pass, see finite numbers."""
+    checks = [("a_n > 0", (a <= 0.0) | ~np.isfinite(a)),
+              ("c_n finite", ~np.isfinite(c))]
+    if case != "a":
         # boundary a_n >= 1 is permitted only in case (a)
-        bad("a_n < 1")
+        checks.append(("a_n < 1", a >= 1.0))
     if case == "a":
-        if not c > 0.0:
-            bad("c_n > 0")
-        if c < 1.0 - a - BOUND_SLACK:
-            bad("c_n >= 1 - a_n")
+        checks += [("c_n > 0", c <= 0.0),
+                   ("c_n >= 1 - a_n", c < 1.0 - a - BOUND_SLACK)]
     elif case in ("b", "d"):
         lo = (1.0 - a) * r ** (-theta)
         hi = (1.0 - a) * (r - 1.0) ** (-theta)
         if case == "d":
             lo, hi = hi, lo
-        if c < lo - BOUND_SLACK:
-            bad("c_n >= lower admissibility bound")
-        if c > hi + BOUND_SLACK:
-            bad("c_n <= upper admissibility bound")
+        checks += [("c_n >= lower admissibility bound", c < lo - BOUND_SLACK),
+                   ("c_n <= upper admissibility bound", c > hi + BOUND_SLACK)]
     elif case == "c":
-        if not c > 0.0:
-            bad("c_n > 0")
-        if c > 1.0 - a + BOUND_SLACK:
-            bad("c_n <= 1 - a_n")
+        checks += [("c_n > 0", c <= 0.0),
+                   ("c_n <= 1 - a_n", c > 1.0 - a + BOUND_SLACK)]
     elif case == "e":
-        if c < 0.0:
-            bad("c_n >= 0")
-        if not c < 1.0:
-            bad("c_n < 1")
+        checks += [("c_n >= 0", c < 0.0), ("c_n < 1", c >= 1.0)]
     elif case == "f":
-        if c < -BOUND_SLACK:
-            bad("c_n >= 0")
-        if c > 1.0 + BOUND_SLACK:
-            bad("c_n <= 1")
+        checks += [("c_n >= 0", c < -BOUND_SLACK),
+                   ("c_n <= 1", c > 1.0 + BOUND_SLACK)]
+    return checks
+
+
+def _check_index(case: str, theta: float, r: float, a: float, c: float,
+                 n: int) -> None:
+    """Raise RejectedParameter for the first constraint of its row that
+    (a_n, c_n) violates."""
+    for constraint, bad in _row_checks(case, theta, r, a, c):
+        if bad:
+            raise RejectedParameter(
+                f"case ({case}): (a_{n}, c_{n}) = ({a}, {c}) violates "
+                f"{constraint}", index=n, constraint=constraint)
 
 
 def _violations(case: str, theta: float, r: float, a: np.ndarray,
                 c: np.ndarray) -> np.ndarray:
-    """Mask of the indices _check_index rejects: the same comparisons,
-    element-wise, with the same NaN semantics."""
-    bad = ~(a > 0.0) | ~np.isfinite(a) | ~np.isfinite(c)
-    if case != "a":
-        bad |= ~(a < 1.0)
-    if case == "a":
-        bad |= ~(c > 0.0) | (c < 1.0 - a - BOUND_SLACK)
-    elif case in ("b", "d"):
-        lo = (1.0 - a) * r ** (-theta)
-        hi = (1.0 - a) * (r - 1.0) ** (-theta)
-        if case == "d":
-            lo, hi = hi, lo
-        bad |= (c < lo - BOUND_SLACK) | (c > hi + BOUND_SLACK)
-    elif case == "c":
-        bad |= ~(c > 0.0) | (c > 1.0 - a + BOUND_SLACK)
-    elif case == "e":
-        bad |= (c < 0.0) | ~(c < 1.0)
-    elif case == "f":
-        bad |= (c < -BOUND_SLACK) | (c > 1.0 + BOUND_SLACK)
+    """Mask of the indices _check_index rejects, from the same checks."""
+    checks = _row_checks(case, theta, r, a, c)
+    bad = checks[0][1]
+    for _, violated in checks[1:]:
+        bad |= violated
     return bad
 
 

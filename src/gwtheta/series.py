@@ -228,25 +228,27 @@ def _extend_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
     the whole batch at once, a Cauchy block one law at a time."""
     K = p.shape[1]
     theta, r = laws.theta, laws.r
-    if theta == 0.0:
-        new = _coeffs_theta_zero(r, laws.a, laws.log_d, J)[:, K:]
-    else:
-        parts = []
-        if K <= RECURRENCE_MAX:
-            # the recurrence resumes from the weights p already has
-            parts.append(_coeffs_theta(theta, r, laws.a, laws.c, p,
-                                       min(J, RECURRENCE_MAX))[:, K:])
-        lo = max(K, RECURRENCE_MAX + 1)
-        while lo <= J:
-            k = (lo - 1).bit_length() - 1       # 2^k < lo <= 2^(k+1)
-            B = 2 ** k
-            hi = min(J, 2 * B)
-            parts.append(np.array([
-                _cauchy_block(ThetaLaw(theta, r, a, c, None), k)[
-                    lo - B - 1:hi - B]
-                for a, c in zip(laws.a.tolist(), laws.c.tolist())]))
-            lo = hi + 1
-        new = np.concatenate(parts, axis=1)
+    # non-finite parameters give NaNs, which the check below reports
+    with np.errstate(all="ignore"):
+        if theta == 0.0:
+            new = _coeffs_theta_zero(r, laws.a, laws.log_d, J)[:, K:]
+        else:
+            parts = []
+            if K <= RECURRENCE_MAX:
+                # the recurrence resumes from the weights p already has
+                parts.append(_coeffs_theta(theta, r, laws.a, laws.c, p,
+                                           min(J, RECURRENCE_MAX))[:, K:])
+            lo = max(K, RECURRENCE_MAX + 1)
+            while lo <= J:
+                k = (lo - 1).bit_length() - 1       # 2^k < lo <= 2^(k+1)
+                B = 2 ** k
+                hi = min(J, 2 * B)
+                parts.append(np.array([
+                    _cauchy_block(ThetaLaw(theta, r, a, c, None), k)[
+                        lo - B - 1:hi - B]
+                    for a, c in zip(laws.a.tolist(), laws.c.tolist())]))
+                lo = hi + 1
+            new = np.concatenate(parts, axis=1)
     if not np.isfinite(new).all():
         raise GwThetaError(f"non-finite pmf coefficient at cutoff {J}")
     worst = new.min(axis=1)

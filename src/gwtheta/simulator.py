@@ -11,10 +11,12 @@ bit for bit (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11), so a stream can be read at any position without replaying it.
 
 Direct draws of Z_n take one uniform each, so a direct-mode chunk and a
-sample_zn call draw all their replicates at once: one kernel call, one
-search of the cumulative table, and one vectorized tally.  Every sampler's
-table, of F_n as of f_n, starts at the first cutoff and grows only as far
-as the uniforms reach.
+sample_zn call draw all their replicates at once: one kernel call and one
+search of the cumulative table.  A chunk of either mode returns only its
+replicates' outcome codes (a count, DELTA or a draw beyond the cutoff
+budget each), and run_ensemble reduces those of all chunks in one place,
+in chunk order.  Every sampler's table, of F_n as of f_n, starts at the
+first cutoff and grows only as far as the uniforms reach.
 
 Generational replicates run in lockstep (_lockstep): the replicates of a
 chunk, or the paths of a simulate_trajectories call, advance one
@@ -43,7 +45,7 @@ many paths are cheaper from one simulate_trajectories call.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -746,87 +748,27 @@ class EnsembleStats:
 
 
 # what every chunk of one run_ensemble call shares
-_Job = namedtuple("_Job", "model horizon mode base_seed s_grid scaling cc "
-                          "population_cap max_cutoff")
-
-
-class _Tally:
-    """Outcome counts and empirical-pgf sums over replicates.  Chunks and the
-    run total start from the same zeros, and the total merges the chunks in
-    chunk order, so its sums do not depend on the worker count."""
-
-    def __init__(self, grid_size: int):
-        self.counts = Counter()     # zero, delta, survival, truncated
-        self.errors = Counter()     # by exception name
-        self.pgf_sum = [0.0] * grid_size
-        self.pgf_sq = [0.0] * grid_size
-        self.scaled = []
-
-    def add(self, z: np.ndarray, job: _Job) -> None:
-        """Tally the outcomes z (a count or _DELTA_CODE each), in replicate
-        order.  Each distinct z is mapped once, s ** int(z) by Python's pow
-        and the scaled sample by the descriptor, and the sums accumulate left
-        to right (cumsum, not the pairwise np.sum), so every sum is the one
-        a loop over the replicates gives."""
-        delta = z == _DELTA_CODE
-        zero = z == 0
-        counts = self.counts
-        counts["delta"] += int(np.count_nonzero(delta))
-        counts["zero"] += int(np.count_nonzero(zero))
-        counts["survival"] += int(z.size - np.count_nonzero(delta | zero))
-        if not z.size:
-            return
-        values, inverse = np.unique(z, return_inverse=True)
-        values = values.tolist()
-        for k, s in enumerate(job.s_grid):
-            x = np.array([0.0 if v == _DELTA_CODE else s ** v
-                          for v in values])[inverse]
-            self.pgf_sum[k] = float(np.cumsum(np.append(self.pgf_sum[k],
-                                                        x))[-1])
-            self.pgf_sq[k] = float(np.cumsum(np.append(self.pgf_sq[k],
-                                                       x * x))[-1])
-        if job.scaling is not None:
-            scaled = [None if v == _DELTA_CODE
-                      else job.scaling.scaled_sample(v, job.cc.A)
-                      for v in values]
-            self.scaled.extend(w for w in map(scaled.__getitem__,
-                                              inverse.tolist())
-                               if w is not None)
-
-    def merge(self, other: "_Tally") -> None:
-        self.counts.update(other.counts)
-        self.errors.update(other.errors)
-        self.pgf_sum = [a + b for a, b in zip(self.pgf_sum, other.pgf_sum)]
-        self.pgf_sq = [a + b for a, b in zip(self.pgf_sq, other.pgf_sq)]
-        self.scaled.extend(other.scaled)
+_Job = namedtuple("_Job", "model horizon mode base_seed population_cap "
+                          "max_cutoff")
 
 
 def _run_chunk(job: _Job, start: int, count: int,
-               samplers: Optional[_SamplerTable] = None) -> _Tally:
+               samplers: Optional[_SamplerTable] = None):
+    """What replicates start .. start + count - 1 did: their outcome codes
+    in replicate order (a count, _DELTA_CODE or _CUTOFF_CODE each) and how
+    many were truncated at the population cap."""
     if samplers is None:           # a pool task builds its own table
         samplers = _SamplerTable(job.model, job.max_cutoff, job.horizon)
-    tally = _Tally(len(job.s_grid))
+    k0 = np.full(count, job.base_seed & _MASK64, dtype=np.uint64)
+    k1 = np.arange(start, start + count, dtype=np.uint64)
     if job.mode == "direct":
-        u = _philox_uniforms(np.full(count, job.base_seed & _MASK64,
-                                     dtype=np.uint64),
-                             np.arange(start, start + count, dtype=np.uint64))
-        z = samplers.get(job.horizon, population=True).place(
-            u, cutoff_code=_CUTOFF_CODE)
-    else:
-        z, truncated, _, _, error = _lockstep(
-            samplers, job.horizon,
-            np.full(count, job.base_seed & _MASK64, dtype=np.uint64),
-            np.arange(start, start + count, dtype=np.uint64),
-            job.population_cap)
-        if error is not None:
-            raise error
-        tally.counts["truncated"] += int(np.count_nonzero(truncated))
-    failed = z == _CUTOFF_CODE
-    if failed.any():
-        tally.errors["CutoffExceeded"] += int(np.count_nonzero(failed))
-        z = z[~failed]
-    tally.add(z, job)
-    return tally
+        return samplers.get(job.horizon, population=True).place(
+            _philox_uniforms(k0, k1), cutoff_code=_CUTOFF_CODE), 0
+    z, truncated, _, _, error = _lockstep(samplers, job.horizon, k0, k1,
+                                          job.population_cap)
+    if error is not None:
+        raise error
+    return z, int(np.count_nonzero(truncated))
 
 
 def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
@@ -838,10 +780,11 @@ def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
                  max_cutoff: int = DEFAULT_MAX_CUTOFF) -> EnsembleStats:
     """Ensemble statistics over independent replicates.
 
-    Replicates are split into fixed-size chunks by index; chunk results are
-    reduced in index order, so the result is bit-identical for any number of
-    workers.  The chunks run in this process share one sampler table; each
-    pool task builds its own."""
+    Replicates are split into fixed-size chunks by index.  A chunk returns
+    its replicates' outcome codes, and all the statistics are one reduction
+    over them, chunk by chunk in index order, so the result is bit-identical
+    for any number of workers.  The chunks run in this process share one
+    sampler table; each pool task builds its own."""
     base_seed = _index(base_seed, "base_seed")
     replicates = _count(replicates, "replicates")
     horizon = _count(horizon, "horizon")
@@ -854,9 +797,8 @@ def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
     for s in s_grid:
         if not 0.0 <= s <= 1.0:
             raise DomainError(f"s_grid entries must lie in [0, 1], got {s}")
-    cc = composite_constants(model, horizon) if scaling is not None else None
-    job = _Job(model, horizon, mode, base_seed, s_grid, scaling, cc,
-               population_cap, max_cutoff)
+    A = composite_constants(model, horizon).A if scaling is not None else None
+    job = _Job(model, horizon, mode, base_seed, population_cap, max_cutoff)
     starts = range(0, replicates, CHUNK)
     sizes = [min(CHUNK, replicates - start) for start in starts]
     if workers > 1 and len(starts) > 1:
@@ -865,14 +807,35 @@ def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
                                                  len(starts))) as pool:
             results = list(pool.map(_run_chunk, repeat(job), starts, sizes))
     else:
+        # run lazily: each chunk's codes are reduced before the next runs
         samplers = _SamplerTable(model, max_cutoff, horizon)
-        results = [_run_chunk(job, start, size, samplers)
-                   for start, size in zip(starts, sizes)]
-    total = _Tally(len(job.s_grid))
-    for res in results:            # fixed chunk order: deterministic reduce
-        total.merge(res)
-    counts = total.counts
-    n_ok = counts["zero"] + counts["delta"] + counts["survival"]
+        results = (_run_chunk(job, start, size, samplers)
+                   for start, size in zip(starts, sizes))
+    # each distinct code of a chunk is mapped once, s ** v by Python's pow
+    # and the scaled sample by the descriptor; a chunk's sums run left to
+    # right (cumsum, not the pairwise np.sum), a code below 0 adding 0.0,
+    # and the chunk sums add in chunk order, so every sum is the one a loop
+    # over the replicates gives
+    counts = dict.fromkeys((0, _DELTA_CODE, _CUTOFF_CODE), 0)
+    truncated = 0
+    pgf_sum, pgf_sq = [0.0] * len(s_grid), [0.0] * len(s_grid)
+    scaled = []
+    for z, cut in results:
+        truncated += cut
+        for v in counts:
+            counts[v] += int(np.count_nonzero(z == v))
+        values, inverse = np.unique(z, return_inverse=True)
+        values = values.tolist()
+        for k, s in enumerate(s_grid):
+            x = np.array([s ** v if v >= 0 else 0.0 for v in values])[inverse]
+            pgf_sum[k] += float(np.cumsum(x)[-1])
+            pgf_sq[k] += float(np.cumsum(x * x)[-1])
+        if scaling is not None:
+            table = [scaling.scaled_sample(v, A) if v >= 0 else None
+                     for v in values]
+            scaled += [w for w in map(table.__getitem__, inverse.tolist())
+                       if w is not None]
+    n_ok = replicates - counts[_CUTOFF_CODE]
 
     def freq(count):
         p = count / n_ok if n_ok else 0.0
@@ -880,18 +843,20 @@ def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
         return (p, se)
 
     pgf = []
-    for i, s in enumerate(job.s_grid):
+    for i, s in enumerate(s_grid):
         if n_ok:
-            mean = total.pgf_sum[i] / n_ok
-            var = max(0.0, total.pgf_sq[i] / n_ok - mean * mean)
+            mean = pgf_sum[i] / n_ok
+            var = max(0.0, pgf_sq[i] / n_ok - mean * mean)
             pgf.append((s, mean, math.sqrt(var / n_ok)))
         else:
             pgf.append((s, 0.0, 0.0))
     return EnsembleStats(
         replicates=replicates, horizon=horizon, mode=mode,
-        base_seed=base_seed, zero_freq=freq(counts["zero"]),
-        delta_freq=freq(counts["delta"]),
-        survival_freq=freq(counts["survival"]), empirical_pgf=tuple(pgf),
-        scaled_samples=(np.array(total.scaled) if scaling is not None
-                        else None),
-        error_counts=dict(total.errors), truncated_count=counts["truncated"])
+        base_seed=base_seed, zero_freq=freq(counts[0]),
+        delta_freq=freq(counts[_DELTA_CODE]),
+        survival_freq=freq(n_ok - counts[0] - counts[_DELTA_CODE]),
+        empirical_pgf=tuple(pgf),
+        scaled_samples=np.array(scaled) if scaling is not None else None,
+        error_counts=({"CutoffExceeded": counts[_CUTOFF_CODE]}
+                      if counts[_CUTOFF_CODE] else {}),
+        truncated_count=truncated)

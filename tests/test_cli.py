@@ -1,10 +1,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import gwtheta
 from gwtheta.cli import main
 from gwtheta.environment import EnvSequence, ThetaModel
 from gwtheta.harness import scenario_model
@@ -66,18 +70,37 @@ def test_pmf_heavy_tail_exit_2(capsys):
         "max_cutoff or tail_tol)\n")
 
 
-def test_pmf_non_finite_weight_exit_2(capsys, tmp_path):
+def _overflow_model(tmp_path):
     # composite A_2 = 1e200^2 overflows to inf
     spec = {"theta": 1.0, "r": 1.0,
             "a": EnvSequence.from_table([1e200] * 3).to_dict(),
             "c": EnvSequence.from_table([1.0] * 3).to_dict()}
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(spec))
+    return path
+
+
+def test_pmf_non_finite_weight_exit_2(capsys, tmp_path):
+    path = _overflow_model(tmp_path)
     t0 = time.perf_counter()
     code, out, err = run(capsys, "pmf", "--model", str(path), "--n", "2")
     assert time.perf_counter() - t0 < 0.1
     assert (code, out) == (2, "")
     assert err == "gwtheta: non-finite pmf coefficient at cutoff 64\n"
+
+
+def test_pmf_non_finite_weight_prints_no_numpy_warning(tmp_path):
+    # pytest records warnings rather than printing them, so the CLI runs in
+    # a process of its own, where a numpy RuntimeWarning would reach stderr
+    src = os.path.dirname(os.path.dirname(gwtheta.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gwtheta.cli", "pmf", "--model",
+         str(_overflow_model(tmp_path)), "--n", "2"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "gwtheta: non-finite pmf coefficient at cutoff 64\n"
 
 
 def test_unknown_scenario_message_is_unquoted(capsys):

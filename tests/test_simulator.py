@@ -3,6 +3,7 @@ import json
 import math
 import pstats
 import time
+import warnings
 from itertools import repeat
 
 import numpy as np
@@ -260,6 +261,13 @@ def test_direct_ensemble_of_non_finite_law_raises():
         run_ensemble(model, 2, 100, 1, mode="direct")
     assert time.perf_counter() - t0 < 0.1
     assert run_ensemble(model, 2, 100, 1).zero_freq == (1.0, 0.0)
+    # the error comes before, and without, any numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: population_pmf(model, 2),
+                     lambda: run_ensemble(model, 2, 100, 1, mode="direct")):
+            with pytest.raises(GwThetaError, match="^non-finite pmf"):
+                call()
 
 
 def test_run_ensemble_modes_agree():
@@ -1105,11 +1113,10 @@ def test_philox_kernel_is_the_first_double_of_each_stream():
 def _loop_chunk(job, start, count, samplers=None):
     """_run_chunk as a loop over the replicates: each draws from its own
     replicate_rng stream (one draw in direct mode, _array_states in
-    generational mode) and is tallied one at a time."""
+    generational mode) and gives its outcome code, one at a time."""
     if samplers is None:
         samplers = _SamplerTable(job.model, job.max_cutoff, job.horizon)
-    tally = simulator._Tally(len(job.s_grid))
-    counts, pgf_sum, pgf_sq = tally.counts, tally.pgf_sum, tally.pgf_sq
+    codes, truncated = [], 0
     direct = (samplers.get(job.horizon, population=True)
               if job.mode == "direct" else None)
     for i in range(start, start + count):
@@ -1118,24 +1125,90 @@ def _loop_chunk(job, start, count, samplers=None):
             if direct is not None:
                 z = int(direct.place(rng.random(1))[0])
             else:
-                states, truncated = _array_states(
+                states, cut = _array_states(
                     samplers, job.horizon, rng, job.population_cap)
-                counts["truncated"] += truncated
+                truncated += cut
                 z = _DELTA_CODE if states[-1] == DELTA else int(states[-1])
         except CutoffExceeded:
-            tally.errors["CutoffExceeded"] += 1
-            continue
-        counts["delta" if z == _DELTA_CODE
-               else "zero" if z == 0 else "survival"] += 1
-        for k, s in enumerate(job.s_grid):
-            x = 0.0 if z == _DELTA_CODE else s ** z
-            pgf_sum[k] += x
-            pgf_sq[k] += x * x
-        if job.scaling is not None and z != _DELTA_CODE:
-            val = job.scaling.scaled_sample(z, job.cc.A)
-            if val is not None:
-                tally.scaled.append(val)
-    return tally
+            z = _CUTOFF_CODE
+        codes.append(z)
+    return np.array(codes, dtype=np.int64), truncated
+
+
+def _loop_reduce(chunks, s_grid, scaling, A):
+    """The statistics of the chunks' outcomes by a Python loop over the
+    replicates, one chunk at a time, the chunk sums added in chunk order:
+    (counts, pgf, scaled samples)."""
+    counts = dict.fromkeys(("zero", "delta", "survival", "cutoff",
+                            "truncated"), 0)
+    pgf_sum, pgf_sq = [0.0] * len(s_grid), [0.0] * len(s_grid)
+    scaled = []
+    for codes, truncated in chunks:
+        counts["truncated"] += truncated
+        part_sum, part_sq = [0.0] * len(s_grid), [0.0] * len(s_grid)
+        for z in codes.tolist():
+            if z == _CUTOFF_CODE:
+                counts["cutoff"] += 1
+                continue
+            counts["delta" if z == _DELTA_CODE
+                   else "zero" if z == 0 else "survival"] += 1
+            for k, s in enumerate(s_grid):
+                x = 0.0 if z == _DELTA_CODE else s ** z
+                part_sum[k] += x
+                part_sq[k] += x * x
+            if scaling is not None and z != _DELTA_CODE:
+                val = scaling.scaled_sample(z, A)
+                if val is not None:
+                    scaled.append(val)
+        pgf_sum = [a + b for a, b in zip(pgf_sum, part_sum)]
+        pgf_sq = [a + b for a, b in zip(pgf_sq, part_sq)]
+    n_ok = counts["zero"] + counts["delta"] + counts["survival"]
+    pgf = []
+    for s, total, sq in zip(s_grid, pgf_sum, pgf_sq):
+        mean = total / n_ok
+        var = max(0.0, sq / n_ok - mean * mean)
+        pgf.append((s, mean, math.sqrt(var / n_ok)))
+    return counts, tuple(pgf), np.array(scaled)
+
+
+@pytest.mark.parametrize("sid,s_grid", [
+    ("Ex1", simulator.DEFAULT_S_GRID), ("Ex6ii", (0.0, 0.3, 0.999, 1.0)),
+    ("Ex1", ())])
+def test_reduction_matches_the_replicate_loop(monkeypatch, sid, s_grid):
+    # synthetic outcome codes: counts from 0 to past 2^40, DELTA, draws
+    # beyond the budget and a chunk of nothing else, in chunks of 50
+    from gwtheta.analytics import limit_constants, limit_law
+    monkeypatch.setattr(simulator, "CHUNK", 50)
+    model = scenario_model(sid)
+    law = limit_law(model, limit_constants(model, 10 ** 4))
+    rng = np.random.default_rng(5)
+    reps = 50 * 6 + 17
+    codes = np.where(rng.random(reps) < 0.5, rng.integers(0, 6, reps),
+                     rng.integers(6, 2 ** 41, reps))
+    codes[rng.random(reps) < 0.2] = _DELTA_CODE
+    codes[rng.random(reps) < 0.1] = _CUTOFF_CODE
+    codes[100:150] = _CUTOFF_CODE
+    chunks = [(codes[start:start + 50], start % 7)
+              for start in range(0, reps, 50)]
+
+    def fake_chunk(job, start, count, samplers=None):
+        return chunks[start // 50]
+    monkeypatch.setattr(simulator, "_run_chunk", fake_chunk)
+    got = run_ensemble(model, 20, reps, 3, scaling=law, s_grid=s_grid)
+    counts, pgf, scaled = _loop_reduce(
+        chunks, s_grid, law, composite_constants(model, 20).A)
+    n_ok = reps - counts["cutoff"]
+    assert n_ok == counts["zero"] + counts["delta"] + counts["survival"]
+    for name in ("zero", "delta", "survival"):
+        p = counts[name] / n_ok
+        assert getattr(got, f"{name}_freq") == (
+            p, math.sqrt(p * (1.0 - p) / n_ok)), name
+    assert got.empirical_pgf == pgf
+    assert got.scaled_samples.dtype == scaled.dtype == np.float64
+    assert got.scaled_samples.tobytes() == scaled.tobytes()
+    assert got.error_counts == {"CutoffExceeded": counts["cutoff"]}
+    assert got.truncated_count == counts["truncated"] > 0
+    assert counts["zero"] and counts["delta"] and counts["survival"]
 
 
 # a proper law with scaling, a defective law that emits DELTA, a capped heavy
@@ -1165,6 +1238,14 @@ def test_chunk_path_matches_the_replicate_loop(monkeypatch, sid, n, mode,
         assert want.delta_freq[0] > 0.0
     if sid == "Ex10ii":
         assert want.error_counts["CutoffExceeded"] > 0
+    job = simulator._Job(model, n, mode, 11, POPULATION_CAP,
+                         kwargs.get("max_cutoff", DEFAULT_MAX_CUTOFF))
+    for start in range(0, reps, simulator.CHUNK):
+        count = min(simulator.CHUNK, reps - start)
+        z, truncated = simulator._run_chunk(job, start, count)
+        want_z, want_truncated = _loop_chunk(job, start, count)
+        assert z.dtype == np.int64 and np.array_equal(z, want_z), start
+        assert truncated == want_truncated, start
     for workers in (1, 3):
         got = run(workers)
         assert got.to_dict() == want.to_dict(), workers
