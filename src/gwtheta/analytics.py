@@ -805,11 +805,12 @@ def convergence_conditions(model: ThetaModel, horizon: int) -> ConvergenceReport
         p1 = law.weight_one()
         log1mc = (lg if r == 1.0
                   else model.c_seq.log_one_minus_values(blk.n0, blk.c))
+        g1 = 1.0 if r == 1.0 and theta >= 0.0 else law.pgf(1.0)  # proper
         terms = {"cl": 1.0 - p1,
                  "one_minus_a": np.abs(1.0 - a),
                  "A1": np.where(np.isnan(log1mc), math.inf,
                                 -(1.0 - a) * log1mc),
-                 "tilde": 1.0 - p1 / law.pgf(1.0)}
+                 "tilde": 1.0 - p1 / g1}
         at = [m - blk.n0 for m in blk.picks(marks)]
         for key, term in terms.items():
             partial = np.cumsum(np.concatenate(([sums[key]], term)))[1:]

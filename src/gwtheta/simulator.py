@@ -4,7 +4,7 @@ Z_n from its composite law, and parallel ensemble statistics.
 Reproducibility contract: every replicate owns a counter-based RNG stream
 keyed by (base_seed, replicate_index), so results are bit-identical for any
 worker count and for reruns with the same seed.  A draw depends on the law,
-the cutoff budget and the uniform alone, so a call shares its samplers.
+the cutoff budget and the uniform alone, so calls share their samplers.
 replicate_rng defines the stream.  _philox_blocks computes any block of it
 for a whole array of keys, the Philox4x64-10 block numpy's Philox computes,
 bit for bit (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
@@ -38,8 +38,8 @@ their cumulative tables come from one cumsum over their rows, so a block
 of 64 laws costs about twice one of 8, heavy tails included.  Each is the
 sampler its law gives alone, so this changes no draw, and a law that
 fails lazy validation, or has a non-finite weight, still raises only when
-a path reaches it.  Each simulate_trajectory call builds its own table:
-many paths are cheaper from one simulate_trajectories call.
+a path reaches it.  The table of the last call is kept (_kept_table), so
+consecutive calls on an equal model and budget build their samplers once.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
@@ -325,6 +326,7 @@ class _MixtureHeavySampler:
     0 with probability 1-d, else a heavy-tail index draw with parameter a."""
 
     growth = math.inf            # the mean draw
+    grown = False                # no table to grow
 
     def __init__(self, law: ThetaLaw):
         self.a = law.a
@@ -353,6 +355,7 @@ class _PmfSampler:
     def __init__(self, pmf: Pmf, max_cutoff: int,
                  cum: Optional[np.ndarray] = None):
         self.max_cutoff = max_cutoff
+        self.grown = False       # past the first cutoff
         self._proper = 1.0 - pmf.defect_mass
         self._set_pmf(pmf, cum)
 
@@ -391,6 +394,7 @@ class _PmfSampler:
             while top >= self._cum[-1] and self.pmf.cutoff < self.max_cutoff:
                 self._set_pmf(extend_pmf(self.pmf, min(2 * self.pmf.cutoff,
                                                        self.max_cutoff)))
+                self.grown = True
             found = np.where(proper, self._cum.searchsorted(v, side="right"),
                              _DELTA_CODE)
             beyond = found > self.pmf.cutoff
@@ -427,11 +431,10 @@ def _sampler(model: ThetaModel, n: int, max_cutoff: int, population: bool):
 
 
 class _SamplerTable:
-    """The samplers of one simulation call, each built on first use and kept
-    for the whole call: f_n's in ``step`` and F_n's in ``population``, both
-    keyed by n, each with 64 weights at first, extended by the draws.  Draws
-    do not depend on a sampler's history, so every chunk and path can share
-    them.
+    """The samplers of a model and budget, each built on first use: f_n's
+    in ``step`` and F_n's in ``population``, both keyed by n, each with 64
+    weights at first, extended by the draws.  Draws do not depend on a
+    sampler's history, so every chunk, path and call can share them.
 
     The first miss of a step sampler builds the samplers of the STEP_BLOCK
     generations from n on, capped at the horizon, in one _samplers call.
@@ -475,6 +478,30 @@ class _SamplerTable:
         except GwThetaError:
             return
         self.step.update(zip(range(n0, n1), built))
+
+
+_kept = None                     # the last call's ((model, max_cutoff), table)
+
+
+@contextmanager
+def _kept_table(model: ThetaModel, max_cutoff: int, horizon: int):
+    """The sampler table of a call: the last call's if its model was equal
+    and its budget the same, else a new one, set to the call's horizon and
+    taken out while the call runs.  On return it keeps no sampler past its
+    first cutoff, 65 weights a law; get rebuilds the dropped ones."""
+    global _kept
+    kept, _kept = _kept, None      # a concurrent call builds its own
+    if kept is None or kept[0] != (model, max_cutoff):
+        kept = None                # release the old table before the build
+        kept = (model, max_cutoff), _SamplerTable(model, max_cutoff, horizon)
+    kept[1].horizon = horizon
+    try:
+        yield kept[1]
+    finally:
+        for built in (kept[1].step, kept[1].population):
+            for n in [n for n, s in built.items() if s.grown]:
+                del built[n]
+        _kept = kept
 
 
 def sample_offspring(pmf: Pmf, rng: np.random.Generator,
@@ -541,13 +568,11 @@ def _lockstep(samplers: _SamplerTable, horizon: int, k0: np.ndarray,
     for n in range(1, horizon + 1):
         if not live.size:
             break
-        sampler = samplers.step.get(n)
-        if sampler is None:
-            try:
-                sampler = samplers.get(n)
-            except GwThetaError as err:
-                z[streams.ids], when[streams.ids] = _FAILED_CODE, n
-                return z, truncated, when, rows, err
+        try:
+            sampler = samplers.get(n)
+        except GwThetaError as err:
+            z[streams.ids], when[streams.ids] = _FAILED_CODE, n
+            return z, truncated, when, rows, err
         ends = live.cumsum()
         draws = int(ends[-1])
 
@@ -639,38 +664,39 @@ def simulate_trajectories(model: ThetaModel, horizon: int,
                           population_cap: int = POPULATION_CAP,
                           max_cutoff: int = DEFAULT_MAX_CUTOFF) -> list:
     """Generation-by-generation paths, one per seed, run in lockstep a chunk
-    of seeds at a time over one sampler table; each path is deterministic
-    in (model, horizon, seed) and reads the stream keyed (seed, 0).  The
-    error of the first path that fails, in seed order, is raised."""
+    of seeds at a time over the kept sampler table; each path is
+    deterministic in (model, horizon, seed), reading the stream keyed
+    (seed, 0).  The first path to fail, in seed order, raises its error."""
     horizon = _count(horizon, "horizon")
     population_cap = _count(population_cap, "population_cap")
     max_cutoff = _index(max_cutoff, "max_cutoff")
     seeds = list(seeds)
-    samplers = _SamplerTable(model, max_cutoff, horizon)
     paths = []
-    for start in range(0, len(seeds), CHUNK):
-        chunk = seeds[start:start + CHUNK]
-        k0 = _keys(chunk)
-        z, truncated, when, rows, error = _lockstep(
-            samplers, horizon, k0, np.zeros_like(k0), population_cap,
-            history=True)
-        failed = np.flatnonzero(z < _DELTA_CODE)
-        if failed.size:
-            j = failed[0]
-            if z[j] == _FAILED_CODE:
-                raise error
-            raise samplers.get(int(when[j])).beyond_budget()
-        pad = horizon + 1 - len(rows)
-        for seed, states, last, cut, n in zip(
-                chunk, np.array(rows).T.tolist(), z.tolist(),
-                truncated.tolist(), when.tolist()):
-            states += [last] * pad
-            tau = n if last <= 0 else None
-            if last == _DELTA_CODE:
-                states = [DELTA if s == _DELTA_CODE else s for s in states]
-            paths.append(Trajectory(
-                tuple(states), tau if last == 0 else None,
-                tau if last == _DELTA_CODE else None, tau, seed, cut))
+    with _kept_table(model, max_cutoff, horizon) as samplers:
+        for start in range(0, len(seeds), CHUNK):
+            chunk = seeds[start:start + CHUNK]
+            k0 = _keys(chunk)
+            z, truncated, when, rows, error = _lockstep(
+                samplers, horizon, k0, np.zeros_like(k0), population_cap,
+                history=True)
+            failed = np.flatnonzero(z < _DELTA_CODE)
+            if failed.size:
+                j = failed[0]
+                if z[j] == _FAILED_CODE:
+                    raise error
+                raise samplers.get(int(when[j])).beyond_budget()
+            pad = horizon + 1 - len(rows)
+            for seed, states, last, cut, n in zip(
+                    chunk, np.array(rows).T.tolist(), z.tolist(),
+                    truncated.tolist(), when.tolist()):
+                states += [last] * pad
+                tau = n if last <= 0 else None
+                if last == _DELTA_CODE:
+                    states = [DELTA if s == _DELTA_CODE else s
+                              for s in states]
+                paths.append(Trajectory(
+                    tuple(states), tau if last == 0 else None,
+                    tau if last == _DELTA_CODE else None, tau, seed, cut))
     return paths
 
 
@@ -689,9 +715,10 @@ def sample_zn(model: ThetaModel, n: int, seeds: Iterable[int],
     all from one sampler and one kernel call over the keys (seed, 0); each
     is deterministic in (model, n, seed)."""
     n, max_cutoff = _count(n, "n"), _index(max_cutoff, "max_cutoff")
-    sampler = _SamplerTable(model, max_cutoff, n).get(n, population=True)
     k0 = _keys(seeds)
-    values = sampler.place(_philox_uniforms(k0, np.zeros_like(k0))).tolist()
+    with _kept_table(model, max_cutoff, n) as samplers:
+        values = samplers.get(n, population=True).place(
+            _philox_uniforms(k0, np.zeros_like(k0))).tolist()
     return [DELTA if v == _DELTA_CODE else v for v in values]
 
 
@@ -783,8 +810,8 @@ def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
     Replicates are split into fixed-size chunks by index.  A chunk returns
     its replicates' outcome codes, and all the statistics are one reduction
     over them, chunk by chunk in index order, so the result is bit-identical
-    for any number of workers.  The chunks run in this process share one
-    sampler table; each pool task builds its own."""
+    for any number of workers.  The chunks run in this process share the
+    kept sampler table (_kept_table); each pool task builds its own."""
     base_seed = _index(base_seed, "base_seed")
     replicates = _count(replicates, "replicates")
     horizon = _count(horizon, "horizon")
@@ -808,9 +835,11 @@ def run_ensemble(model: ThetaModel, horizon: int, replicates: int,
             results = list(pool.map(_run_chunk, repeat(job), starts, sizes))
     else:
         # run lazily: each chunk's codes are reduced before the next runs
-        samplers = _SamplerTable(model, max_cutoff, horizon)
-        results = (_run_chunk(job, start, size, samplers)
-                   for start, size in zip(starts, sizes))
+        def here():
+            with _kept_table(model, max_cutoff, horizon) as samplers:
+                for start, size in zip(starts, sizes):
+                    yield _run_chunk(job, start, size, samplers)
+        results = here()
     # each distinct code of a chunk is mapped once, s ** v by Python's pow
     # and the scaled sample by the descriptor; a chunk's sums run left to
     # right (cumsum, not the pairwise np.sum), a code below 0 adding 0.0,

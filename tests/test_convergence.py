@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
-from gwtheta.analytics import FAILS, HOLDS, convergence_conditions
-from gwtheta.harness import scenario_model
+from gwtheta.analytics import (FAILS, HOLDS, _blocks, _series_verdict,
+                               convergence_conditions)
+from gwtheta.environment import ThetaLaw
+from gwtheta.harness import registry, scenario_model
 
 HORIZON = 2000
 
@@ -52,3 +55,24 @@ def test_serialization():
     assert d["church_lindvall"] == HOLDS
     assert d["horizon"] == HORIZON
     assert set(d["partial_sums"]) == {"cl", "one_minus_a", "A1", "tilde"}
+
+
+@pytest.mark.parametrize("sid", [sc.id for sc in registry()])
+def test_tilde_sums_equal_the_divided_form(sid):
+    # for r = 1 and theta >= 0 the tilde terms take g(1) = 1.0 without
+    # evaluating it; over the whole walk the sums and verdicts must be those
+    # of 1 - p1 / g(1), the only series that reads g(1)
+    model = scenario_model(sid)
+    horizon = 10 ** 4
+    rep = convergence_conditions(model, horizon)
+    marks = (horizon // 4, horizon // 2, horizon)
+    total, snap = 0.0, []
+    for blk in _blocks(model, horizon):
+        law = ThetaLaw(model.theta, model.r, blk.a, blk.c,
+                       (1.0 - blk.a) * blk.lg if model.theta == 0.0 else None)
+        term = 1.0 - law.weight_one() / law.pgf(1.0)
+        partial = np.cumsum(np.concatenate(([total], term)))[1:]
+        total = partial[-1]
+        snap += [partial[m - blk.n0].item() for m in blk.picks(marks)]
+    assert rep.partial_sums["tilde"] == snap
+    assert rep.tilde_cl == _series_verdict(*snap)

@@ -2,6 +2,8 @@ import cProfile
 import json
 import math
 import pstats
+import sys
+import threading
 import time
 import warnings
 from itertools import repeat
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from gwtheta import simulator
+from gwtheta import series, simulator
 from gwtheta.analytics import (composed_pgf, composite_constants,
                                composite_law)
 from gwtheta.environment import EnvSequence, ThetaLaw, validate_model
@@ -1017,6 +1019,7 @@ def test_block_built_step_samplers_match_per_law(sid):
 def _per_law(monkeypatch, call):
     """call() with every sampler built law by law, without blocks."""
     with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_kept", None)
         patch.setattr(_SamplerTable, "_build_block", lambda self, n0: None)
         return call()
 
@@ -1300,3 +1303,146 @@ def test_sample_zn_matches_the_per_seed_draws():
     assert sample_zn(model, 30, seeds) == want
     assert DELTA in want and 0 in want
     assert sample_zn(model, 30, []) == []
+
+
+# ---------------------------------------------------------------------------
+# The kept sampler table: consecutive in-process calls on an equal model and
+# budget share the last call's table, and no draw depends on what it holds.
+# ---------------------------------------------------------------------------
+
+def _kept_samplers():
+    table = simulator._kept[1]
+    return list(table.step.values()) + list(table.population.values())
+
+
+def test_kept_table_builds_the_step_block_once(monkeypatch):
+    monkeypatch.setattr(simulator, "_kept", None)
+    calls = []
+
+    def counting(laws, max_cutoff):
+        calls.append(len(laws))
+        return series._first_pmfs(laws, max_cutoff)
+    monkeypatch.setattr(simulator, "_first_pmfs", counting)
+    model = scenario_model("Ex2")
+    paths = [simulate_trajectory(model, 40, s) for s in range(1001, 1009)]
+    assert calls == [40]
+    monkeypatch.setattr(simulator, "_kept", None)
+    assert [simulate_trajectory(model, 40, s)
+            for s in range(1001, 1009)] == paths
+
+
+def test_kept_table_is_replaced_by_another_model_or_budget(monkeypatch):
+    monkeypatch.setattr(simulator, "_kept", None)
+    ex2, ex7 = scenario_model("Ex2"), scenario_model("Ex7i")
+    simulate_trajectory(ex2, 40, 1)
+    first = simulator._kept[1]
+    simulate_trajectory(scenario_model("Ex2"), 30, 2)   # equal, not same
+    assert simulator._kept[1] is first
+    for model, budget in ((ex7, DEFAULT_MAX_CUTOFF), (ex7, 2 ** 12),
+                          (ex2, 2 ** 12)):
+        simulate_trajectory(model, 40, 3, max_cutoff=budget)
+        assert simulator._kept[0] == (model, budget)
+        assert simulator._kept[1] is not first
+        first = simulator._kept[1]
+
+
+def test_kept_table_interleaved_calls_equal_fresh_ones(monkeypatch):
+    # horizons 40, 100, 20 make the kept table's blocks 1..40 and 41..100,
+    # not a fresh table's 1..64 and 65..100; every draw is the same.  A
+    # budget of 4 sends some draws of both models beyond it
+    monkeypatch.setattr(simulator, "CHUNK", 512)
+    ex2, ex9 = scenario_model("Ex2"), scenario_model("Ex9ii")
+    calls = [
+        lambda: simulate_trajectories(ex2, 40, range(30)),
+        lambda: simulate_trajectories(ex2, 100, range(30)),
+        lambda: simulate_trajectories(ex2, 20, range(30)),
+        lambda: run_ensemble(ex2, 60, 1200, 4),
+        lambda: run_ensemble(ex2, 60, 600, 6, max_cutoff=4),
+        lambda: sample_zn(ex2, 60, range(200)),
+        lambda: simulate_trajectories(ex2, 40, range(30), max_cutoff=2 ** 8),
+        lambda: run_ensemble(ex9, 200, 600, 5),
+        lambda: sample_zn(ex9, 30, range(200)),
+        lambda: run_ensemble(ex9, 150, 600, 6, max_cutoff=4),
+        lambda: run_ensemble(ex9, 200, 600, 5),
+        lambda: simulate_trajectories(ex2, 100, range(30, 60)),
+    ]
+    got = [call() for call in calls]
+    for call, want in zip(calls, got):
+        monkeypatch.setattr(simulator, "_kept", None)
+        assert call() == want
+
+
+def test_kept_table_holds_no_sampler_past_its_first_cutoff(monkeypatch):
+    monkeypatch.setattr(simulator, "_kept", None)
+    cutoffs = []
+
+    def recording_extend(pmf, cutoff):
+        cutoffs.append(cutoff)
+        return extend_pmf(pmf, cutoff)
+    model = scenario_model("Ex10ii")
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "extend_pmf", recording_extend)
+        first = run_ensemble(model, 10, 50, 5)
+    assert cutoffs == [128]
+    samplers = _kept_samplers()
+    assert samplers
+    assert all(len(s.pmf.weights) <= 64 + 1 and not s.grown
+               for s in samplers)
+    assert run_ensemble(model, 10, 50, 5) == first
+    # direct draws extend F_n's sampler, which is dropped the same way
+    got = sample_zn(model, 20, range(400))
+    assert all(len(s.pmf.weights) <= 64 + 1 for s in _kept_samplers())
+    monkeypatch.setattr(simulator, "_kept", None)
+    assert sample_zn(model, 20, range(400)) == got
+
+
+def test_kept_table_drops_a_block_that_fails_validation(monkeypatch):
+    # a_12 < 0 fails the block 1..20; the kept table holds only the laws
+    # built one by one before it, and a repeat raises the same error
+    monkeypatch.setattr(simulator, "_kept", None)
+    model = validate_model(1.0, 1.0,
+                           EnvSequence.from_table([1.0] * 11 + [-1.0]),
+                           EnvSequence.constant(0.5), check_horizon=5)
+    got = [_trajectory_or_error(model, 20, seed) for seed in range(100)]
+    assert set(simulator._kept[1].step) <= set(range(1, 12))
+    errors = [g for g in got if not isinstance(g, Trajectory)]
+    assert errors and len(errors) < len(got)
+    assert [_trajectory_or_error(model, 20, seed)
+            for seed in range(100)] == got
+    assert got == _per_law(monkeypatch, lambda: [
+        _trajectory_or_error(model, 20, seed) for seed in range(100)])
+
+
+def test_kept_table_warm_ensembles_match_across_workers(monkeypatch):
+    monkeypatch.setattr(simulator, "CHUNK", 512)
+    model = scenario_model("Ex10ii")
+    run_ensemble(model, 30, 600, 4, max_cutoff=2 ** 12)     # warm the table
+    assert simulator._kept[0] == (model, 2 ** 12)
+    one = run_ensemble(model, 30, 1500, 5, max_cutoff=2 ** 12)
+    three = run_ensemble(model, 30, 1500, 5, workers=3, max_cutoff=2 ** 12)
+    assert one == three
+
+
+def test_kept_table_is_not_shared_by_concurrent_calls():
+    # a call takes the kept table out while it runs, so a call in another
+    # thread builds its own; the short switch interval interleaves calls
+    # whose draws grow the heavy-tailed samplers
+    model = scenario_model("Ex10ii")
+    want = simulate_trajectories(model, 10, range(200))
+    results = [None] * 4
+
+    def work(i):
+        results[i] = [simulate_trajectories(model, 10, range(200))
+                      for _ in range(3)]
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[want] * 3] * 4
