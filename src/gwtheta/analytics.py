@@ -14,7 +14,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .environment import ThetaLaw, ThetaModel
-from .errors import DomainError, NoLimitLaw, UndeterminedLimit
+from .errors import (DomainError, GwThetaError, NoLimitLaw,
+                     UndeterminedLimit)
 
 
 # ---------------------------------------------------------------------------
@@ -839,11 +840,15 @@ def convergence_conditions(model: ThetaModel, horizon: int) -> ConvergenceReport
 # ---------------------------------------------------------------------------
 
 def constants_table(model: ThetaModel, ns: Sequence[int]) -> list[dict]:
-    """Rows (n, A_n, C_n, D_n, B_n, F_n(0), F_n(1), means) for export."""
+    """Rows (n, A_n, C_n, D_n, B_n, F_n(0), F_n(1), means) for export;
+    GwThetaError if A_n or C_n overflows at a requested n."""
     cs = constants_at(model, ns)
     rows = []
     for n in sorted(cs):
         cc = cs[n]
+        if not (math.isfinite(cc.A) and math.isfinite(cc.C)):
+            raise GwThetaError(f"composite constants overflow at n = {n}: "
+                               f"A_n = {cc.A}, C_n = {cc.C}")
         row = {"n": n, "A_n": cc.A, "C_n": cc.C,
                "D_n": cc.D, "B_n": cc.B}
         if n >= 1:

@@ -23,17 +23,32 @@ runs only the new steps, and a build that stops at 2^12 runs 2^12 steps
 in all.  A batch is built to the first cutoff only, as arrays
 (_first_pmfs); _build doubles the cutoff of one law, a batch of one,
 until its tail meets the tolerance.
+
+The weights of single laws are kept across calls (_extend_coeffs): a
+module memo maps each law (theta, r, a, c, log_d) to the longest read-only
+weights p_0..p_K computed for it, least recently used laws evicted so that
+at most MEMO_WEIGHTS = 2^17 weights (1 MiB) are kept in all, and a law
+with more is not kept.  It serves p_K..p_J only to a caller whose known
+weights equal the kept prefix bit for bit (otherwise the weights are
+computed from the caller's, as without it), and it stores only weights
+computed from nothing or extending the prefix it holds, so every weight it
+serves is the one a single pass gives.  Repeated builds and extensions of
+a law in one process, sampler rebuilds among them, run its recurrence and
+Cauchy blocks once; a one-shot `gwtheta pmf` run gains nothing.  Batches of
+more than one law neither read nor write it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import composite_law
+from .analytics import _index, composite_law
 from .environment import ThetaLaw, ThetaModel, _libm
 from .errors import CutoffExceeded, DomainError, GwThetaError
 
@@ -43,7 +58,14 @@ DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_MAX_CUTOFF = 2 ** 20
 NEGATIVE_CLIP = 1e-14
 RECURRENCE_MAX = 2 ** 12         # highest index from the power recurrence
+MEMO_WEIGHTS = 2 ** 17           # weights the memo keeps in all, 1 MiB
 _NO_WEIGHTS = np.empty(0)
+
+# law -> its longest read-only weights p_0..p_K, least recently used first;
+# _memo_lock guards it and _memo_total, the weights it holds in all
+_memo = OrderedDict()
+_memo_total = 0
+_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +240,7 @@ def _batch(laws: list) -> ThetaLaw:
                                           dtype=float), None)
 
 
-def _extend_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
+def _new_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
     """Taylor weights p_K..p_J, K = p.shape[1], of each law of the batch
     laws, a row each: row i of p holds the weights p_0..p_{K-1} that law
     already has (possibly none): none for the batch of _first_pmfs, the
@@ -265,9 +287,59 @@ def _extend_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
     return new
 
 
+def _keep(key, weights: np.ndarray) -> None:
+    """Keep weights, read-only, for the law key unless it holds as many
+    already or they exceed MEMO_WEIGHTS; evict the least recently used laws
+    down to MEMO_WEIGHTS in all."""
+    global _memo_total
+    if weights.size > MEMO_WEIGHTS:
+        return
+    weights.flags.writeable = False
+    with _memo_lock:
+        old = _memo.get(key)
+        if old is not None and old.size >= weights.size:
+            return
+        _memo[key] = weights
+        _memo.move_to_end(key)
+        _memo_total += weights.size - (0 if old is None else old.size)
+        while _memo_total > MEMO_WEIGHTS:
+            _memo_total -= _memo.popitem(last=False)[1].size
+
+
+def _extend_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
+    """_new_coeffs(laws, p, J), through the memo for a batch of one: the
+    kept weights serve p_K..p_J when p equals their prefix bit for bit, and
+    past their end the new ones are computed from them and kept; weights
+    computed from nothing are kept too.  A row served is a read-only view
+    of the kept weights."""
+    if p.shape[0] != 1:
+        return _new_coeffs(laws, p, J)
+    K = p.shape[1]
+    key = (laws.theta, laws.r) + tuple(
+        None if x is None else x.item() for x in (laws.a, laws.c, laws.log_d))
+    with _memo_lock:
+        kept = _memo.get(key)
+        if kept is not None:
+            _memo.move_to_end(key)          # now the most recently used
+    known = p[0]
+    if (kept is None or K > kept.size or known.dtype != kept.dtype
+            or not np.array_equal(kept[:K].view(np.int64),
+                                  known.view(np.int64))):
+        new = _new_coeffs(laws, p, J)
+        if K == 0:
+            _keep(key, new[0].copy())
+        return new
+    if J < kept.size:
+        return kept[None, K:J + 1]
+    whole = np.concatenate([kept, _new_coeffs(laws, kept[None], J)[0]])
+    _keep(key, whole)
+    return whole[None, K:]
+
+
 def _coeffs(law: ThetaLaw, J: int) -> np.ndarray:
-    """Taylor weights p_0..p_J of the law, negative round-off clipped."""
-    return _extend_coeffs(_batch([law]), _NO_WEIGHTS[None], J)[0]
+    """Taylor weights p_0..p_J of the law in one pass from nothing,
+    negative round-off clipped; the memo is neither read nor written."""
+    return _new_coeffs(_batch([law]), _NO_WEIGHTS[None], J)[0]
 
 
 def _theta_one_tail(laws: ThetaLaw, J: int) -> np.ndarray:
@@ -305,6 +377,7 @@ def _build(law: ThetaLaw, tail_tol: float, max_cutoff: int) -> Pmf:
     per-doubling decay projects a cutoff beyond the budget."""
     if not tail_tol > 0.0:
         raise DomainError(f"tail_tol must be > 0, got {tail_tol}")
+    max_cutoff = _index(max_cutoff, "max_cutoff")
     (pmf,) = _first_pmfs([law], max_cutoff)
     # a first tail clamped to 0 meets any tail_tol either way
     batch, g1, tail = _batch([law]), law.pgf(1.0), pmf.tail_mass
@@ -389,6 +462,7 @@ def population_pmf(model: ThetaModel, n: int,
 def extend_pmf(pmf: Pmf, cutoff: int) -> Pmf:
     """The same law with a larger cutoff: the weights it has are kept and
     only the new ones are computed, so the tail is resolved further."""
+    cutoff = _index(cutoff, "cutoff")
     if cutoff <= pmf.cutoff:
         return pmf
     w = pmf.weights

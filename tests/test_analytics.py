@@ -10,7 +10,7 @@ from gwtheta.analytics import (composed_pgf, composite_constants,
                                survival_and_moments)
 from gwtheta.environment import (EnvSequence, ThetaModel, step_pgf,
                                  validate_model)
-from gwtheta.errors import ConditioningOnNull, DomainError
+from gwtheta.errors import ConditioningOnNull, DomainError, GwThetaError
 from gwtheta.harness import scenario_model
 
 
@@ -142,6 +142,16 @@ def test_constants_table_rows():
     assert [row["n"] for row in rows] == [10, 20]
     assert rows[0]["F_n(0)"] == pytest.approx(0.0, abs=1e-12)
     assert rows[1]["mean_restricted"] == pytest.approx(21.0, rel=1e-12)
+
+
+def test_constants_table_rejects_overflowed_constants():
+    # A_2 = 1e200^2 overflows to inf; a row of inf is not exported
+    model = validate_model(1.0, 1.0, EnvSequence.from_table([1e200] * 3),
+                           EnvSequence.from_table([1.0] * 3))
+    assert constants_table(model, [1])[0]["A_n"] == 1e200
+    with pytest.raises(GwThetaError, match="^composite constants overflow "
+                       "at n = 2: A_n = inf, C_n = 1e"):
+        constants_table(model, [1, 2, 3])
 
 
 def test_undefined_log_d_is_a_domain_error():

@@ -89,6 +89,18 @@ def test_pmf_non_finite_weight_exit_2(capsys, tmp_path):
     assert err == "gwtheta: non-finite pmf coefficient at cutoff 64\n"
 
 
+def test_analyze_overflow_exit_2(capsys, tmp_path):
+    # A_1 = 1e200 is finite, A_2 overflows: the table stops with one line
+    # naming n instead of writing "A_n": Infinity
+    path = _overflow_model(tmp_path)
+    code, out, err = run(capsys, "analyze", "--model", str(path), "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == ("gwtheta: composite constants overflow at n = 2: "
+                   "A_n = inf, C_n = 1e+200\n")
+    code, out, _ = run(capsys, "analyze", "--model", str(path), "--n", "1")
+    assert code == 0 and json.loads(out)[0]["A_n"] == 1e200
+
+
 def test_pmf_non_finite_weight_prints_no_numpy_warning(tmp_path):
     # pytest records warnings rather than printing them, so the CLI runs in
     # a process of its own, where a numpy RuntimeWarning would reach stderr

@@ -1,6 +1,10 @@
 import math
+import random
+import sys
+import threading
 import time
 import tracemalloc
+from collections import OrderedDict
 
 import mpmath
 import numpy as np
@@ -13,7 +17,7 @@ from gwtheta.analytics import (composed_pgf, composite_constants,
 from gwtheta.environment import (EnvSequence, ThetaLaw, step_pgf_weight_one,
                                  validate_model)
 from gwtheta.errors import CutoffExceeded, DomainError, GwThetaError
-from gwtheta.harness import scenario_model
+from gwtheta.harness import registry, scenario_model
 from gwtheta.series import (extend_pmf, pmf_from_theta_pgf, population_pmf,
                             step_pmf, write_pmf_csv)
 
@@ -27,6 +31,25 @@ def mp_taylor(theta, r, a, c, J, d=None):
             f = lambda s: r - (a * (r - s) ** (-theta) + c) ** \
                 (-1.0 / theta)
         return [float(x) for x in mpmath.taylor(f, 0, J)]
+
+
+def _empty_memo(patch, keeps=True):
+    """Patch in an empty weight memo; one that keeps nothing, so every
+    weight is computed, unless keeps."""
+    patch.setattr(series, "_memo", OrderedDict())
+    patch.setattr(series, "_memo_total", 0)
+    if not keeps:
+        patch.setattr(series, "MEMO_WEIGHTS", 0)
+
+
+@pytest.fixture
+def no_memo(monkeypatch):
+    _empty_memo(monkeypatch, keeps=False)
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    _empty_memo(monkeypatch)
 
 
 def build_or_partial(*args, **kwargs):
@@ -384,7 +407,7 @@ def test_resumed_doubling_matches_one_pass(theta, r):
         assert np.array_equal(single[i], once[i]), i
 
 
-def test_build_resumes_the_recurrence(monkeypatch):
+def test_build_resumes_the_recurrence(monkeypatch, no_memo):
     # Ex1 at n = 105 doubles to J = 4096: 4,096 recurrence steps in all,
     # where restarting every doubling at index 0 costs 64 + ... + 4096 =
     # 8,128.  The spy takes positional arguments only, as the benchmark
@@ -408,7 +431,7 @@ def test_build_resumes_the_recurrence(monkeypatch):
     assert np.array_equal(pmf.weights, series._coeffs(pmf.source, 4096))
 
 
-def test_extend_partial_matches_one_build():
+def test_extend_partial_matches_one_build(no_memo):
     # the Ex10ii law stops hopeless at J = 1024; extending its partial to
     # 2^13 resumes the recurrence at 1025 and adds one Cauchy block
     with pytest.raises(CutoffExceeded) as info:
@@ -420,7 +443,7 @@ def test_extend_partial_matches_one_build():
                           series._coeffs(partial.source, 2 ** 13))
 
 
-def test_clipped_weight_restarts_the_recurrence():
+def test_clipped_weight_restarts_the_recurrence(no_memo):
     # a weight clipped to +0.0 is not -v_m, so the recurrence starts again
     # at index 0 and the new weights are still the one-pass ones
     law = ThetaLaw(-0.5, 1.0, 0.4, 0.35, None)
@@ -447,7 +470,7 @@ def test_clipped_weight_restarts_the_recurrence():
     # heavy tails, partial at 1024 or at the budget
     (-0.5, [(0.5, 0.3), (0.3, 0.6)],
      {2 ** 20: [-1024, -1024], 2 ** 8: [-256, -256]})])
-def test_build_doubles_one_law_to_its_cutoff(theta, coefs, cutoffs):
+def test_build_doubles_one_law_to_its_cutoff(theta, coefs, cutoffs, no_memo):
     # cutoffs holds each law's cutoff, negated for a CutoffExceeded partial
     tol = series.DEFAULT_TAIL_TOL
     for max_cutoff, want in cutoffs.items():
@@ -474,7 +497,7 @@ def test_build_doubles_one_law_to_its_cutoff(theta, coefs, cutoffs):
         assert got == want
 
 
-def test_weights_depend_on_index_only():
+def test_weights_depend_on_index_only(no_memo):
     # a weight is the same whatever cutoff, or chain of cutoffs, led to it
     law = ThetaLaw(-0.5, 1.0, 0.4, 0.35, None)
     full = series._coeffs(law, 2 ** 14)
@@ -498,7 +521,7 @@ def test_weights_depend_on_index_only():
     assert np.array_equal(again.weights, full[:12001])
 
 
-def test_extension_memory_is_per_block():
+def test_extension_memory_is_per_block(no_memo):
     # one complex array over the 2^18 nodes of the last block would alone
     # take 4 MB; the strided sum keeps the peak to a few block-length arrays
     partial = build_or_partial(-0.5, 1.0, 0.5, 0.3, max_cutoff=2 ** 12)
@@ -583,3 +606,239 @@ def test_theta_one_law_hopeless_by_its_exact_tail():
     with pytest.raises(CutoffExceeded) as info:
         population_pmf(scenario_model("Ex1"), 300, max_cutoff=2 ** 12)
     assert info.value.partial.cutoff == 1024
+
+
+# -- integral cutoffs --------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [100.5, 4096.5, 2048.0, np.float64(2048),
+                                 "64"])
+def test_non_integral_cutoff_is_rejected(bad):
+    model = scenario_model("Ex1")
+    for build in (lambda: population_pmf(model, 20, max_cutoff=bad),
+                  lambda: step_pmf(model, 1, max_cutoff=bad),
+                  lambda: pmf_from_theta_pgf(1.0, 1.0, 1.0, 1.0,
+                                             max_cutoff=bad)):
+        with pytest.raises(DomainError,
+                           match="^max_cutoff must be an integer, got "):
+            build()
+    pmf = population_pmf(model, 20)
+    with pytest.raises(DomainError, match="^cutoff must be an integer, got "):
+        extend_pmf(pmf, bad)
+
+
+def test_integral_numpy_cutoff_is_accepted():
+    model = scenario_model("Ex1")
+    pmf = population_pmf(model, 20, max_cutoff=np.int64(2 ** 12))
+    assert pmf.weights.tobytes() == population_pmf(
+        model, 20, max_cutoff=2 ** 12).weights.tobytes()
+    bigger = extend_pmf(pmf, np.int64(2 * pmf.cutoff))
+    assert type(bigger.cutoff) is int and bigger.cutoff == 2 * pmf.cutoff
+
+
+# -- the weight memo ---------------------------------------------------------
+
+def _outcome(build, *args, **kwargs):
+    """Weight bytes, tail, defect and cutoff of a build, or of the partial
+    of its CutoffExceeded, and which of the two it was."""
+    try:
+        pmf, kind = build(*args, **kwargs), "pmf"
+    except CutoffExceeded as err:
+        pmf, kind = err.partial, "partial"
+    return (kind, pmf.weights.tobytes(), pmf.tail_mass, pmf.defect_mass,
+            pmf.cutoff)
+
+
+def _chain(pmf, cutoffs):
+    """The outcomes of extending pmf through cutoffs, one after another."""
+    out = []
+    for cutoff in cutoffs:
+        pmf = extend_pmf(pmf, cutoff)
+        out.append(_outcome(lambda: pmf))
+    return out
+
+
+_MEMO_CASES = [(build, sc.model, n, budget)
+               for sc in registry() for n in (1, 10, 100)
+               for build in (population_pmf, step_pmf)
+               for budget in (2 ** 14, 2 ** 9)]
+
+
+def _memo_case(case):
+    build, model, n, budget = case
+    return _outcome(build, model, n, max_cutoff=budget)
+
+
+def _check_memo_bound():
+    sizes = [w.size for w in series._memo.values()]
+    assert sum(sizes) == series._memo_total <= series.MEMO_WEIGHTS
+    assert not any(w.flags.writeable for w in series._memo.values())
+
+
+def test_memo_serves_what_a_fresh_build_gives(monkeypatch):
+    # every case of the 18 scenarios at n = 1, 10, 100, built with the memo
+    # keeping nothing, then twice through a fresh memo in shuffled orders,
+    # the second time served
+    with monkeypatch.context() as patch:
+        _empty_memo(patch, keeps=False)
+        fresh = [_memo_case(case) for case in _MEMO_CASES]
+    assert {out[0] for out in fresh} == {"pmf", "partial"}
+    _empty_memo(monkeypatch)
+    rng = random.Random(2026)
+    for served in (False, True):
+        if served:          # they all fit in the bound: nothing is computed
+            monkeypatch.setattr(series, "_new_coeffs", _no_weights)
+        order = list(range(len(_MEMO_CASES)))
+        rng.shuffle(order)
+        for i in order:
+            assert _memo_case(_MEMO_CASES[i]) == fresh[i], _MEMO_CASES[i]
+            _check_memo_bound()
+
+
+@pytest.mark.parametrize("sid,n", [("Ex10ii", 37), ("Ex1", 105),
+                                   ("Ex8i", 10), ("Ex6iii", 3)])
+def test_memo_extend_chains_match_fresh_ones(monkeypatch, sid, n):
+    # a build then the extensions of its pmf, with and without the memo,
+    # cold and warm, and the extensions in another order
+    model = scenario_model(sid)
+    chains = ([2 ** 11, 5000, 2 ** 13, 2 ** 14], [2 ** 14], [3000, 2 ** 12])
+
+    def run():
+        base = _outcome(population_pmf, model, n, max_cutoff=2 ** 14)
+        try:
+            pmf = population_pmf(model, n, max_cutoff=2 ** 14)
+        except CutoffExceeded as err:
+            pmf = err.partial
+        return [base] + [_chain(pmf, cutoffs) for cutoffs in chains]
+    with monkeypatch.context() as patch:
+        _empty_memo(patch, keeps=False)
+        fresh = run()
+    _empty_memo(monkeypatch)
+    assert run() == fresh          # cold
+    assert run() == fresh          # served
+    _check_memo_bound()
+
+
+def test_memo_extension_resumes_from_the_kept_weights(fresh_memo,
+                                                      monkeypatch):
+    # a doubling past the kept weights computes only the blocks they lack
+    law = ThetaLaw(-0.5, 1.0, 0.4, 0.35, None)
+    key = (-0.5, 1.0, 0.4, 0.35, None)
+    base = build_or_partial(-0.5, 1.0, 0.4, 0.35, max_cutoff=2 ** 13)
+    assert series._memo[key].size == base.cutoff + 1 == 1025
+    small = extend_pmf(base, 2 ** 13)
+    assert series._memo[key].size == 2 ** 13 + 1
+    calls = []
+    block = series._cauchy_block
+
+    def spy(law, k):
+        calls.append(k)
+        return block(law, k)
+    monkeypatch.setattr(series, "_cauchy_block", spy)
+    monkeypatch.setattr(series, "_coeffs_theta", _no_weights)
+    full = extend_pmf(small, 2 ** 14)
+    assert calls == [13]
+    assert series._memo[key].size == 2 ** 14 + 1
+    # another pmf of the law with an equal prefix is served, not computed
+    calls.clear()
+    again = extend_pmf(series.Pmf(full.weights[:2049].copy(), 0.0, 0.0,
+                                  2048, law), 2 ** 14)
+    assert calls == []
+    assert again.weights.tobytes() == full.weights.tobytes()
+    monkeypatch.undo()
+    assert full.weights.tobytes() == series._coeffs(law, 2 ** 14).tobytes()
+
+
+def test_memo_keeps_no_law_past_its_bound(fresh_memo):
+    # 2^17 + 1 weights are one law more than the whole bound: the memo keeps
+    # the prefix it had and drops nothing else for it
+    pmf = pmf_from_theta_pgf(1.0, 1.0, 0.5, 0.6)
+    key = (1.0, 1.0, 0.5, 0.6, None)
+    kept = series._memo[key]
+    assert kept.size == pmf.cutoff + 1
+    other = population_pmf(scenario_model("Ex7i"), 5)
+    before = dict(series._memo)
+    big = extend_pmf(pmf, series.MEMO_WEIGHTS)
+    assert big.cutoff + 1 > series.MEMO_WEIGHTS
+    assert series._memo == before and series._memo[key] is kept
+    assert other.cutoff + 1 == sum(w.size for w in series._memo.values()
+                                   ) - kept.size
+    _check_memo_bound()
+
+
+def test_memo_evicts_the_least_recently_used(fresh_memo, monkeypatch):
+    monkeypatch.setattr(series, "MEMO_WEIGHTS", 3 * 1025)
+    laws = [(-0.5, 1.0, a, 0.3) for a in (0.3, 0.4, 0.5, 0.6)]
+    for params in laws[:3]:
+        build_or_partial(*params, max_cutoff=2 ** 10)
+    assert [k[:4] for k in series._memo] == laws[:3]
+    build_or_partial(*laws[0], max_cutoff=2 ** 10)         # used again
+    build_or_partial(*laws[3], max_cutoff=2 ** 10)
+    assert [k[:4] for k in series._memo] == [laws[2], laws[0], laws[3]]
+    _check_memo_bound()
+
+
+def test_memo_neither_serves_nor_stores_a_wrong_prefix(fresh_memo):
+    law = ThetaLaw(-0.5, 1.0, 0.4, 0.35, None)
+    key = (-0.5, 1.0, 0.4, 0.35, None)
+    full = series._coeffs(law, 4096)
+    base = build_or_partial(-0.5, 1.0, 0.4, 0.35, max_cutoff=2 ** 10)
+    kept = series._memo[key]
+    assert kept.tobytes() == full[:kept.size].tobytes()
+    wrong = full[:1025].copy()
+    wrong[300] *= 2.0
+    moved = extend_pmf(series.Pmf(wrong, 0.0, 0.0, 1024, law), 4096)
+    assert moved.weights[1025:].tobytes() != full[1025:].tobytes()
+    assert series._memo[key] is kept
+    # a prefix longer than the kept one is not stored either
+    longer = extend_pmf(series.Pmf(full[:2049].copy(), 0.0, 0.0, 2048, law),
+                        4096)
+    assert longer.weights.tobytes() == full.tobytes()
+    assert series._memo[key] is kept
+    # nor is a prefix of another dtype served
+    cast = series.Pmf(full[:1025].astype(np.float32), 0.0, 0.0, 1024, law)
+    extend_pmf(cast, 2048)
+    assert series._memo[key] is kept
+    assert extend_pmf(base, 4096).weights.tobytes() == full.tobytes()
+    assert series._memo[key].size == 4097
+
+
+def test_memo_threads_match_one_thread(monkeypatch):
+    # four threads run the same builds and extensions in their own orders,
+    # with a bound that makes them evict each other's laws
+    model = scenario_model("Ex10ii")
+    jobs = [(n, cutoff) for n in (3, 20, 37, 120, 300)
+            for cutoff in (2 ** 12, 2 ** 13, 2 ** 14)]
+
+    def job(n, cutoff):
+        try:
+            pmf = population_pmf(model, n, tail_tol=1e-6,
+                                 max_cutoff=2 ** 13)
+        except CutoffExceeded as err:
+            pmf = err.partial
+        return _outcome(lambda: extend_pmf(pmf, cutoff))
+    with monkeypatch.context() as patch:
+        _empty_memo(patch, keeps=False)
+        want = [job(*j) for j in jobs]
+    _empty_memo(monkeypatch)
+    monkeypatch.setattr(series, "MEMO_WEIGHTS", 3 * (2 ** 14 + 1))
+    got, start = [None] * 4, threading.Barrier(4, timeout=60)
+
+    def worker(t):
+        order = list(range(len(jobs)))
+        random.Random(t).shuffle(order)
+        start.wait()
+        got[t] = {i: job(*jobs[i]) for i in order * 2}
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for t in range(4):
+        assert [got[t][i] for i in range(len(jobs))] == want, t
+    _check_memo_bound()
