@@ -288,12 +288,10 @@ def _new_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
 
 
 def _keep(key, weights: np.ndarray) -> None:
-    """Keep weights, read-only, for the law key unless it holds as many
-    already or they exceed MEMO_WEIGHTS; evict the least recently used laws
-    down to MEMO_WEIGHTS in all."""
+    """Keep weights, at most MEMO_WEIGHTS of them, read-only, for the law
+    key unless it holds as many already; evict the least recently used
+    laws down to MEMO_WEIGHTS in all."""
     global _memo_total
-    if weights.size > MEMO_WEIGHTS:
-        return
     weights.flags.writeable = False
     with _memo_lock:
         old = _memo.get(key)
@@ -310,8 +308,8 @@ def _extend_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
     """_new_coeffs(laws, p, J), through the memo for a batch of one: the
     kept weights serve p_K..p_J when p equals their prefix bit for bit, and
     past their end the new ones are computed from them and kept; weights
-    computed from nothing are kept too.  A row served is a read-only view
-    of the kept weights."""
+    computed from nothing are kept too, unless more than MEMO_WEIGHTS.  A
+    row served is a read-only view of the kept weights."""
     if p.shape[0] != 1:
         return _new_coeffs(laws, p, J)
     K = p.shape[1]
@@ -326,12 +324,16 @@ def _extend_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
             or not np.array_equal(kept[:K].view(np.int64),
                                   known.view(np.int64))):
         new = _new_coeffs(laws, p, J)
-        if K == 0:
+        if K == 0 and J < MEMO_WEIGHTS:
             _keep(key, new[0].copy())
         return new
     if J < kept.size:
         return kept[None, K:J + 1]
-    whole = np.concatenate([kept, _new_coeffs(laws, kept[None], J)[0]])
+    new = _new_coeffs(laws, kept[None], J)
+    if J >= MEMO_WEIGHTS:          # not kept, so p_K..p_J alone are built
+        return new if K == kept.size else np.concatenate(
+            [kept[None, K:], new], axis=1)
+    whole = np.concatenate([kept, new[0]])
     _keep(key, whole)
     return whole[None, K:]
 

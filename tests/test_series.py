@@ -521,7 +521,8 @@ def test_weights_depend_on_index_only(no_memo):
     assert np.array_equal(again.weights, full[:12001])
 
 
-def test_extension_memory_is_per_block(no_memo):
+def _extend_heavy_law() -> series.Pmf:
+    """A theta = -1/2 law built to at most 2^12, extended to 2^15."""
     # one complex array over the 2^18 nodes of the last block would alone
     # take 4 MB; the strided sum keeps the peak to a few block-length arrays
     partial = build_or_partial(-0.5, 1.0, 0.5, 0.3, max_cutoff=2 ** 12)
@@ -534,6 +535,21 @@ def test_extension_memory_is_per_block(no_memo):
         tracemalloc.stop()
     assert extended.cutoff == 2 ** 15
     assert peak < 3 * 2 ** 20, peak
+    return partial
+
+
+def test_extension_memory_is_per_block(no_memo):
+    _extend_heavy_law()
+
+
+@pytest.mark.parametrize("bound", [2 ** 17, 2 ** 14])
+def test_extension_memory_through_the_memo(fresh_memo, monkeypatch, bound):
+    # the memo keeps the extension (2^17), or is crossed by it (2^14) and
+    # keeps the weights it had and no more
+    monkeypatch.setattr(series, "MEMO_WEIGHTS", bound)
+    partial = _extend_heavy_law()
+    kept = [w.size for w in series._memo.values()]
+    assert kept == [2 ** 15 + 1 if bound > 2 ** 15 else partial.cutoff + 1]
 
 
 @pytest.mark.parametrize("sid,ns", [
@@ -762,6 +778,12 @@ def test_memo_keeps_no_law_past_its_bound(fresh_memo):
     assert series._memo == before and series._memo[key] is kept
     assert other.cutoff + 1 == sum(w.size for w in series._memo.values()
                                    ) - kept.size
+    # a shorter prefix of the kept weights gets the rest of them, then the
+    # weights past them, with nothing more kept
+    short = series.Pmf(kept[:33].copy(), 0.0, 0.0, 32, pmf.source)
+    longer = extend_pmf(short, series.MEMO_WEIGHTS)
+    assert longer.weights.tobytes() == big.weights.tobytes()
+    assert series._memo == before and series._memo[key] is kept
     _check_memo_bound()
 
 
