@@ -317,9 +317,11 @@ def _detect_positive_limit(cks: Sequence[float], tol: float,
     """Limit detection for a positive sequence from checkpoint values at
     N/8, N/4, N/2, 3N/4, N and the max-min gap over (N/2, N]."""
     x8, x4, x2, x3q, xN = cks
-    # raw stabilization (tail increments below tol and no window spread)
-    if (abs(xN - x2) <= tol and abs(xN - x3q) <= tol
-            and win_gap <= 10.0 * tol):
+    # stabilization: tail increments below tol and no window spread,
+    # relative to xN, so that a slow decay to 0 does not pass for a limit
+    scale = max(abs(xN), tol ** 2)
+    if (abs(xN - x2) <= tol * scale and abs(xN - x3q) <= tol * scale
+            and win_gap <= 10.0 * tol * scale):
         return LimitEstimate(DETERMINED, xN, "stabilized")
     if xN > 1.0 / tol and xN >= x2 >= x4:
         return LimitEstimate(INFINITE, None, "exceeded 1/tol while growing")
@@ -405,11 +407,19 @@ def _detect_B_limit(cks: Sequence[float], tol: float, win1: tuple,
     return LimitEstimate(UNDETERMINED, None, "no rule fired")
 
 
+def _check_finite(cc: CompositeConstants) -> None:
+    """GwThetaError if A_n or C_n of cc has overflowed."""
+    if not (math.isfinite(cc.A) and math.isfinite(cc.C)):
+        raise GwThetaError(f"composite constants overflow at n = {cc.n}: "
+                           f"A_n = {cc.A}, C_n = {cc.C}")
+
+
 def limit_constants(model: ThetaModel, horizon: int,
                     tol: float = 1e-6) -> LimitConstants:
     """Estimate the limits of A_n, C_n, D_n, B_n by tail diagnostics over a
     finite horizon.  Never guesses: returns 'undetermined' (or 'oscillating'
-    for B) with evidence attached when no rule fires."""
+    for B) with evidence attached when no rule fires.  GwThetaError names
+    the first checkpoint whose A_n or C_n has overflowed."""
     horizon = _index(horizon)
     if horizon < MIN_HORIZON:
         raise DomainError(f"horizon must be >= {MIN_HORIZON}")
@@ -431,6 +441,8 @@ def limit_constants(model: ThetaModel, horizon: int,
     b_min1, b_max1 = b_win1
     b_min2, b_max2 = b_win2
     ccs = [ck[n] for n in order]
+    for cc in ccs:
+        _check_finite(cc)
 
     A_est = _detect_positive_limit([c.A for c in ccs], tol, a_max2 - a_min2)
     # C_n is nondecreasing: its limit can never be oscillating
@@ -846,9 +858,7 @@ def constants_table(model: ThetaModel, ns: Sequence[int]) -> list[dict]:
     rows = []
     for n in sorted(cs):
         cc = cs[n]
-        if not (math.isfinite(cc.A) and math.isfinite(cc.C)):
-            raise GwThetaError(f"composite constants overflow at n = {n}: "
-                               f"A_n = {cc.A}, C_n = {cc.C}")
+        _check_finite(cc)
         row = {"n": n, "A_n": cc.A, "C_n": cc.C,
                "D_n": cc.D, "B_n": cc.B}
         if n >= 1:

@@ -21,21 +21,22 @@ law, and every row is bit-identical to the law's own.  It resumes from
 the weights a law already has, so a cutoff doubling or a pmf extension
 runs only the new steps, and a build that stops at 2^12 runs 2^12 steps
 in all.  A batch is built to the first cutoff only, as arrays
-(_first_pmfs); _build doubles the cutoff of one law, a batch of one,
-until its tail meets the tolerance.
+(_first_pmfs).  extend_pmf is the one step by which a Pmf grows past it,
+with the tail g(1) - sum p; _build doubles the cutoff of one law through
+it until that tail meets the tolerance.
 
 The weights of single laws are kept across calls (_extend_coeffs): a
 module memo maps each law (theta, r, a, c, log_d) to the longest read-only
 weights p_0..p_K computed for it, least recently used laws evicted so that
 at most MEMO_WEIGHTS = 2^17 weights (1 MiB) are kept in all, and a law
-with more is not kept.  It serves p_K..p_J only to a caller whose known
-weights equal the kept prefix bit for bit (otherwise the weights are
-computed from the caller's, as without it), and it stores only weights
-computed from nothing or extending the prefix it holds, so every weight it
-serves is the one a single pass gives.  Repeated builds and extensions of
-a law in one process, sampler rebuilds among them, run its recurrence and
-Cauchy blocks once; a one-shot `gwtheta pmf` run gains nothing.  Batches of
-more than one law neither read nor write it.
+with more is not kept.  It has one serve rule: a caller whose known
+weights equal the kept prefix bit for bit gets p_K..p_J from the kept
+weights when they reach J; otherwise the weights are computed from the
+caller's own, as without the memo, and kept if the caller's matched.  So
+every weight it serves is the one a single pass gives.  Repeated builds
+and extensions of a law in one process, sampler rebuilds among them, run
+its recurrence and Cauchy blocks once; a one-shot `gwtheta pmf` run gains
+nothing.  Batches of more than one law neither read nor write it.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def _new_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
     """Taylor weights p_K..p_J, K = p.shape[1], of each law of the batch
     laws, a row each: row i of p holds the weights p_0..p_{K-1} that law
     already has (possibly none): none for the batch of _first_pmfs, the
-    weights below the old cutoff for a doubling of _build, a batch of one.
+    weights below the old cutoff for extend_pmf, a batch of one.
     Only the new indices are computed, and only their negative round-off is
     clipped; a non-finite weight raises.  theta = 0 and the recurrence take
     the whole batch at once, a Cauchy block one law at a time."""
@@ -287,55 +288,42 @@ def _new_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
     return new
 
 
-def _keep(key, weights: np.ndarray) -> None:
-    """Keep weights, at most MEMO_WEIGHTS of them, read-only, for the law
-    key unless it holds as many already; evict the least recently used
-    laws down to MEMO_WEIGHTS in all."""
-    global _memo_total
-    weights.flags.writeable = False
-    with _memo_lock:
-        old = _memo.get(key)
-        if old is not None and old.size >= weights.size:
-            return
-        _memo[key] = weights
-        _memo.move_to_end(key)
-        _memo_total += weights.size - (0 if old is None else old.size)
-        while _memo_total > MEMO_WEIGHTS:
-            _memo_total -= _memo.popitem(last=False)[1].size
-
-
 def _extend_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
-    """_new_coeffs(laws, p, J), through the memo for a batch of one: the
-    kept weights serve p_K..p_J when p equals their prefix bit for bit, and
-    past their end the new ones are computed from them and kept; weights
-    computed from nothing are kept too, unless more than MEMO_WEIGHTS.  A
-    row served is a read-only view of the kept weights."""
+    """_new_coeffs(laws, p, J), through the memo for a batch of one.  When p
+    equals the prefix of the kept weights bit for bit (an empty p does when
+    none are kept), p_K..p_J are a read-only view of the kept weights if
+    these reach J; otherwise they are computed from p, and p_0..p_J are kept
+    unless more than MEMO_WEIGHTS.  Any other p has p_K..p_J computed from
+    it and nothing kept."""
+    global _memo_total
     if p.shape[0] != 1:
         return _new_coeffs(laws, p, J)
     K = p.shape[1]
     key = (laws.theta, laws.r) + tuple(
         None if x is None else x.item() for x in (laws.a, laws.c, laws.log_d))
     with _memo_lock:
-        kept = _memo.get(key)
-        if kept is not None:
+        kept = _memo.get(key, _NO_WEIGHTS)
+        if key in _memo:
             _memo.move_to_end(key)          # now the most recently used
     known = p[0]
-    if (kept is None or K > kept.size or known.dtype != kept.dtype
-            or not np.array_equal(kept[:K].view(np.int64),
-                                  known.view(np.int64))):
-        new = _new_coeffs(laws, p, J)
-        if K == 0 and J < MEMO_WEIGHTS:
-            _keep(key, new[0].copy())
-        return new
-    if J < kept.size:
+    match = (K <= kept.size and known.dtype == kept.dtype
+             and np.array_equal(kept[:K].view(np.int64),
+                                known.view(np.int64)))
+    if match and J < kept.size:
         return kept[None, K:J + 1]
-    new = _new_coeffs(laws, kept[None], J)
-    if J >= MEMO_WEIGHTS:          # not kept, so p_K..p_J alone are built
-        return new if K == kept.size else np.concatenate(
-            [kept[None, K:], new], axis=1)
-    whole = np.concatenate([kept, new[0]])
-    _keep(key, whole)
-    return whole[None, K:]
+    new = _new_coeffs(laws, p, J)
+    if match and J < MEMO_WEIGHTS:
+        whole = np.concatenate([known, new[0]])
+        whole.flags.writeable = False
+        with _memo_lock:
+            old = _memo.get(key, _NO_WEIGHTS)
+            if old.size < whole.size:
+                _memo[key] = whole
+                _memo.move_to_end(key)
+                _memo_total += whole.size - old.size
+                while _memo_total > MEMO_WEIGHTS:
+                    _memo_total -= _memo.popitem(last=False)[1].size
+    return new
 
 
 def _coeffs(law: ThetaLaw, J: int) -> np.ndarray:
@@ -344,13 +332,13 @@ def _coeffs(law: ThetaLaw, J: int) -> np.ndarray:
     return _new_coeffs(_batch([law]), _NO_WEIGHTS[None], J)[0]
 
 
-def _theta_one_tail(laws: ThetaLaw, J: int) -> np.ndarray:
-    """The exact tail mass above J of theta = 1 laws: with b = a + c r and
+def _theta_one_tail(law: ThetaLaw, J: int) -> float:
+    """The exact tail mass above J of a theta = 1 law: with b = a + c r and
     q = c / b, the weights are p_j = a q^(j-1) / b^2 for j >= 1, so the
     tail is a q^J / (b^2 (1 - q))."""
-    b = laws.a + laws.c * laws.r
-    q = laws.c / b
-    return laws.a * q ** J / (b * b * (1.0 - q))
+    b = law.a + law.c * law.r
+    q = law.c / b
+    return law.a * q ** J / (b * b * (1.0 - q))
 
 
 def _first_pmfs(laws: list, max_cutoff: int) -> list:
@@ -382,13 +370,13 @@ def _build(law: ThetaLaw, tail_tol: float, max_cutoff: int) -> Pmf:
     max_cutoff = _index(max_cutoff, "max_cutoff")
     (pmf,) = _first_pmfs([law], max_cutoff)
     # a first tail clamped to 0 meets any tail_tol either way
-    batch, g1, tail = _batch([law]), law.pgf(1.0), pmf.tail_mass
+    tail = pmf.tail_mass
     while tail > tail_tol:
         J = pmf.cutoff
         hopeless = J >= max_cutoff
         if J >= 1024 and not hopeless:
             if law.theta == 1.0:
-                hopeless = _theta_one_tail(batch, max_cutoff)[0] > tail_tol
+                hopeless = _theta_one_tail(law, max_cutoff) > tail_tol
             else:
                 # projected cutoff from the observed per-doubling tail
                 # decay; heavy tails (rate ~ J^-(1+theta)) would otherwise
@@ -404,11 +392,8 @@ def _build(law: ThetaLaw, tail_tol: float, max_cutoff: int) -> Pmf:
                 f"{tail_tol:.3e} within the cutoff budget {max_cutoff} "
                 "(heavy-tailed law; raise max_cutoff or tail_tol)",
                 partial=pmf)
-        w = pmf.weights
-        p = np.concatenate([w, _extend_coeffs(
-            batch, w[None], min(2 * J, max_cutoff))[0]])
-        prev, tail = tail, g1 - math.fsum(p)
-        pmf = Pmf(p, max(0.0, tail), pmf.defect_mass, p.size - 1, law)
+        pmf = extend_pmf(pmf, min(2 * J, max_cutoff))
+        prev, tail = tail, pmf.tail_mass
     return pmf
 
 
@@ -463,15 +448,16 @@ def population_pmf(model: ThetaModel, n: int,
 
 def extend_pmf(pmf: Pmf, cutoff: int) -> Pmf:
     """The same law with a larger cutoff: the weights it has are kept and
-    only the new ones are computed, so the tail is resolved further."""
+    only the new ones are computed, so the tail g(1) - sum p is resolved
+    further.  It is the one step by which a Pmf grows."""
     cutoff = _index(cutoff, "cutoff")
     if cutoff <= pmf.cutoff:
         return pmf
-    w = pmf.weights
-    p = np.concatenate([w, _extend_coeffs(_batch([pmf.source]), w[None],
+    law, w = pmf.source, pmf.weights
+    p = np.concatenate([w, _extend_coeffs(_batch([law]), w[None],
                                           cutoff)[0]])
-    tail = max(0.0, 1.0 - pmf.defect_mass - math.fsum(p))
-    return Pmf(p, tail, pmf.defect_mass, cutoff, pmf.source)
+    tail = max(0.0, law.pgf(1.0) - math.fsum(p))
+    return Pmf(p, tail, pmf.defect_mass, cutoff, law)
 
 
 def write_pmf_csv(pmf: Pmf, fh) -> None:

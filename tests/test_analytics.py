@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from gwtheta.analytics import (composed_pgf, composite_constants,
                                conditional_pgf, constants_at,
-                               constants_table, pgf_from_constants,
-                               survival_and_moments)
+                               constants_table, limit_constants,
+                               pgf_from_constants, survival_and_moments)
 from gwtheta.environment import (EnvSequence, ThetaModel, step_pgf,
                                  validate_model)
 from gwtheta.errors import ConditioningOnNull, DomainError, GwThetaError
@@ -152,6 +152,20 @@ def test_constants_table_rejects_overflowed_constants():
     with pytest.raises(GwThetaError, match="^composite constants overflow "
                        "at n = 2: A_n = inf, C_n = 1e"):
         constants_table(model, [1, 2, 3])
+
+
+@pytest.mark.parametrize("a,horizon,n", [(1e200, 10 ** 4, 1250),
+                                         (2.0, 10 ** 4, 1250),
+                                         (2.0, 8000, 2000)])
+def test_limit_constants_rejects_overflowed_constants(a, horizon, n):
+    # A_n = a^n overflows at n = 2 (a = 1e200) or n = 1024 (a = 2): the
+    # error names the first checkpoint of N/8, N/4, N/2, 3N/4, N past it
+    # instead of labelling limits read from inf and NaN
+    model = validate_model(1.0, 1.0, EnvSequence.from_table([a] * 3),
+                           EnvSequence.from_table([1.0] * 3))
+    with pytest.raises(GwThetaError, match=f"^composite constants overflow "
+                       f"at n = {n}: A_n = inf, C_n = inf$"):
+        limit_constants(model, horizon)
 
 
 def test_undefined_log_d_is_a_domain_error():

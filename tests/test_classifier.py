@@ -42,6 +42,18 @@ def test_registry_scenarios_classify(sid):
     assert label.sub_label == sub
 
 
+@pytest.mark.parametrize("horizon", [10 ** 4, 10 ** 5, 10 ** 6])
+def test_registry_labels_hold_at_long_horizons(horizon):
+    # a slow decay of A_n or C_n to 0 moves less than 1e-6 over the last
+    # windows of 10^6 generations; the stabilized rule must weigh that
+    # against the value itself, not against 1
+    got = {}
+    for sc in registry():
+        label = classify(sc.model, limit_constants(sc.model, horizon))
+        got[sc.id] = (label.regime, label.sub_label)
+    assert got == EXPECTED
+
+
 def test_registry_expected_regimes_match():
     for sc in registry():
         assert EXPECTED[sc.id][0] == sc.expected_regime

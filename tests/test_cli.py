@@ -128,6 +128,16 @@ def test_classify(capsys):
     assert json.loads(out)["regime"] == "critical"
 
 
+def test_classify_overflow_exit_2(capsys, tmp_path):
+    # A_2 overflows, so every checkpoint of the default horizon 10^4 does:
+    # one line naming the first, N/8, and no Infinity or NaN written
+    path = _overflow_model(tmp_path)
+    code, out, err = run(capsys, "classify", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("gwtheta: composite constants overflow at n = 1250: "
+                   "A_n = inf, C_n = inf\n")
+
+
 def test_simulate_deterministic(capsys, tmp_path):
     argv = ("simulate", "--scenario", "Ex1", "--horizon", "10",
             "--replicates", "200", "--seed", "5")

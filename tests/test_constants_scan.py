@@ -16,7 +16,7 @@ from gwtheta.analytics import (composite_constants, constants_iter,
                                constants_table, convergence_conditions,
                                limit_constants)
 from gwtheta.environment import EnvSequence, validate_model
-from gwtheta.errors import DomainError, RejectedParameter
+from gwtheta.errors import DomainError, GwThetaError, RejectedParameter
 from gwtheta.harness import registry, scenario_model
 
 SCENARIOS = registry()
@@ -134,13 +134,27 @@ def test_log_d_undefined_from_first_nonpositive_gap(block):
 
 def test_overflow_and_nan_match_oracle(block):
     # A_n = 2^n overflows near n = 1024, and B_n = C_n / A_n = inf / inf
-    # is NaN: the window folds keep Python's min/max semantics
+    # is NaN: the scan matches the oracle through both, limit_constants
+    # names its first overflowed checkpoint instead of reading limits from
+    # them, and the window folds keep Python's min/max semantics
     model = validate_model(1.0, 1.0, EnvSequence.constant(2.0),
                            EnvSequence.constant(0.5))
-    assert repr(scanned(model, 1500)) == repr(list(oracle_constants(model,
-                                                                    1500)))
-    assert repr(limit_constants(model, 1500).evidence) == \
-        repr(oracle_evidence(model, 1500))
+    want = list(oracle_constants(model, 1500))
+    assert repr(scanned(model, 1500)) == repr(want)
+    with pytest.raises(GwThetaError, match="^composite constants overflow "
+                       "at n = 1125: A_n = inf, C_n = inf$"):
+        limit_constants(model, 1500)
+    for col in (1, 4):                  # A_n and B_n
+        x = np.array([row[col] for row in want])
+        for lo, hi in ((376, 751), (751, 1501), (1200, 1501)):
+            acc = None
+            for start in range(lo, hi, 97):
+                acc = analytics._fold_min_max(acc, x[start:min(start + 97,
+                                                               hi)])
+            lo_want = hi_want = x[lo].item()
+            for v in x[lo:hi].tolist():
+                lo_want, hi_want = min(lo_want, v), max(hi_want, v)
+            assert repr(acc) == repr((lo_want, hi_want)), (col, lo, hi)
 
 
 def test_limit_constants_memory_is_o_block():

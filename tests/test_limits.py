@@ -3,6 +3,7 @@ import math
 import pytest
 
 from gwtheta.analytics import (DETERMINED, INFINITE, OSCILLATING,
+                               _detect_positive_limit,
                                absorption_probabilities, limit_constants,
                                subsequence_b_values)
 from gwtheta.errors import DomainError, UndeterminedLimit
@@ -81,6 +82,21 @@ def test_defective_limits():
     lim = limits("Ex7ii")
     assert lim.A.value == pytest.approx(1 / 3, rel=1e-3)
     assert lim.C.value == pytest.approx(0.5, rel=1e-3)
+
+
+def test_stabilized_rule_is_relative():
+    # x_n = 1/n at the checkpoints of N = 10^6: every increment is below
+    # tol = 1e-6, yet x_n halves per doubling and its limit is 0
+    N = 10 ** 6
+    cks = [8 / N, 4 / N, 2 / N, 4 / (3 * N), 1 / N]
+    est = _detect_positive_limit(cks, 1e-6, cks[2] - cks[4])
+    assert (est.status, est.value) == (DETERMINED, 0.0)
+    assert est.rule == "log increments not decaying (decay to 0)"
+    # a value near 1 with the same absolute increments has stabilized
+    near_one = [1.0 + x for x in cks]
+    est = _detect_positive_limit(near_one, 1e-6, cks[2] - cks[4])
+    assert (est.status, est.value, est.rule) == (
+        DETERMINED, near_one[-1], "stabilized")
 
 
 def test_horizon_and_tol_validation():

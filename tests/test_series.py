@@ -624,6 +624,31 @@ def test_theta_one_law_hopeless_by_its_exact_tail():
     assert info.value.partial.cutoff == 1024
 
 
+@pytest.mark.parametrize("sc", registry(), ids=lambda sc: sc.id)
+def test_extend_pmf_tail_is_g1_minus_the_weights(sc):
+    # the one tail rule of every grown Pmf: g(1) - sum p, clamped at 0
+    for n in (1, 10, 100):
+        for build in (population_pmf, step_pmf):
+            try:
+                pmf = build(sc.model, n, max_cutoff=2 ** 12)
+            except CutoffExceeded as err:
+                pmf = err.partial
+            law, bigger = pmf.source, extend_pmf(pmf, 2 * pmf.cutoff)
+            assert bigger.tail_mass == max(
+                0.0, law.pgf(1.0) - math.fsum(bigger.weights)), (n, build)
+            assert bigger.defect_mass == pmf.defect_mass
+
+
+def test_extend_pmf_tail_reads_the_law_not_the_defect():
+    # a hand-built Pmf's defect is carried, but its tail comes from g(1)
+    law = ThetaLaw(0.5, 2.0, 0.5, 0.4, None)
+    w = series._coeffs(law, 64)
+    bigger = extend_pmf(series.Pmf(w, 0.0, 0.25, 64, law), 128)
+    assert bigger.defect_mass == 0.25
+    assert bigger.tail_mass == max(0.0, law.pgf(1.0)
+                                   - math.fsum(bigger.weights))
+
+
 # -- integral cutoffs --------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [100.5, 4096.5, 2048.0, np.float64(2048),
@@ -778,12 +803,43 @@ def test_memo_keeps_no_law_past_its_bound(fresh_memo):
     assert series._memo == before and series._memo[key] is kept
     assert other.cutoff + 1 == sum(w.size for w in series._memo.values()
                                    ) - kept.size
-    # a shorter prefix of the kept weights gets the rest of them, then the
-    # weights past them, with nothing more kept
+    # a shorter prefix of the kept weights, extended past the bound, gets
+    # the weights computed from it, with nothing more kept
     short = series.Pmf(kept[:33].copy(), 0.0, 0.0, 32, pmf.source)
     longer = extend_pmf(short, series.MEMO_WEIGHTS)
     assert longer.weights.tobytes() == big.weights.tobytes()
     assert series._memo == before and series._memo[key] is kept
+    _check_memo_bound()
+
+
+def test_memo_extends_a_shorter_prefix_from_its_own_weights(monkeypatch):
+    # the memo holds p_0..p_128 of a law; a caller holding p_0..p_64 asks
+    # for J = 256, past the kept weights: the recurrence resumes from the
+    # caller's 65 weights, the weights are the memo-off chain's, and the
+    # memo then holds p_0..p_256
+    law = ThetaLaw(-0.5, 1.0, 0.4, 0.35, None)
+    key = (-0.5, 1.0, 0.4, 0.35, None)
+
+    def chain():
+        (first,) = series._first_pmfs([law], 2 ** 10)
+        assert first.cutoff == 64
+        extend_pmf(first, 128)
+        return extend_pmf(first, 256)
+    with monkeypatch.context() as patch:
+        _empty_memo(patch, keeps=False)
+        want = _outcome(chain)
+    _empty_memo(monkeypatch)
+    calls = []
+    coeffs_theta = series._coeffs_theta
+
+    def spy(*args):
+        calls.append((np.shape(args[-2])[-1], args[-1]))
+        return coeffs_theta(*args)
+    monkeypatch.setattr(series, "_coeffs_theta", spy)
+    got = _outcome(chain)
+    assert calls == [(0, 64), (65, 128), (65, 256)]
+    assert got == want
+    assert series._memo[key].tobytes() == want[1]
     _check_memo_bound()
 
 
