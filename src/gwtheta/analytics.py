@@ -25,8 +25,9 @@ from .errors import (DomainError, GwThetaError, NoLimitLaw,
 @dataclass(frozen=True)
 class CompositeConstants:
     """(A_n, C_n, D_n, B_n) at generation n.  D_n is carried in log-domain;
-    log_D is None when some r - c_i <= 0 (D is then not defined/used).
-    B_n is +inf when A_n has underflowed to zero."""
+    log_D is None when some r - c_i <= 0, which validation admits only for
+    theta != 0 (D is then not used).  B_n is +inf when A_n has underflowed
+    to zero."""
 
     n: int
     A: float
@@ -344,18 +345,11 @@ def _detect_positive_limit(cks: Sequence[float], tol: float,
 
 
 def _fold_min_max(acc, x: np.ndarray):
-    """acc = (min, max) extended by x as min(m, v) and max(m, v) fold floats
-    one at a time: the first value seeds both, a NaN seed sticks and later
-    NaNs are passed over.  acc is None before the first value."""
-    if x.size == 0:
-        return acc
-    if acc is None:
-        acc = (x[0].item(), x[0].item())
-    lo, hi = acc
-    if math.isnan(lo):
-        return acc
-    return (min(lo, np.fmin.reduce(x).item()),
-            max(hi, np.fmax.reduce(x).item()))
+    """acc = (min, max) extended by x in np.fmin and np.fmax folds, which
+    pass over NaN; acc is None before the first value."""
+    lo, hi = acc or (math.nan, math.nan)
+    return (np.fmin.reduce(x, initial=lo).item(),
+            np.fmax.reduce(x, initial=hi).item())
 
 
 def _detect_log_limit(cks: Sequence[float], tol: float) -> LimitEstimate:
@@ -809,10 +803,6 @@ def convergence_conditions(model: ThetaModel, horizon: int) -> ConvergenceReport
     snap = {key: [] for key in sums}
     for blk in _blocks(model, horizon):
         a, lg = blk.a, blk.lg
-        if theta == 0.0:
-            dead = np.flatnonzero(np.isnan(lg))
-            if dead.size:
-                raise DomainError(f"r - c_{blk.n0 + int(dead[0])} <= 0")
         law = ThetaLaw(theta, r, a, blk.c,
                        (1.0 - a) * lg if theta == 0.0 else None)
         p1 = law.weight_one()

@@ -9,9 +9,10 @@ The admissible parameter region splits into six rows keyed by (theta, r):
     (c) theta in (-1,0), r = 1:  0 < a_n < 1,    0 < c_n <= 1 - a_n
     (d) theta in (-1,0), r > 1:  0 < a_n < 1,    (1-a_n)(r-1)^-t <= c_n <= (1-a_n) r^-t
     (e) theta = 0,       r = 1:  0 < a_n < 1,    0 <= c_n < 1
-    (f) theta = 0,       r > 1:  0 < a_n < 1,    0 <= c_n <= 1
+    (f) theta = 0,       r > 1:  0 < a_n < 1,    0 <= c_n <= 1, c_n < r
 
-with t = theta.  theta = -1 is rejected outright.
+with t = theta.  theta = -1 is rejected outright.  Row (f) checks c_n < r on
+its own, so that d = (r - c_n)^(1 - a_n) exists also for r near 1.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ import numpy as np
 
 from .errors import ConditioningOnNull, DomainError, RejectedParameter
 
-# Slack absorbed on the closed interval bounds of cases (b), (d), (f); values
-# like (1-a_n)(r-1)^-theta rarely round exactly.
+# Slack absorbed on the closed interval bounds of cases (b), (d), (f), for
+# computed values like (1-a_n)(r-1)^-theta that rarely round exactly.  The
+# strict c_n < r of row (f) takes none: c_n = r is refused even near r = 1.
 BOUND_SLACK = 1e-12
 
 # Below this index, products of up to three float64 indices are exact, so
@@ -64,6 +66,14 @@ def _libm(fn, *args):
     cols = [x.tolist() if type(x) is np.ndarray else repeat(x, size)
             for x in args]
     return np.fromiter(map(fn, *cols), float, size)
+
+
+def _pow_or_inf(x: float, y: float) -> float:
+    """pow(x, y) on floats, +inf where it overflows."""
+    try:
+        return pow(x, y)
+    except OverflowError:
+        return math.inf
 
 
 def _libm_where(fn, x: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -142,10 +152,9 @@ class EnvSequence:
                 return 1.0
             return 1.0 / (n * n)
         if fam == "exp_tail_ex6":
-            sigma = float(self._param("sigma"))
             # clamp below 1: for n^sigma > 36 the float would round to 1.0;
             # exact log(1 - c_n) stays available via log_one_minus
-            return min(-math.expm1(-float(n) ** sigma),
+            return min(-math.expm1(-self._tail_power(float(n))),
                        math.nextafter(1.0, 0.0))
         if fam == "table":
             if n <= len(self.table):
@@ -197,8 +206,7 @@ class EnvSequence:
             else:
                 out = np.where(pow2 & (n > 2), 1.0, 1.0 / (k * k))
         elif fam == "exp_tail_ex6":
-            sigma = float(self._param("sigma"))
-            tail = _libm(pow, n.astype(float), sigma)
+            tail = self._tail_power(n.astype(float))
             out = np.minimum(-_libm(math.expm1, -tail),
                              math.nextafter(1.0, 0.0))
         elif fam == "table":
@@ -216,7 +224,7 @@ class EnvSequence:
         """ln(1 - v) for v = value(n), evaluated unless given, without the
         catastrophic cancellation near 1; None when v >= 1."""
         if self.family == "exp_tail_ex6":
-            return -float(n) ** float(self._param("sigma"))
+            return -self._tail_power(float(n))
         if v is None:
             v = self.value(n)
         if v >= 1.0:
@@ -227,9 +235,21 @@ class EnvSequence:
         """log_one_minus(n, v[n - n0]) for n0 <= n < n0 + len(v), with NaN
         where it is None."""
         if self.family == "exp_tail_ex6":
-            n = np.arange(n0, n0 + v.size).astype(float)
-            return -_libm(pow, n, float(self._param("sigma")))
+            return -self._tail_power(np.arange(n0, n0 + v.size).astype(float))
         return _libm_where(math.log1p, -v, v < 1.0)
+
+    def _tail_power(self, n):
+        """n^sigma of exp_tail_ex6 for an index n or an array of them;
+        RejectedParameter names the first index where it overflows."""
+        sigma = float(self._param("sigma"))
+        try:
+            return _libm(pow, n, sigma)
+        except OverflowError:
+            tail = _libm(_pow_or_inf, n, sigma)
+        first = int(np.extract(np.isinf(tail), n)[0])
+        raise RejectedParameter(
+            f"exp_tail_ex6 with sigma = {sigma}: n^sigma overflows at "
+            f"n = {first}", index=first, constraint="n^sigma finite")
 
     # -- convenience constructors -------------------------------------------
 
@@ -357,7 +377,7 @@ class ThetaLaw:
         theta <= 0."""
         a, r, theta = self.a, self.r, self.theta
         if r == 1.0:
-            return a ** (-1.0 / theta) if theta > 0.0 else math.inf
+            return _pow_or_inf(a, -1.0 / theta) if theta > 0.0 else math.inf
         if theta == 0.0:
             return a * (r - 1.0) ** (a - 1.0) * math.exp(self.log_d)
         return a * (a + self.c * (r - 1.0) ** theta) ** (-1.0 / theta - 1.0)
@@ -421,7 +441,8 @@ def _row_checks(case: str, theta: float, r: float, a, c) -> list:
         checks += [("c_n >= 0", c < 0.0), ("c_n < 1", c >= 1.0)]
     elif case == "f":
         checks += [("c_n >= 0", c < -BOUND_SLACK),
-                   ("c_n <= 1", c > 1.0 + BOUND_SLACK)]
+                   ("c_n <= 1", c > 1.0 + BOUND_SLACK),
+                   ("c_n < r", c >= r)]
     return checks
 
 
@@ -509,12 +530,9 @@ class ThetaModel:
     def step_law(self, n: int) -> "ThetaLaw":
         """The one-step law f_n, with a single lazy validation."""
         a, c = self.step(n)
-        if self.theta != 0.0:
-            return ThetaLaw(self.theta, self.r, a, c, None)
-        lg = self.log_r_minus(n, c)
-        if lg is None:
-            raise DomainError(f"r - c_{n} <= 0")
-        return ThetaLaw(self.theta, self.r, a, c, (1.0 - a) * lg)
+        log_d = ((1.0 - a) * self.log_r_minus(n, c) if self.theta == 0.0
+                 else None)
+        return ThetaLaw(self.theta, self.r, a, c, log_d)
 
     def to_dict(self) -> dict:
         return {"theta": self.theta, "r": self.r,

@@ -380,10 +380,10 @@ class _PmfSampler:
 
     def place(self, u: np.ndarray, cutoff_code=None) -> np.ndarray:
         """The draws at the uniforms u: an index, or _DELTA_CODE for a u at
-        or above the proper mass.  The proper u past the table are placed
-        in one search, once the cutoff has doubled until the table holds
-        the largest of them or reached the budget; a u beyond the budget
-        raises CutoffExceeded, or gives cutoff_code in its entry alone."""
+        or above the proper mass.  The proper u past the table are placed in
+        one search, once the cutoff has doubled until the table holds the
+        largest, its tail mass is 0 (where _build stops too) or the budget
+        is met; each u still past it is cutoff_code, or CutoffExceeded."""
         out = self._cum.searchsorted(u, side="right").astype(np.int64,
                                                              copy=False)
         past = out > self.pmf.cutoff
@@ -391,7 +391,8 @@ class _PmfSampler:
             v = u[past]
             proper = v < self._proper
             top = v.max(initial=-1.0, where=proper)
-            while top >= self._cum[-1] and self.pmf.cutoff < self.max_cutoff:
+            while (top >= self._cum[-1] and self.pmf.tail_mass > 0.0
+                   and self.pmf.cutoff < self.max_cutoff):
                 self._set_pmf(extend_pmf(self.pmf, min(2 * self.pmf.cutoff,
                                                        self.max_cutoff)))
                 self.grown = True
@@ -465,13 +466,8 @@ class _SamplerTable:
         model = self.model
         try:
             a, c = model.steps(n0, n1)
-            if model.theta == 0.0:
-                log_d = (1.0 - a) * model.log_r_minus_values(n0, c)
-                if np.isnan(log_d).any():
-                    return             # r - c_n <= 0: step_law raises
-                log_d = log_d.tolist()
-            else:
-                log_d = repeat(None)
+            log_d = (((1.0 - a) * model.log_r_minus_values(n0, c)).tolist()
+                     if model.theta == 0.0 else repeat(None))
             laws = [ThetaLaw(model.theta, model.r, x, y, z)
                     for x, y, z in zip(a.tolist(), c.tolist(), log_d)]
             built = _samplers(laws, self.max_cutoff)

@@ -10,7 +10,8 @@ from gwtheta.analytics import (composed_pgf, composite_constants,
                                pgf_from_constants, survival_and_moments)
 from gwtheta.environment import (EnvSequence, ThetaModel, step_pgf,
                                  validate_model)
-from gwtheta.errors import ConditioningOnNull, DomainError, GwThetaError
+from gwtheta.errors import (ConditioningOnNull, DomainError, GwThetaError,
+                            RejectedParameter)
 from gwtheta.harness import scenario_model
 
 
@@ -169,24 +170,29 @@ def test_limit_constants_rejects_overflowed_constants(a, horizon, n):
 
 
 def test_undefined_log_d_is_a_domain_error():
-    # case (f) with c_n = r inside BOUND_SLACK: r - c_n = 0, so D_n and the
-    # theta = 0 law F_n are undefined
+    # case (f) with c_n = r inside BOUND_SLACK of c_n <= 1: r - c_n = 0
+    # would leave D_n undefined, so validation refuses it by c_n < r
     r = 1.0 + 1e-13
-    model = ThetaModel.from_dict({
-        "theta": 0.0, "r": r,
-        "a": EnvSequence.constant(0.5).to_dict(),
-        "c": EnvSequence.constant(r).to_dict()})
-    assert composite_constants(model, 3).log_D is None
-    for call in (lambda: composed_pgf(model, 3, 0.5),
-                 lambda: survival_and_moments(model, 3),
-                 lambda: conditional_pgf(model, 3, 0.5),
-                 lambda: constants_table(model, [1, 3])):
-        with pytest.raises(DomainError, match="log D_"):
-            call()
+    with pytest.raises(RejectedParameter) as err:
+        ThetaModel.from_dict({
+            "theta": 0.0, "r": r,
+            "a": EnvSequence.constant(0.5).to_dict(),
+            "c": EnvSequence.constant(r).to_dict()})
+    assert err.value.constraint == "c_n < r" and err.value.index == 1
     # theta != 0 laws do not use D: Ex3 has r - c_1 = 0 and still evaluates
     ex3 = scenario_model("Ex3")
     assert composite_constants(ex3, 5).log_D is None
     assert 0.0 <= composed_pgf(ex3, 5, 0.5) <= 1.0
+
+
+def test_theta_zero_law_needs_log_d():
+    # a validated theta = 0 model always has D_n; only constants without
+    # it, here Ex3's (theta = 1), cannot give a theta = 0 law
+    cc = composite_constants(scenario_model("Ex3"), 5)
+    with pytest.raises(DomainError, match="^log D_5 undefined"):
+        cc.law(0.0, 1.0)
+    with pytest.raises(DomainError, match="^log D_5 undefined"):
+        pgf_from_constants(0.0, 1.0, cc, 0.5)
 
 
 # -- closed form against exact composition over random tables ---------------

@@ -223,18 +223,43 @@ def test_nan_model_is_invalid(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and "invalid model" in err
 
 
-@pytest.mark.parametrize("command", ["analyze", "pmf"])
+@pytest.mark.parametrize("command", ["analyze", "pmf", "classify",
+                                     "simulate"])
 def test_undefined_log_d_is_usage_error(capsys, tmp_path, command):
-    # case (f), c_n = r within BOUND_SLACK: D_n is undefined, not a defect
+    # case (f), c_n = r within BOUND_SLACK of c_n <= 1: D_n would be
+    # undefined, so every command refuses the model by c_n < r
     r = 1.0 + 1e-13
     spec = {"theta": 0.0, "r": r,
             "a": EnvSequence.constant(0.5).to_dict(),
             "c": EnvSequence.constant(r).to_dict()}
     path = tmp_path / "undefined_d.json"
     path.write_text(json.dumps(spec))
-    code, out, err = run(capsys, command, "--model", str(path))
+    seed = ["--seed", "1"] if command == "simulate" else []
+    code, out, err = run(capsys, command, "--model", str(path), *seed)
     assert code == 2 and out == ""
-    assert err.startswith("gwtheta: log D_") and len(err.splitlines()) == 1
+    assert err.startswith("gwtheta: invalid model: case (f)")
+    assert err.endswith("violates c_n < r\n") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,sigma,index", [
+    (["classify", "--scenario", "Ex6i"], 100.0, 1210),
+    (["analyze", "--scenario", "Ex6iii", "--n", "5"], 200.0, 35)])
+def test_exp_tail_power_overflow_is_invalid_model(capsys, argv, sigma, index):
+    # n^sigma overflows past check_horizon (1210, met by the scan) or
+    # within it (35, met by validation); neither is an internal error
+    code, out, err = run(capsys, *argv, "--sigma", str(sigma))
+    assert code == 2 and out == ""
+    assert err == (f"gwtheta: invalid model: exp_tail_ex6 with sigma = "
+                   f"{sigma}: n^sigma overflows at n = {index}\n")
+
+
+def test_overflowing_restricted_mean_is_infinity(capsys):
+    # A_10^(-1/theta) at theta = 0.003 is beyond the float range
+    code, out, err = run(capsys, "analyze", "--scenario", "Ex1", "--theta",
+                         "0.003", "--n", "10")
+    assert code == 0 and err == ""
+    assert '"mean_restricted": Infinity' in out
+    assert json.loads(out)[0]["mean_restricted"] == math.inf
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gwtheta.environment import (BOUND_SLACK, EnvSequence, ThetaModel,
-                                 _check_index, _violations, step_pgf,
-                                 step_pgf_weight_one, validate_model)
+from gwtheta.environment import (BOUND_SLACK, EnvSequence, ThetaLaw,
+                                 ThetaModel, _check_index, _violations,
+                                 step_pgf, step_pgf_weight_one,
+                                 validate_model)
 from gwtheta.errors import DomainError, RejectedParameter
 from gwtheta.harness import scenario_model
 
@@ -62,6 +63,35 @@ def test_exp_tail_values_and_exact_log():
     assert c.log_one_minus(100) == -100.0
     c2 = EnvSequence.exp_tail_ex6(0.5)
     assert c2.log_one_minus(9) == -3.0
+
+
+@pytest.mark.parametrize("sigma,first", [(100.0, 1210), (200.0, 35)])
+def test_exp_tail_power_overflow_is_rejected(sigma, first):
+    # n^sigma overflows from n = first on: every accessor names that index
+    c = EnvSequence.exp_tail_ex6(sigma)
+    assert c.log_one_minus(first - 1) == -float(first - 1) ** sigma
+    for access in (lambda: c.value(first), lambda: c.log_one_minus(first),
+                   lambda: c.values(first - 3, first + 9),
+                   lambda: c.log_one_minus_values(first - 3,
+                                                  np.zeros(12))):
+        with pytest.raises(RejectedParameter) as err:
+            access()
+        assert err.value.index == first
+        assert err.value.constraint == "n^sigma finite"
+    # within check_horizon validation meets it; past it, the first access
+    scenario = "Ex6iii" if first <= 100 else "Ex6i"
+    with pytest.raises(RejectedParameter) as err:
+        model = scenario_model(scenario, sigma=sigma)
+        model.steps(1, first + 1)
+    assert err.value.index == first
+
+
+def test_restricted_mean_overflow_is_infinite():
+    # A^(-1/theta) at r = 1 beyond the float range, as Ex1 at theta = 0.003
+    # reaches by n = 10
+    assert ThetaLaw(0.003, 1.0, 1 / 11, 1.0, None).restricted_mean() == \
+        math.inf
+    assert ThetaLaw(0.5, 1.0, 0.25, 1.0, None).restricted_mean() == 16.0
 
 
 def test_log_one_minus_generic():
@@ -175,7 +205,9 @@ ROWS = {
     "c": (st.floats(-0.95, -0.05), st.just(1.0)),
     "d": (st.floats(-0.95, -0.05), st.floats(1.1, 4.0)),
     "e": (st.just(0.0), st.just(1.0)),
-    "f": (st.just(0.0), st.floats(1.1, 4.0)),
+    # r within BOUND_SLACK of 1 too, where c_n <= 1 admits c_n = r
+    "f": (st.just(0.0), st.one_of(st.floats(1.1, 4.0),
+                                  st.just(1.0 + 1e-13))),
 }
 SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0]
 
@@ -194,7 +226,7 @@ def _edges(case, theta, r, a):
     elif case == "e":
         bounds = [0.0, 1.0]
     else:
-        bounds = [-BOUND_SLACK, 1.0 + BOUND_SLACK]
+        bounds = [-BOUND_SLACK, 1.0 + BOUND_SLACK, r]
     return [x for b in bounds
             for x in (math.nextafter(b, -math.inf), b,
                       math.nextafter(b, math.inf))]
@@ -220,6 +252,9 @@ def rows_of_steps(draw):
 @given(rows_of_steps())
 @example(("a", 1.0, 1.0, [0.5, 0.5], [0.5 - BOUND_SLACK, 0.5 - 2e-12]))
 @example(("a", 1.0, 1.0, [math.inf, math.nan], [0.5, 0.5]))
+@example(("f", 0.0, 1.0 + 1e-13, [0.5] * 3,
+          [math.nextafter(1.0 + 1e-13, 0.0), 1.0 + 1e-13,
+           math.nextafter(1.0 + 1e-13, 2.0)]))
 def test_violation_mask_agrees_with_check_index(row):
     case, theta, r, a, c = row
     mask = _violations(case, theta, r, np.array(a), np.array(c))
@@ -315,6 +350,25 @@ def test_non_finite_c_rejected(theta, r, a, c):
         validate_model(theta, r, EnvSequence.from_table([a]),
                        EnvSequence.from_table([c]), check_horizon=1)
     assert err.value.index == 1
+
+
+@pytest.mark.parametrize("r", [1.0 + 1e-13, 1.0 + 2e-13])
+def test_case_f_rejects_c_equal_to_r(r):
+    # c_n = r passes c_n <= 1 within BOUND_SLACK but leaves r - c_n = 0:
+    # eagerly at n = 1, and lazily past check_horizon at n = 5
+    below = math.nextafter(r, 0.0)
+    _simple_model(0.0, r, 0.5, below)
+    with pytest.raises(RejectedParameter) as err:
+        _simple_model(0.0, r, 0.5, r)
+    assert (err.value.index, err.value.constraint) == (1, "c_n < r")
+    model = validate_model(0.0, r, EnvSequence.constant(0.5),
+                           EnvSequence.from_table([below] * 4 + [r]),
+                           check_horizon=4)
+    for access in (lambda: model.step(5), lambda: model.steps(1, 9),
+                   lambda: model.step_law(5)):
+        with pytest.raises(RejectedParameter) as err:
+            access()
+        assert (err.value.index, err.value.constraint) == (5, "c_n < r")
 
 
 def test_lazy_validation_beyond_horizon():

@@ -540,6 +540,23 @@ def test_array_draw_resolves_a_second_tail_uniform_at_the_budget():
     assert np.array_equal(array.place(np.array(u)), want)
 
 
+def test_light_tail_stops_doubling_at_a_zero_tail():
+    # Ex3's law of Z_500 has no defect and a geometric tail, yet its running
+    # sum stops 1.4e-14 short of 1: no table holds a proper uniform above
+    # that, so the cutoff stops doubling at the first table whose tail mass
+    # is 0, as _build does, and not at the 2^20 budget
+    model, budget = scenario_model("Ex3"), 2 ** 20
+    sampler = simulator._sampler(model, 500, budget, True)
+    start = time.perf_counter()
+    got = sampler.place(np.array([1 - 2 ** -53, 0.3, 0.999]), cutoff_code=-2)
+    assert time.perf_counter() - start < 0.5
+    assert got.tolist() == [-2, 0, 108]
+    J = sampler.pmf.cutoff
+    assert sampler.pmf.tail_mass == 0.0 and J < budget
+    before = simulator._sampler(model, 500, budget, True).pmf
+    assert extend_pmf(before, J // 2).tail_mass > 0.0
+
+
 def test_scalar_sum_cutoff_exceeded_at_a_capped_budget():
     # budget = cutoff: a proper uniform past the table cannot be resolved,
     # and raises whatever else the draw holds, DELTA included
