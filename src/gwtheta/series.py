@@ -90,7 +90,7 @@ class Pmf:
 
     @property
     def total(self) -> float:
-        return float(math.fsum(self.weights) + self.tail_mass
+        return float(math.fsum(self.weights.tolist()) + self.tail_mass
                      + self.defect_mass)
 
     def weight(self, j: int) -> float:
@@ -456,7 +456,7 @@ def extend_pmf(pmf: Pmf, cutoff: int) -> Pmf:
     law, w = pmf.source, pmf.weights
     p = np.concatenate([w, _extend_coeffs(_batch([law]), w[None],
                                           cutoff)[0]])
-    tail = max(0.0, law.pgf(1.0) - math.fsum(p))
+    tail = max(0.0, law.pgf(1.0) - math.fsum(p.tolist()))
     return Pmf(p, tail, pmf.defect_mass, cutoff, law)
 
 

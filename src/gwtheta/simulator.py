@@ -38,14 +38,17 @@ their cumulative tables come from one cumsum over their rows, so a block
 of 64 laws costs about twice one of 8, heavy tails included.  Each is the
 sampler its law gives alone, so this changes no draw, and a law that
 fails lazy validation, or has a non-finite weight, still raises only when
-a path reaches it.  The table of the last call is kept (_kept_table), so
-consecutive calls on an equal model and budget build their samplers once.
+a path reaches it.  A table is kept for each model and budget
+(_kept_table), the least recently used evicted past series.MEMO_WEIGHTS
+weights in all, so calls that interleave a few models build each one's
+samplers once; a table over that budget on its own is built by each call.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+import threading
+from collections import OrderedDict, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -59,8 +62,8 @@ from .analytics import (LimitLawDescriptor, _index, composite_constants,
 from .environment import ThetaLaw, ThetaModel
 from .errors import CutoffExceeded, DomainError, GwThetaError
 # step_pmf is re-exported from here
-from .series import (DEFAULT_MAX_CUTOFF, Pmf, _first_pmfs,  # noqa: F401
-                     extend_pmf, step_pmf)
+from .series import (DEFAULT_MAX_CUTOFF, MEMO_WEIGHTS,  # noqa: F401
+                     Pmf, _first_pmfs, extend_pmf, step_pmf)
 
 DELTA = "delta"                  # absorbing symbol
 _DELTA_CODE = -1                 # internal integer encoding
@@ -476,28 +479,51 @@ class _SamplerTable:
         self.step.update(zip(range(n0, n1), built))
 
 
-_kept = None                     # the last call's ((model, max_cutoff), table)
+# (model, max_cutoff) -> its table, least recently used first; _kept_lock
+# guards it.  A call's table is out of it while the call runs
+_kept = OrderedDict()
+_kept_lock = threading.Lock()
+
+
+def _kept_weights(table: _SamplerTable) -> int:
+    """The weights a table holds on return, counting 65 a sampler: the
+    first cutoff, as every kept sampler is there."""
+    return 65 * (len(table.step) + len(table.population))
 
 
 @contextmanager
 def _kept_table(model: ThetaModel, max_cutoff: int, horizon: int):
-    """The sampler table of a call: the last call's if its model was equal
-    and its budget the same, else a new one, set to the call's horizon and
-    taken out while the call runs.  On return it keeps no sampler past its
-    first cutoff, 65 weights a law; get rebuilds the dropped ones."""
-    global _kept
-    kept, _kept = _kept, None      # a concurrent call builds its own
-    if kept is None or kept[0] != (model, max_cutoff):
-        kept = None                # release the old table before the build
-        kept = (model, max_cutoff), _SamplerTable(model, max_cutoff, horizon)
-    kept[1].horizon = horizon
+    """The sampler table of a call: the kept one of its model and budget, or
+    a new one, set to the call's horizon and taken out while the call runs,
+    so a concurrent call builds its own.  On return it keeps no sampler past
+    its first cutoff (get rebuilds the dropped ones) and goes back as the
+    most recently used; least recently used tables are evicted so that the
+    kept ones hold at most series.MEMO_WEIGHTS weights in all.  A table
+    with more on its own, or with no sampler, is not kept, nor the table
+    of a model that cannot be a key (a parameter given as a list)."""
+    key = (model, max_cutoff)
     try:
-        yield kept[1]
+        hash(key)
+    except TypeError:
+        key = None
+    with _kept_lock:
+        table = _kept.pop(key, None)
+    if table is None:
+        table = _SamplerTable(model, max_cutoff, horizon)
+    table.horizon = horizon
+    try:
+        yield table
     finally:
-        for built in (kept[1].step, kept[1].population):
+        for built in (table.step, table.population):
             for n in [n for n, s in built.items() if s.grown]:
                 del built[n]
-        _kept = kept
+        if key is not None and 0 < _kept_weights(table) <= MEMO_WEIGHTS:
+            with _kept_lock:
+                _kept[key] = table
+                _kept.move_to_end(key)
+                total = sum(map(_kept_weights, _kept.values()))
+                while total > MEMO_WEIGHTS:
+                    total -= _kept_weights(_kept.popitem(last=False)[1])
 
 
 def sample_offspring(pmf: Pmf, rng: np.random.Generator,

@@ -1,11 +1,15 @@
 import cProfile
+import dataclasses
+import gc
 import json
 import math
 import pstats
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
+from collections import OrderedDict
 from itertools import repeat
 
 import numpy as np
@@ -1036,7 +1040,7 @@ def test_block_built_step_samplers_match_per_law(sid):
 def _per_law(monkeypatch, call):
     """call() with every sampler built law by law, without blocks."""
     with monkeypatch.context() as patch:
-        patch.setattr(simulator, "_kept", None)
+        patch.setattr(simulator, "_kept", OrderedDict())
         patch.setattr(_SamplerTable, "_build_block", lambda self, n0: None)
         return call()
 
@@ -1323,17 +1327,22 @@ def test_sample_zn_matches_the_per_seed_draws():
 
 
 # ---------------------------------------------------------------------------
-# The kept sampler table: consecutive in-process calls on an equal model and
-# budget share the last call's table, and no draw depends on what it holds.
+# The kept sampler tables: in-process calls on an equal model and budget
+# share a table, the tables of other models and budgets are kept beside it
+# within the budget, and no draw depends on what they hold.
 # ---------------------------------------------------------------------------
 
+def _empty_store(monkeypatch):
+    monkeypatch.setattr(simulator, "_kept", OrderedDict())
+
+
 def _kept_samplers():
-    table = simulator._kept[1]
+    table = next(reversed(simulator._kept.values()))    # the last call's
     return list(table.step.values()) + list(table.population.values())
 
 
 def test_kept_table_builds_the_step_block_once(monkeypatch):
-    monkeypatch.setattr(simulator, "_kept", None)
+    _empty_store(monkeypatch)
     calls = []
 
     def counting(laws, max_cutoff):
@@ -1343,24 +1352,53 @@ def test_kept_table_builds_the_step_block_once(monkeypatch):
     model = scenario_model("Ex2")
     paths = [simulate_trajectory(model, 40, s) for s in range(1001, 1009)]
     assert calls == [40]
-    monkeypatch.setattr(simulator, "_kept", None)
+    _empty_store(monkeypatch)
     assert [simulate_trajectory(model, 40, s)
             for s in range(1001, 1009)] == paths
 
 
-def test_kept_table_is_replaced_by_another_model_or_budget(monkeypatch):
-    monkeypatch.setattr(simulator, "_kept", None)
+def test_kept_table_is_kept_beside_another_model_or_budget(monkeypatch):
+    _empty_store(monkeypatch)
     ex2, ex7 = scenario_model("Ex2"), scenario_model("Ex7i")
     simulate_trajectory(ex2, 40, 1)
-    first = simulator._kept[1]
+    first = simulator._kept[ex2, DEFAULT_MAX_CUTOFF]
     simulate_trajectory(scenario_model("Ex2"), 30, 2)   # equal, not same
-    assert simulator._kept[1] is first
+    assert simulator._kept[ex2, DEFAULT_MAX_CUTOFF] is first
+    keys = [(ex2, DEFAULT_MAX_CUTOFF)]
     for model, budget in ((ex7, DEFAULT_MAX_CUTOFF), (ex7, 2 ** 12),
                           (ex2, 2 ** 12)):
         simulate_trajectory(model, 40, 3, max_cutoff=budget)
-        assert simulator._kept[0] == (model, budget)
-        assert simulator._kept[1] is not first
-        first = simulator._kept[1]
+        keys.append((model, budget))
+        assert list(simulator._kept) == keys        # least recent first
+    assert simulator._kept[ex2, DEFAULT_MAX_CUTOFF] is first
+    # each table holds up to 40 samplers; at a budget of three full tables
+    # the least recently used is evicted, and a table of more is not kept
+    monkeypatch.setattr(simulator, "MEMO_WEIGHTS", 3 * 65 * 40)
+    simulate_trajectory(ex2, 40, 4)                     # now most recent
+    simulate_trajectory(ex7, 40, 5, max_cutoff=2 ** 8)
+    assert list(simulator._kept) == [keys[3], keys[0], (ex7, 2 ** 8)]
+    assert simulator._kept[ex2, DEFAULT_MAX_CUTOFF] is first
+    simulate_trajectory(ex2, 200, 6, max_cutoff=2 ** 8)  # 200 samplers
+    assert list(simulator._kept) == [keys[3], keys[0], (ex7, 2 ** 8)]
+    assert sum(map(simulator._kept_weights,
+                   simulator._kept.values())) <= simulator.MEMO_WEIGHTS
+
+
+def test_kept_tables_build_each_models_blocks_once(monkeypatch):
+    # A, B, A: the second call on A finds A's table beside B's
+    _empty_store(monkeypatch)
+    blocks = []
+    build = _SamplerTable._build_block
+
+    def recording(self, n0):
+        blocks.append((self.model, n0))
+        return build(self, n0)
+    monkeypatch.setattr(_SamplerTable, "_build_block", recording)
+    ex9, ex7 = scenario_model("Ex9ii"), scenario_model("Ex7i")
+    first = run_ensemble(ex9, 200, 300, 5)
+    run_ensemble(ex7, 30, 300, 5)
+    assert run_ensemble(ex9, 200, 300, 5) == first
+    assert blocks == [(ex9, 1), (ex9, 65), (ex9, 129), (ex9, 193), (ex7, 1)]
 
 
 def test_kept_table_interleaved_calls_equal_fresh_ones(monkeypatch):
@@ -1385,12 +1423,82 @@ def test_kept_table_interleaved_calls_equal_fresh_ones(monkeypatch):
     ]
     got = [call() for call in calls]
     for call, want in zip(calls, got):
-        monkeypatch.setattr(simulator, "_kept", None)
+        _empty_store(monkeypatch)
         assert call() == want
 
 
+@pytest.mark.parametrize("budget", [None, 65 * 100])
+def test_kept_tables_interleaved_over_models_equal_fresh_ones(monkeypatch,
+                                                              budget):
+    # Ex6i's steps and Z_n are mixture samplers; Ex10ii's direct sampler
+    # of Z_20 and its step sampler of generation 8 grow past their first
+    # cutoff and are dropped on return; at a
+    # budget of 100 samplers the horizon-200 tables are not kept and the
+    # others evict each other
+    if budget is not None:
+        monkeypatch.setattr(simulator, "MEMO_WEIGHTS", budget)
+    monkeypatch.setattr(simulator, "CHUNK", 512)
+    ex9, ex6, ex10 = (scenario_model(sid) for sid in ("Ex9ii", "Ex6i",
+                                                       "Ex10ii"))
+    calls = [
+        lambda: run_ensemble(ex9, 200, 600, 5),
+        lambda: run_ensemble(ex6, 2, 40, 5),
+        lambda: run_ensemble(ex10, 20, 600, 5, mode="direct"),
+        lambda: simulate_trajectories(ex9, 60, range(40)),
+        lambda: sample_zn(ex6, 30, range(200)),
+        lambda: run_ensemble(ex10, 10, 50, 5),
+        lambda: run_ensemble(ex9, 200, 600, 6),
+        lambda: simulate_trajectories(ex6, 3, range(10)),
+        lambda: sample_zn(ex10, 20, range(400)),
+        lambda: run_ensemble(ex10, 20, 600, 5, mode="direct"),
+        lambda: run_ensemble(ex9, 40, 600, 5, max_cutoff=2 ** 8),
+        lambda: run_ensemble(ex6, 2, 40, 5),
+    ]
+    _empty_store(monkeypatch)
+    got = []
+    for call in calls:
+        got.append(call())
+        assert sum(map(simulator._kept_weights, simulator._kept.values())
+                   ) <= simulator.MEMO_WEIGHTS
+    for call, want in zip(calls, got):
+        _empty_store(monkeypatch)
+        assert call() == want
+
+
+def test_kept_tables_stay_within_the_budget_at_a_long_horizon(monkeypatch):
+    # 20,000 step samplers are over the budget on their own, so the table
+    # is not kept; it held 36 MB when the last call's table was kept whole
+    _empty_store(monkeypatch)
+    tracemalloc.start()
+    try:
+        run_ensemble(scenario_model("Ex9ii"), 20000, 200, 1)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        weights = sum(map(simulator._kept_weights, simulator._kept.values()))
+        simulator._kept.clear()
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert weights <= simulator.MEMO_WEIGHTS
+    assert held <= 8 * simulator.MEMO_WEIGHTS
+
+
+def test_model_that_cannot_be_a_key_builds_its_own_table(monkeypatch):
+    # a parameter no sequence reads may be given as a list in a model file;
+    # such a model is simulated as an equal hashable one, and not kept
+    spec = scenario_model("Ex2").a_seq.to_dict()
+    spec["params"]["unused"] = [1]
+    listed = EnvSequence.from_dict(spec)
+    model = scenario_model("Ex2")
+    want = run_ensemble(model, 40, 300, 5)
+    _empty_store(monkeypatch)
+    got = run_ensemble(dataclasses.replace(model, a_seq=listed), 40, 300, 5)
+    assert got == want and not simulator._kept
+
+
 def test_kept_table_holds_no_sampler_past_its_first_cutoff(monkeypatch):
-    monkeypatch.setattr(simulator, "_kept", None)
+    _empty_store(monkeypatch)
     cutoffs = []
 
     def recording_extend(pmf, cutoff):
@@ -1409,19 +1517,20 @@ def test_kept_table_holds_no_sampler_past_its_first_cutoff(monkeypatch):
     # direct draws extend F_n's sampler, which is dropped the same way
     got = sample_zn(model, 20, range(400))
     assert all(len(s.pmf.weights) <= 64 + 1 for s in _kept_samplers())
-    monkeypatch.setattr(simulator, "_kept", None)
+    _empty_store(monkeypatch)
     assert sample_zn(model, 20, range(400)) == got
 
 
 def test_kept_table_drops_a_block_that_fails_validation(monkeypatch):
     # a_12 < 0 fails the block 1..20; the kept table holds only the laws
     # built one by one before it, and a repeat raises the same error
-    monkeypatch.setattr(simulator, "_kept", None)
+    _empty_store(monkeypatch)
     model = validate_model(1.0, 1.0,
                            EnvSequence.from_table([1.0] * 11 + [-1.0]),
                            EnvSequence.constant(0.5), check_horizon=5)
     got = [_trajectory_or_error(model, 20, seed) for seed in range(100)]
-    assert set(simulator._kept[1].step) <= set(range(1, 12))
+    table = simulator._kept[model, DEFAULT_MAX_CUTOFF]
+    assert set(table.step) <= set(range(1, 12))
     errors = [g for g in got if not isinstance(g, Trajectory)]
     assert errors and len(errors) < len(got)
     assert [_trajectory_or_error(model, 20, seed)
@@ -1434,7 +1543,7 @@ def test_kept_table_warm_ensembles_match_across_workers(monkeypatch):
     monkeypatch.setattr(simulator, "CHUNK", 512)
     model = scenario_model("Ex10ii")
     run_ensemble(model, 30, 600, 4, max_cutoff=2 ** 12)     # warm the table
-    assert simulator._kept[0] == (model, 2 ** 12)
+    assert (model, 2 ** 12) in simulator._kept
     one = run_ensemble(model, 30, 1500, 5, max_cutoff=2 ** 12)
     three = run_ensemble(model, 30, 1500, 5, workers=3, max_cutoff=2 ** 12)
     assert one == three
