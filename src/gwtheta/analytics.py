@@ -16,6 +16,7 @@ import numpy as np
 from .environment import ThetaLaw, ThetaModel
 from .errors import (DomainError, GwThetaError, NoLimitLaw,
                      UndeterminedLimit)
+from .memo import Memo
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +87,8 @@ class _Block(NamedTuple):
         return x[max(lo - self.n0, 0):max(hi - self.n0, 0)]
 
 
-# the last walk that fit in one block, ((model, _BLOCK), block) or None
-_last = None
+# (model, _BLOCK) -> the longest walk of it that fits in one block
+_walks = Memo()
 
 
 def _blocks(model: ThetaModel, up_to: int):
@@ -99,14 +100,13 @@ def _blocks(model: ThetaModel, up_to: int):
     cumprod/cumsum accumulate left to right, so every entry equals the
     one-generation-at-a-time recursion bit for bit.
 
-    A walk that fits in one block is kept, read-only, in place of the last
-    one: a later walk of an equal model to no greater up_to yields a prefix
-    of it, which is the block that walk would compute."""
-    global _last
-    last = _last
-    if (last is not None and 1 <= up_to <= last[1].a.size
-            and last[0] == (model, _BLOCK)):
-        yield _Block(1, *(x[:up_to] for x in last[1][1:]))
+    A walk that fits in one block is kept, read-only, counting 7 weights a
+    generation: a later walk of an equal model to no greater up_to yields
+    a prefix of it, which is the block that walk would compute."""
+    key = (model, _BLOCK)
+    kept = _walks.get(key)
+    if kept is not None and 1 <= up_to <= kept.a.size:
+        yield _Block(1, *(x[:up_to] for x in kept[1:]))
         return
     A_end, C_end, log_D_end = 1.0, 0.0, 0.0
     for n0 in range(1, up_to + 1, _BLOCK):
@@ -131,7 +131,7 @@ def _blocks(model: ThetaModel, up_to: int):
         if up_to <= _BLOCK:
             for x in blk[1:]:
                 x.flags.writeable = False
-            _last = ((model, _BLOCK), blk)
+            _walks.put(key, blk, 7 * blk.a.size)
         yield blk
 
 

@@ -18,6 +18,7 @@ its own, so that d = (r - c_n)^(1 - a_n) exists also for r near 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Optional
@@ -35,18 +36,37 @@ BOUND_SLACK = 1e-12
 # array arithmetic on float indices rounds as value() does on Python ints.
 _FLOAT_INDEX_LIMIT = 2 ** 26
 
-SEQUENCE_FAMILIES = (
-    "harmonic",
-    "convergent",
-    "proportional_c",
-    "negative_proportional_c",
-    "alternating_ex3",
-    "superharmonic_ex4",
-    "dyadic_ex5",
-    "exp_tail_ex6",
-    "constant",
-    "table",
-)
+# each family and the parameters it reads: "a" a sequence, "role" "a" or
+# "c", any other a finite number
+SEQUENCE_FAMILIES = {
+    "harmonic": (),
+    "convergent": (),
+    "proportional_c": ("a", "sigma"),
+    "negative_proportional_c": ("a", "sigma"),
+    "alternating_ex3": ("role",),
+    "superharmonic_ex4": ("role",),
+    "dyadic_ex5": ("role",),
+    "exp_tail_ex6": ("sigma",),
+    "constant": ("value",),
+    "table": (),
+}
+TAIL_RULES = ("repeat_last", "error")
+
+
+def _real(x, what: str, finite: bool = True) -> float:
+    """x as a float; RejectedParameter unless x is a real number (bool is
+    not), and a finite one if finite."""
+    v = math.nan
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        try:
+            v = float(x)
+        except OverflowError:           # an int past the float range
+            v = math.inf
+        if not finite or math.isfinite(v):
+            return v
+    kind = "a finite number" if finite else "a number"
+    raise RejectedParameter(f"{what} must be {kind}, got {x!r}",
+                            constraint=what)
 
 
 def _is_power_of_two(m: int) -> bool:
@@ -96,12 +116,43 @@ class EnvSequence:
     tail_rule: str = "repeat_last"  # or "error"
 
     def __post_init__(self):
-        if self.family not in SEQUENCE_FAMILIES:
-            raise RejectedParameter(f"unknown sequence family {self.family!r}",
+        """Refuse a parameter the family does not read, and a value it could
+        not read; store numbers as floats, so every sequence is hashable."""
+        fam = self.family
+        if not isinstance(fam, str) or fam not in SEQUENCE_FAMILIES:
+            raise RejectedParameter(f"unknown sequence family {fam!r}",
                                     constraint="family")
+        params = []
         # canonical key order so serialization round-trips compare equal
-        object.__setattr__(self, "params",
-                           tuple(sorted(self.params, key=lambda kv: kv[0])))
+        for name, val in sorted(self.params, key=lambda kv: kv[0]):
+            if name not in SEQUENCE_FAMILIES[fam]:
+                raise RejectedParameter(
+                    f"family {fam!r} reads no parameter {name!r}",
+                    constraint=name)
+            if name == "a":
+                if not isinstance(val, EnvSequence):
+                    raise RejectedParameter(
+                        f"parameter 'a' of {fam!r} must be a sequence, "
+                        f"got {val!r}", constraint=name)
+            elif name == "role":
+                if not (isinstance(val, str) and val in ("a", "c")):
+                    raise RejectedParameter(
+                        f"role must be 'a' or 'c', got {val!r}",
+                        constraint=name)
+            else:
+                val = _real(val, name)
+            params.append((name, val))
+        if not isinstance(self.table, (tuple, list)):
+            raise RejectedParameter(f"table must be a list, got "
+                                    f"{self.table!r}", constraint="table")
+        if not (isinstance(self.tail_rule, str)
+                and self.tail_rule in TAIL_RULES):
+            raise RejectedParameter(
+                f"tail_rule must be one of {TAIL_RULES}, got "
+                f"{self.tail_rule!r}", constraint="tail_rule")
+        object.__setattr__(self, "params", tuple(params))
+        object.__setattr__(self, "table", tuple(
+            _real(x, "table entry", finite=False) for x in self.table))
 
     def _param(self, name: str):
         for key, val in self.params:
@@ -313,14 +364,16 @@ class EnvSequence:
     def from_dict(spec: dict) -> "EnvSequence":
         family = spec["family"]
         raw = spec.get("params", {}) or {}
+        if not isinstance(raw, dict):
+            raise RejectedParameter(f"params must be an object, got {raw!r}",
+                                    constraint="params")
         params = []
         for key in sorted(raw):
             val = raw[key]
             if isinstance(val, dict) and "family" in val:
                 val = EnvSequence.from_dict(val)
             params.append((key, val))
-        return EnvSequence(family, tuple(params),
-                           tuple(spec.get("table", ())),
+        return EnvSequence(family, tuple(params), spec.get("table", ()),
                            spec.get("tail_rule", "repeat_last"))
 
 

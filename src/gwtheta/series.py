@@ -25,26 +25,21 @@ in all.  A batch is built to the first cutoff only, as arrays
 with the tail g(1) - sum p; _build doubles the cutoff of one law through
 it until that tail meets the tolerance.
 
-The weights of single laws are kept across calls (_extend_coeffs): a
-module memo maps each law (theta, r, a, c, log_d) to the longest read-only
-weights p_0..p_K computed for it, least recently used laws evicted so that
-at most MEMO_WEIGHTS = 2^17 weights (1 MiB) are kept in all, and a law
-with more is not kept.  It has one serve rule: a caller whose known
-weights equal the kept prefix bit for bit gets p_K..p_J from the kept
-weights when they reach J; otherwise the weights are computed from the
-caller's own, as without the memo, and kept if the caller's matched.  So
-every weight it serves is the one a single pass gives.  Repeated builds
-and extensions of a law in one process, sampler rebuilds among them, run
-its recurrence and Cauchy blocks once; a one-shot `gwtheta pmf` run gains
-nothing.  Batches of more than one law neither read nor write it.
+A memo.Memo keeps across calls the longest read-only weights p_0..p_K
+computed for a single law (theta, r, a, c, log_d), counting K + 1.  Its
+serve rule (_extend_coeffs): a caller whose known weights equal the kept
+prefix bit for bit gets p_K..p_J from the kept weights when they reach J;
+otherwise they are computed from the caller's own, and kept if those
+matched.  So every weight it serves is the one a single pass gives, and
+repeated builds and extensions of a law in one process, sampler rebuilds
+among them, run its recurrence and Cauchy blocks once.  Batches of more
+than one law neither read nor write it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +47,7 @@ import numpy as np
 from .analytics import _index, composite_law
 from .environment import ThetaLaw, ThetaModel, _libm
 from .errors import CutoffExceeded, DomainError, GwThetaError
+from .memo import Memo
 
 log = logging.getLogger(__name__)
 
@@ -59,14 +55,10 @@ DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_MAX_CUTOFF = 2 ** 20
 NEGATIVE_CLIP = 1e-14
 RECURRENCE_MAX = 2 ** 12         # highest index from the power recurrence
-MEMO_WEIGHTS = 2 ** 17           # weights the memo keeps in all, 1 MiB
 _NO_WEIGHTS = np.empty(0)
 
-# law -> its longest read-only weights p_0..p_K, least recently used first;
-# _memo_lock guards it and _memo_total, the weights it holds in all
-_memo = OrderedDict()
-_memo_total = 0
-_memo_lock = threading.Lock()
+# law -> its longest read-only weights p_0..p_K
+_memo = Memo()
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,22 +281,15 @@ def _new_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
 
 
 def _extend_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
-    """_new_coeffs(laws, p, J), through the memo for a batch of one.  When p
-    equals the prefix of the kept weights bit for bit (an empty p does when
-    none are kept), p_K..p_J are a read-only view of the kept weights if
-    these reach J; otherwise they are computed from p, and p_0..p_J are kept
-    unless more than MEMO_WEIGHTS.  Any other p has p_K..p_J computed from
-    it and nothing kept."""
-    global _memo_total
+    """_new_coeffs(laws, p, J), through the memo by its serve rule for a
+    batch of one; an empty p is a prefix of any kept weights.  No whole
+    p_0..p_J is built past the memo's budget, where it would not be kept."""
     if p.shape[0] != 1:
         return _new_coeffs(laws, p, J)
     K = p.shape[1]
     key = (laws.theta, laws.r) + tuple(
         None if x is None else x.item() for x in (laws.a, laws.c, laws.log_d))
-    with _memo_lock:
-        kept = _memo.get(key, _NO_WEIGHTS)
-        if key in _memo:
-            _memo.move_to_end(key)          # now the most recently used
+    kept = _memo.get(key, _NO_WEIGHTS)
     known = p[0]
     match = (K <= kept.size and known.dtype == kept.dtype
              and np.array_equal(kept[:K].view(np.int64),
@@ -312,17 +297,10 @@ def _extend_coeffs(laws: ThetaLaw, p: np.ndarray, J: int) -> np.ndarray:
     if match and J < kept.size:
         return kept[None, K:J + 1]
     new = _new_coeffs(laws, p, J)
-    if match and J < MEMO_WEIGHTS:
+    if match and J < _memo.budget:
         whole = np.concatenate([known, new[0]])
         whole.flags.writeable = False
-        with _memo_lock:
-            old = _memo.get(key, _NO_WEIGHTS)
-            if old.size < whole.size:
-                _memo[key] = whole
-                _memo.move_to_end(key)
-                _memo_total += whole.size - old.size
-                while _memo_total > MEMO_WEIGHTS:
-                    _memo_total -= _memo.popitem(last=False)[1].size
+        _memo.put(key, whole, whole.size)
     return new
 
 

@@ -39,16 +39,14 @@ of 64 laws costs about twice one of 8, heavy tails included.  Each is the
 sampler its law gives alone, so this changes no draw, and a law that
 fails lazy validation, or has a non-finite weight, still raises only when
 a path reaches it.  A table is kept for each model and budget
-(_kept_table), the least recently used evicted past series.MEMO_WEIGHTS
-weights in all, so calls that interleave a few models build each one's
-samplers once; a table over that budget on its own is built by each call.
+(_kept_table) in a memo.Memo, counting 65 weights a sampler, so calls
+that interleave a few models build each one's samplers once.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -61,9 +59,10 @@ from .analytics import (LimitLawDescriptor, _index, composite_constants,
                         composite_law)
 from .environment import ThetaLaw, ThetaModel
 from .errors import CutoffExceeded, DomainError, GwThetaError
+from .memo import Memo
 # step_pmf is re-exported from here
-from .series import (DEFAULT_MAX_CUTOFF, MEMO_WEIGHTS,  # noqa: F401
-                     Pmf, _first_pmfs, extend_pmf, step_pmf)
+from .series import (DEFAULT_MAX_CUTOFF, Pmf, _first_pmfs,  # noqa: F401
+                     extend_pmf, step_pmf)
 
 DELTA = "delta"                  # absorbing symbol
 _DELTA_CODE = -1                 # internal integer encoding
@@ -479,16 +478,8 @@ class _SamplerTable:
         self.step.update(zip(range(n0, n1), built))
 
 
-# (model, max_cutoff) -> its table, least recently used first; _kept_lock
-# guards it.  A call's table is out of it while the call runs
-_kept = OrderedDict()
-_kept_lock = threading.Lock()
-
-
-def _kept_weights(table: _SamplerTable) -> int:
-    """The weights a table holds on return, counting 65 a sampler: the
-    first cutoff, as every kept sampler is there."""
-    return 65 * (len(table.step) + len(table.population))
+# (model, max_cutoff) -> its table, taken out while a call uses it
+_kept = Memo()
 
 
 @contextmanager
@@ -496,20 +487,10 @@ def _kept_table(model: ThetaModel, max_cutoff: int, horizon: int):
     """The sampler table of a call: the kept one of its model and budget, or
     a new one, set to the call's horizon and taken out while the call runs,
     so a concurrent call builds its own.  On return it keeps no sampler past
-    its first cutoff (get rebuilds the dropped ones) and goes back as the
-    most recently used; least recently used tables are evicted so that the
-    kept ones hold at most series.MEMO_WEIGHTS weights in all.  A table
-    with more on its own, or with no sampler, is not kept, nor the table
-    of a model that cannot be a key (a parameter given as a list)."""
+    its first cutoff (get rebuilds the dropped ones) and goes back, counting
+    65 weights a sampler, unless it has none."""
     key = (model, max_cutoff)
-    try:
-        hash(key)
-    except TypeError:
-        key = None
-    with _kept_lock:
-        table = _kept.pop(key, None)
-    if table is None:
-        table = _SamplerTable(model, max_cutoff, horizon)
+    table = _kept.take(key) or _SamplerTable(model, max_cutoff, horizon)
     table.horizon = horizon
     try:
         yield table
@@ -517,13 +498,9 @@ def _kept_table(model: ThetaModel, max_cutoff: int, horizon: int):
         for built in (table.step, table.population):
             for n in [n for n, s in built.items() if s.grown]:
                 del built[n]
-        if key is not None and 0 < _kept_weights(table) <= MEMO_WEIGHTS:
-            with _kept_lock:
-                _kept[key] = table
-                _kept.move_to_end(key)
-                total = sum(map(_kept_weights, _kept.values()))
-                while total > MEMO_WEIGHTS:
-                    total -= _kept_weights(_kept.popitem(last=False)[1])
+        samplers = len(table.step) + len(table.population)
+        if samplers:
+            _kept.put(key, table, 65 * samplers)
 
 
 def sample_offspring(pmf: Pmf, rng: np.random.Generator,

@@ -11,6 +11,7 @@ import pytest
 import gwtheta
 from gwtheta.cli import main
 from gwtheta.environment import EnvSequence, ThetaModel
+from gwtheta.errors import RejectedParameter
 from gwtheta.harness import scenario_model
 from gwtheta.series import step_pmf, write_pmf_csv
 
@@ -349,6 +350,64 @@ def test_constant_sequence_without_value_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", "--model", str(path))
     assert code == 2 and out == ""
     assert "requires parameter 'value'" in err
+
+
+def _with(seq, **changes):
+    """The dict of seq with its params, table or tail_rule changed."""
+    spec = seq.to_dict()
+    spec["params"].update(changes.pop("params", {}))
+    spec.update(changes)
+    return spec
+
+
+_ex2 = scenario_model("Ex2")
+_UNREAD = [
+    # a misspelt name, a list where a number is read, an unknown tail rule
+    _with(_ex2.a_seq, params={"vaule": 3}),
+    _with(EnvSequence.constant(0.5), params={"value": [1.0]}),
+    _with(EnvSequence.from_table([0.5]), tail_rule="bogus"),
+    _with(EnvSequence.constant(0.5), params={"value": float("nan")}),
+    _with(EnvSequence.constant(0.5), params={"value": True}),
+    _with(EnvSequence.constant(0.5), params={"value": 10 ** 400}),
+    _with(EnvSequence.dyadic_ex5("a"), params={"role": "b"}),
+    _with(EnvSequence.from_table([0.5]), table=[0.5, "0.5"]),
+    _with(EnvSequence.from_table([0.5]), table=0.5),
+    _with(_ex2.c_seq, params={"a": 0.5}),
+    {"family": "harmonic", "params": [1]},
+]
+
+
+@pytest.mark.parametrize("a", _UNREAD, ids=[
+    "unknown_name", "list_value", "tail_rule", "nan_value", "bool_value",
+    "huge_int_value", "role", "table_entry", "table_not_a_list",
+    "a_not_a_sequence", "params_not_an_object"])
+def test_model_with_a_parameter_no_family_reads_is_refused(capsys, tmp_path,
+                                                            a):
+    # each exited 0 unreported, took a bad value as a valid one, or exited
+    # 3 as an internal error
+    spec = {"theta": 1.0, "r": 1.0, "a": a, "c": _ex2.c_seq.to_dict()}
+    with pytest.raises(RejectedParameter):
+        ThetaModel.from_dict(spec)
+    path = tmp_path / "unread.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "analyze", "--model", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("gwtheta: invalid model: ")
+
+
+def test_sequence_numbers_are_stored_as_floats():
+    # so equal models compare and hash equal, whatever the JSON wrote
+    spec = {"theta": 1.0, "r": 1.0,
+            "a": {"family": "table", "params": {}, "table": [1, 0.5]},
+            "c": {"family": "constant", "params": {"value": 1}}}
+    model = ThetaModel.from_dict(spec)
+    assert model.a_seq.table == (1.0, 0.5)
+    assert type(model.a_seq.table[0]) is float
+    assert model.c_seq.params == (("value", 1.0),)
+    assert type(model.c_seq.params[0][1]) is float
+    again = ThetaModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    assert again == model and hash(again) == hash(model)
 
 
 def test_pmf_step_kind_writes_step_pmf(capsys):

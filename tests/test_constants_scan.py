@@ -2,7 +2,7 @@
 recursion it replaced, kept here as the oracle: every constant, the
 limit_constants evidence and the convergence partial sums must agree bit
 for bit, errors must surface at the same index, memory stays O(block), and
-a later walk that reuses the last one-block walk gives what a fresh one does.
+a later walk that reuses a kept one-block walk gives what a fresh one does.
 """
 
 import math
@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import gwtheta.analytics as analytics
-from gwtheta.analytics import (composite_constants, constants_iter,
-                               constants_table, convergence_conditions,
-                               limit_constants)
-from gwtheta.environment import EnvSequence, validate_model
+from gwtheta.analytics import (composite_constants, constants_at,
+                               constants_iter, constants_table,
+                               convergence_conditions, limit_constants)
+from gwtheta.environment import EnvSequence, ThetaModel, validate_model
 from gwtheta.errors import DomainError, GwThetaError, RejectedParameter
 from gwtheta.harness import registry, scenario_model
 
@@ -305,27 +305,54 @@ def _memo_consumers(n):
     ]
 
 
+def _kept_walk(model):
+    """The walk of model that analytics keeps, or None; it is not marked
+    as used."""
+    return dict(analytics._walks.items()).get((model, analytics._BLOCK))
+
+
 @pytest.mark.parametrize("sc", SCENARIOS, ids=IDS)
-def test_reused_walk_matches_a_fresh_one(sc, block, monkeypatch):
+def test_reused_walk_matches_a_fresh_one(sc, block, swap_memo):
     # the longest walk kept is one block; n leaves room for a longer one
     top = analytics._BLOCK
     n = 90 if block else 10 ** 4
     other = scenario_model("Ex2" if sc.id == "Ex1" else "Ex1")
     for consume in _memo_consumers(n):
-        monkeypatch.setattr(analytics, "_last", None)
+        swap_memo(analytics, "_walks")
         want = _outcome(consume, sc.model)
-        # after another model's walk the walk misses and is computed again
+        # after another model's walk, kept beside it or in its place
         composite_constants(other, n)
         assert _outcome(consume, sc.model) == want
         # after a longer walk of the same model it is a prefix of that one
         composite_constants(sc.model, top)
-        kept = analytics._last
-        assert kept[1].a.size == top
+        kept = _kept_walk(sc.model)
+        assert kept.a.size == top
         assert _outcome(consume, sc.model) == want
-        assert analytics._last is kept
+        assert _kept_walk(sc.model) is kept
 
 
-def test_cached_walk_does_not_hide_a_later_bad_entry(monkeypatch):
+def test_walk_is_served_beside_another_models_walk(monkeypatch, swap_memo):
+    # Ex2's walk is kept beside Ex1's, so Ex1's constants at 500 are a
+    # prefix of its walk to 1000, with no step read, bit for bit a fresh
+    # walk's
+    ex1, ex2 = scenario_model("Ex1"), scenario_model("Ex2")
+    composite_constants(ex1, 1000)
+    composite_constants(ex2, 1000)
+    steps = ThetaModel.steps
+    calls = []
+
+    def counting(self, n0, n1):
+        calls.append((n0, n1))
+        return steps(self, n0, n1)
+    monkeypatch.setattr(ThetaModel, "steps", counting)
+    got = constants_at(ex1, [500])
+    assert calls == []
+    swap_memo(analytics, "_walks")
+    assert repr(got) == repr(constants_at(ex1, [500]))
+    assert calls == [(1, 501)]
+
+
+def test_cached_walk_does_not_hide_a_later_bad_entry(swap_memo):
     # a_700 = -1 lies past check_horizon = 100 and past the kept walk to 500
     a = [0.5] * 1000
     a[699] = -1.0
@@ -334,25 +361,25 @@ def test_cached_walk_does_not_hide_a_later_bad_entry(monkeypatch):
     want = _error(model.step, 700)
     assert want[0] is RejectedParameter and want[2] == 700
     for consume in CONSUMERS + [composite_constants]:
-        monkeypatch.setattr(analytics, "_last", None)
+        swap_memo(analytics, "_walks")
         composite_constants(model, 500)
-        assert analytics._last[1].a.size == 500
+        assert _kept_walk(model).a.size == 500
         assert _error(consume, model, 1000) == want
-        assert analytics._last[1].a.size == 500
+        assert _kept_walk(model).a.size == 500
 
 
 def test_kept_walk_is_read_only():
     composite_constants(scenario_model("Ex1"), 50)
-    for x in analytics._last[1][1:]:
+    for x in _kept_walk(scenario_model("Ex1"))[1:]:
         assert not x.flags.writeable
         with pytest.raises(ValueError):
             x[:1] = 1.0
 
 
-def test_walk_longer_than_a_block_is_not_kept(monkeypatch):
-    monkeypatch.setattr(analytics, "_last", None)
+def test_walk_longer_than_a_block_is_not_kept(swap_memo):
+    walks = swap_memo(analytics, "_walks")
     limit_constants(scenario_model("Ex1"), 10 ** 6)
-    assert analytics._last is None
+    assert walks.items() == [] and walks.total == 0
 
 
 # -- generation indices must be integers --------------------------------------

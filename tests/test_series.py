@@ -4,7 +4,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from collections import OrderedDict
 
 import mpmath
 import numpy as np
@@ -33,23 +32,20 @@ def mp_taylor(theta, r, a, c, J, d=None):
         return [float(x) for x in mpmath.taylor(f, 0, J)]
 
 
-def _empty_memo(patch, keeps=True):
-    """Patch in an empty weight memo; one that keeps nothing, so every
-    weight is computed, unless keeps."""
-    patch.setattr(series, "_memo", OrderedDict())
-    patch.setattr(series, "_memo_total", 0)
-    if not keeps:
-        patch.setattr(series, "MEMO_WEIGHTS", 0)
+@pytest.fixture
+def no_memo(swap_memo):
+    """A weight memo that keeps nothing, so every weight is computed."""
+    return swap_memo(series, "_memo", budget=0)
 
 
 @pytest.fixture
-def no_memo(monkeypatch):
-    _empty_memo(monkeypatch, keeps=False)
+def fresh_memo(swap_memo):
+    return swap_memo(series, "_memo")
 
 
-@pytest.fixture
-def fresh_memo(monkeypatch):
-    _empty_memo(monkeypatch)
+def _kept(key):
+    """The weights the memo keeps for key; they are not marked as used."""
+    return dict(series._memo.items())[key]
 
 
 def build_or_partial(*args, **kwargs):
@@ -543,12 +539,12 @@ def test_extension_memory_is_per_block(no_memo):
 
 
 @pytest.mark.parametrize("bound", [2 ** 17, 2 ** 14])
-def test_extension_memory_through_the_memo(fresh_memo, monkeypatch, bound):
+def test_extension_memory_through_the_memo(swap_memo, bound):
     # the memo keeps the extension (2^17), or is crossed by it (2^14) and
     # keeps the weights it had and no more
-    monkeypatch.setattr(series, "MEMO_WEIGHTS", bound)
+    swap_memo(series, "_memo", bound)
     partial = _extend_heavy_law()
-    kept = [w.size for w in series._memo.values()]
+    kept = [w.size for _, w in series._memo.items()]
     assert kept == [2 ** 15 + 1 if bound > 2 ** 15 else partial.cutoff + 1]
 
 
@@ -710,20 +706,20 @@ def _memo_case(case):
 
 
 def _check_memo_bound():
-    sizes = [w.size for w in series._memo.values()]
-    assert sum(sizes) == series._memo_total <= series.MEMO_WEIGHTS
-    assert not any(w.flags.writeable for w in series._memo.values())
+    kept = [w for _, w in series._memo.items()]
+    assert sum(w.size for w in kept) == series._memo.total \
+        <= series._memo.budget
+    assert not any(w.flags.writeable for w in kept)
 
 
-def test_memo_serves_what_a_fresh_build_gives(monkeypatch):
+def test_memo_serves_what_a_fresh_build_gives(monkeypatch, swap_memo):
     # every case of the 18 scenarios at n = 1, 10, 100, built with the memo
     # keeping nothing, then twice through a fresh memo in shuffled orders,
     # the second time served
-    with monkeypatch.context() as patch:
-        _empty_memo(patch, keeps=False)
-        fresh = [_memo_case(case) for case in _MEMO_CASES]
+    swap_memo(series, "_memo", budget=0)
+    fresh = [_memo_case(case) for case in _MEMO_CASES]
     assert {out[0] for out in fresh} == {"pmf", "partial"}
-    _empty_memo(monkeypatch)
+    swap_memo(series, "_memo")
     rng = random.Random(2026)
     for served in (False, True):
         if served:          # they all fit in the bound: nothing is computed
@@ -737,7 +733,7 @@ def test_memo_serves_what_a_fresh_build_gives(monkeypatch):
 
 @pytest.mark.parametrize("sid,n", [("Ex10ii", 37), ("Ex1", 105),
                                    ("Ex8i", 10), ("Ex6iii", 3)])
-def test_memo_extend_chains_match_fresh_ones(monkeypatch, sid, n):
+def test_memo_extend_chains_match_fresh_ones(swap_memo, sid, n):
     # a build then the extensions of its pmf, with and without the memo,
     # cold and warm, and the extensions in another order
     model = scenario_model(sid)
@@ -750,10 +746,9 @@ def test_memo_extend_chains_match_fresh_ones(monkeypatch, sid, n):
         except CutoffExceeded as err:
             pmf = err.partial
         return [base] + [_chain(pmf, cutoffs) for cutoffs in chains]
-    with monkeypatch.context() as patch:
-        _empty_memo(patch, keeps=False)
-        fresh = run()
-    _empty_memo(monkeypatch)
+    swap_memo(series, "_memo", budget=0)
+    fresh = run()
+    swap_memo(series, "_memo")
     assert run() == fresh          # cold
     assert run() == fresh          # served
     _check_memo_bound()
@@ -765,9 +760,9 @@ def test_memo_extension_resumes_from_the_kept_weights(fresh_memo,
     law = ThetaLaw(-0.5, 1.0, 0.4, 0.35, None)
     key = (-0.5, 1.0, 0.4, 0.35, None)
     base = build_or_partial(-0.5, 1.0, 0.4, 0.35, max_cutoff=2 ** 13)
-    assert series._memo[key].size == base.cutoff + 1 == 1025
+    assert _kept(key).size == base.cutoff + 1 == 1025
     small = extend_pmf(base, 2 ** 13)
-    assert series._memo[key].size == 2 ** 13 + 1
+    assert _kept(key).size == 2 ** 13 + 1
     calls = []
     block = series._cauchy_block
 
@@ -778,7 +773,7 @@ def test_memo_extension_resumes_from_the_kept_weights(fresh_memo,
     monkeypatch.setattr(series, "_coeffs_theta", _no_weights)
     full = extend_pmf(small, 2 ** 14)
     assert calls == [13]
-    assert series._memo[key].size == 2 ** 14 + 1
+    assert _kept(key).size == 2 ** 14 + 1
     # another pmf of the law with an equal prefix is served, not computed
     calls.clear()
     again = extend_pmf(series.Pmf(full.weights[:2049].copy(), 0.0, 0.0,
@@ -794,25 +789,25 @@ def test_memo_keeps_no_law_past_its_bound(fresh_memo):
     # the prefix it had and drops nothing else for it
     pmf = pmf_from_theta_pgf(1.0, 1.0, 0.5, 0.6)
     key = (1.0, 1.0, 0.5, 0.6, None)
-    kept = series._memo[key]
+    kept = _kept(key)
     assert kept.size == pmf.cutoff + 1
     other = population_pmf(scenario_model("Ex7i"), 5)
-    before = dict(series._memo)
-    big = extend_pmf(pmf, series.MEMO_WEIGHTS)
-    assert big.cutoff + 1 > series.MEMO_WEIGHTS
-    assert series._memo == before and series._memo[key] is kept
-    assert other.cutoff + 1 == sum(w.size for w in series._memo.values()
-                                   ) - kept.size
+    before = dict(series._memo.items())
+    big = extend_pmf(pmf, fresh_memo.budget)
+    assert big.cutoff + 1 > fresh_memo.budget
+    assert dict(series._memo.items()) == before and _kept(key) is kept
+    assert other.cutoff + 1 == fresh_memo.total - kept.size
     # a shorter prefix of the kept weights, extended past the bound, gets
     # the weights computed from it, with nothing more kept
     short = series.Pmf(kept[:33].copy(), 0.0, 0.0, 32, pmf.source)
-    longer = extend_pmf(short, series.MEMO_WEIGHTS)
+    longer = extend_pmf(short, fresh_memo.budget)
     assert longer.weights.tobytes() == big.weights.tobytes()
-    assert series._memo == before and series._memo[key] is kept
+    assert dict(series._memo.items()) == before and _kept(key) is kept
     _check_memo_bound()
 
 
-def test_memo_extends_a_shorter_prefix_from_its_own_weights(monkeypatch):
+def test_memo_extends_a_shorter_prefix_from_its_own_weights(monkeypatch,
+                                                            swap_memo):
     # the memo holds p_0..p_128 of a law; a caller holding p_0..p_64 asks
     # for J = 256, past the kept weights: the recurrence resumes from the
     # caller's 65 weights, the weights are the memo-off chain's, and the
@@ -825,10 +820,9 @@ def test_memo_extends_a_shorter_prefix_from_its_own_weights(monkeypatch):
         assert first.cutoff == 64
         extend_pmf(first, 128)
         return extend_pmf(first, 256)
-    with monkeypatch.context() as patch:
-        _empty_memo(patch, keeps=False)
-        want = _outcome(chain)
-    _empty_memo(monkeypatch)
+    swap_memo(series, "_memo", budget=0)
+    want = _outcome(chain)
+    swap_memo(series, "_memo")
     calls = []
     coeffs_theta = series._coeffs_theta
 
@@ -839,19 +833,7 @@ def test_memo_extends_a_shorter_prefix_from_its_own_weights(monkeypatch):
     got = _outcome(chain)
     assert calls == [(0, 64), (65, 128), (65, 256)]
     assert got == want
-    assert series._memo[key].tobytes() == want[1]
-    _check_memo_bound()
-
-
-def test_memo_evicts_the_least_recently_used(fresh_memo, monkeypatch):
-    monkeypatch.setattr(series, "MEMO_WEIGHTS", 3 * 1025)
-    laws = [(-0.5, 1.0, a, 0.3) for a in (0.3, 0.4, 0.5, 0.6)]
-    for params in laws[:3]:
-        build_or_partial(*params, max_cutoff=2 ** 10)
-    assert [k[:4] for k in series._memo] == laws[:3]
-    build_or_partial(*laws[0], max_cutoff=2 ** 10)         # used again
-    build_or_partial(*laws[3], max_cutoff=2 ** 10)
-    assert [k[:4] for k in series._memo] == [laws[2], laws[0], laws[3]]
+    assert _kept(key).tobytes() == want[1]
     _check_memo_bound()
 
 
@@ -860,27 +842,27 @@ def test_memo_neither_serves_nor_stores_a_wrong_prefix(fresh_memo):
     key = (-0.5, 1.0, 0.4, 0.35, None)
     full = series._coeffs(law, 4096)
     base = build_or_partial(-0.5, 1.0, 0.4, 0.35, max_cutoff=2 ** 10)
-    kept = series._memo[key]
+    kept = _kept(key)
     assert kept.tobytes() == full[:kept.size].tobytes()
     wrong = full[:1025].copy()
     wrong[300] *= 2.0
     moved = extend_pmf(series.Pmf(wrong, 0.0, 0.0, 1024, law), 4096)
     assert moved.weights[1025:].tobytes() != full[1025:].tobytes()
-    assert series._memo[key] is kept
+    assert _kept(key) is kept
     # a prefix longer than the kept one is not stored either
     longer = extend_pmf(series.Pmf(full[:2049].copy(), 0.0, 0.0, 2048, law),
                         4096)
     assert longer.weights.tobytes() == full.tobytes()
-    assert series._memo[key] is kept
+    assert _kept(key) is kept
     # nor is a prefix of another dtype served
     cast = series.Pmf(full[:1025].astype(np.float32), 0.0, 0.0, 1024, law)
     extend_pmf(cast, 2048)
-    assert series._memo[key] is kept
+    assert _kept(key) is kept
     assert extend_pmf(base, 4096).weights.tobytes() == full.tobytes()
-    assert series._memo[key].size == 4097
+    assert _kept(key).size == 4097
 
 
-def test_memo_threads_match_one_thread(monkeypatch):
+def test_memo_threads_match_one_thread(swap_memo):
     # four threads run the same builds and extensions in their own orders,
     # with a bound that makes them evict each other's laws
     model = scenario_model("Ex10ii")
@@ -894,11 +876,9 @@ def test_memo_threads_match_one_thread(monkeypatch):
         except CutoffExceeded as err:
             pmf = err.partial
         return _outcome(lambda: extend_pmf(pmf, cutoff))
-    with monkeypatch.context() as patch:
-        _empty_memo(patch, keeps=False)
-        want = [job(*j) for j in jobs]
-    _empty_memo(monkeypatch)
-    monkeypatch.setattr(series, "MEMO_WEIGHTS", 3 * (2 ** 14 + 1))
+    swap_memo(series, "_memo", budget=0)
+    want = [job(*j) for j in jobs]
+    swap_memo(series, "_memo", budget=3 * (2 ** 14 + 1))
     got, start = [None] * 4, threading.Barrier(4, timeout=60)
 
     def worker(t):

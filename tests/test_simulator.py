@@ -1,5 +1,4 @@
 import cProfile
-import dataclasses
 import gc
 import json
 import math
@@ -9,7 +8,6 @@ import threading
 import time
 import tracemalloc
 import warnings
-from collections import OrderedDict
 from itertools import repeat
 
 import numpy as np
@@ -22,6 +20,7 @@ from gwtheta.analytics import (composed_pgf, composite_constants,
 from gwtheta.environment import EnvSequence, ThetaLaw, validate_model
 from gwtheta.errors import CutoffExceeded, DomainError, GwThetaError
 from gwtheta.harness import VerifyConfig, registry, scenario_model
+from gwtheta.memo import MEMO_WEIGHTS, Memo
 from gwtheta.series import (DEFAULT_MAX_CUTOFF, DEFAULT_TAIL_TOL,
                             RECURRENCE_MAX, Pmf, _build, extend_pmf,
                             pmf_from_theta_pgf, population_pmf, step_pmf)
@@ -1040,7 +1039,7 @@ def test_block_built_step_samplers_match_per_law(sid):
 def _per_law(monkeypatch, call):
     """call() with every sampler built law by law, without blocks."""
     with monkeypatch.context() as patch:
-        patch.setattr(simulator, "_kept", OrderedDict())
+        patch.setattr(simulator, "_kept", Memo())
         patch.setattr(_SamplerTable, "_build_block", lambda self, n0: None)
         return call()
 
@@ -1332,17 +1331,23 @@ def test_sample_zn_matches_the_per_seed_draws():
 # within the budget, and no draw depends on what they hold.
 # ---------------------------------------------------------------------------
 
-def _empty_store(monkeypatch):
-    monkeypatch.setattr(simulator, "_kept", OrderedDict())
+@pytest.fixture
+def empty_store(swap_memo):
+    """empty_store(budget=None) swaps in a new, empty memo of kept tables."""
+    return lambda budget=None: swap_memo(simulator, "_kept", budget)
+
+
+def _kept_keys():
+    return [key for key, _ in simulator._kept.items()]   # least recent first
 
 
 def _kept_samplers():
-    table = next(reversed(simulator._kept.values()))    # the last call's
+    table = simulator._kept.items()[-1][1]              # the last call's
     return list(table.step.values()) + list(table.population.values())
 
 
-def test_kept_table_builds_the_step_block_once(monkeypatch):
-    _empty_store(monkeypatch)
+def test_kept_table_builds_the_step_block_once(monkeypatch, empty_store):
+    empty_store()
     calls = []
 
     def counting(laws, max_cutoff):
@@ -1352,41 +1357,36 @@ def test_kept_table_builds_the_step_block_once(monkeypatch):
     model = scenario_model("Ex2")
     paths = [simulate_trajectory(model, 40, s) for s in range(1001, 1009)]
     assert calls == [40]
-    _empty_store(monkeypatch)
+    empty_store()
     assert [simulate_trajectory(model, 40, s)
             for s in range(1001, 1009)] == paths
 
 
-def test_kept_table_is_kept_beside_another_model_or_budget(monkeypatch):
-    _empty_store(monkeypatch)
+def test_kept_table_is_kept_beside_another_model_or_budget(empty_store):
+    # the eviction of the least recently used tables is the memo's own
+    # (test_memo.py)
+    empty_store()
     ex2, ex7 = scenario_model("Ex2"), scenario_model("Ex7i")
     simulate_trajectory(ex2, 40, 1)
-    first = simulator._kept[ex2, DEFAULT_MAX_CUTOFF]
+    first = dict(simulator._kept.items())[ex2, DEFAULT_MAX_CUTOFF]
     simulate_trajectory(scenario_model("Ex2"), 30, 2)   # equal, not same
-    assert simulator._kept[ex2, DEFAULT_MAX_CUTOFF] is first
+    assert dict(simulator._kept.items())[ex2, DEFAULT_MAX_CUTOFF] is first
     keys = [(ex2, DEFAULT_MAX_CUTOFF)]
     for model, budget in ((ex7, DEFAULT_MAX_CUTOFF), (ex7, 2 ** 12),
                           (ex2, 2 ** 12)):
         simulate_trajectory(model, 40, 3, max_cutoff=budget)
         keys.append((model, budget))
-        assert list(simulator._kept) == keys        # least recent first
-    assert simulator._kept[ex2, DEFAULT_MAX_CUTOFF] is first
-    # each table holds up to 40 samplers; at a budget of three full tables
-    # the least recently used is evicted, and a table of more is not kept
-    monkeypatch.setattr(simulator, "MEMO_WEIGHTS", 3 * 65 * 40)
-    simulate_trajectory(ex2, 40, 4)                     # now most recent
-    simulate_trajectory(ex7, 40, 5, max_cutoff=2 ** 8)
-    assert list(simulator._kept) == [keys[3], keys[0], (ex7, 2 ** 8)]
-    assert simulator._kept[ex2, DEFAULT_MAX_CUTOFF] is first
-    simulate_trajectory(ex2, 200, 6, max_cutoff=2 ** 8)  # 200 samplers
-    assert list(simulator._kept) == [keys[3], keys[0], (ex7, 2 ** 8)]
-    assert sum(map(simulator._kept_weights,
-                   simulator._kept.values())) <= simulator.MEMO_WEIGHTS
+        assert _kept_keys() == keys                 # least recent first
+    assert dict(simulator._kept.items())[ex2, DEFAULT_MAX_CUTOFF] is first
+    # each counts 65 weights a sampler
+    assert simulator._kept.total == 65 * sum(
+        len(table.step) + len(table.population)
+        for _, table in simulator._kept.items())
 
 
-def test_kept_tables_build_each_models_blocks_once(monkeypatch):
+def test_kept_tables_build_each_models_blocks_once(monkeypatch, empty_store):
     # A, B, A: the second call on A finds A's table beside B's
-    _empty_store(monkeypatch)
+    empty_store()
     blocks = []
     build = _SamplerTable._build_block
 
@@ -1401,7 +1401,8 @@ def test_kept_tables_build_each_models_blocks_once(monkeypatch):
     assert blocks == [(ex9, 1), (ex9, 65), (ex9, 129), (ex9, 193), (ex7, 1)]
 
 
-def test_kept_table_interleaved_calls_equal_fresh_ones(monkeypatch):
+def test_kept_table_interleaved_calls_equal_fresh_ones(monkeypatch,
+                                                       empty_store):
     # horizons 40, 100, 20 make the kept table's blocks 1..40 and 41..100,
     # not a fresh table's 1..64 and 65..100; every draw is the same.  A
     # budget of 4 sends some draws of both models beyond it
@@ -1423,20 +1424,19 @@ def test_kept_table_interleaved_calls_equal_fresh_ones(monkeypatch):
     ]
     got = [call() for call in calls]
     for call, want in zip(calls, got):
-        _empty_store(monkeypatch)
+        empty_store()
         assert call() == want
 
 
 @pytest.mark.parametrize("budget", [None, 65 * 100])
 def test_kept_tables_interleaved_over_models_equal_fresh_ones(monkeypatch,
+                                                              empty_store,
                                                               budget):
     # Ex6i's steps and Z_n are mixture samplers; Ex10ii's direct sampler
     # of Z_20 and its step sampler of generation 8 grow past their first
     # cutoff and are dropped on return; at a
     # budget of 100 samplers the horizon-200 tables are not kept and the
     # others evict each other
-    if budget is not None:
-        monkeypatch.setattr(simulator, "MEMO_WEIGHTS", budget)
     monkeypatch.setattr(simulator, "CHUNK", 512)
     ex9, ex6, ex10 = (scenario_model(sid) for sid in ("Ex9ii", "Ex6i",
                                                        "Ex10ii"))
@@ -1454,51 +1454,41 @@ def test_kept_tables_interleaved_over_models_equal_fresh_ones(monkeypatch,
         lambda: run_ensemble(ex9, 40, 600, 5, max_cutoff=2 ** 8),
         lambda: run_ensemble(ex6, 2, 40, 5),
     ]
-    _empty_store(monkeypatch)
+    kept = empty_store(budget)
     got = []
     for call in calls:
         got.append(call())
-        assert sum(map(simulator._kept_weights, simulator._kept.values())
-                   ) <= simulator.MEMO_WEIGHTS
+        assert kept.total == 65 * sum(
+            len(table.step) + len(table.population)
+            for _, table in kept.items()) <= kept.budget
     for call, want in zip(calls, got):
-        _empty_store(monkeypatch)
+        empty_store(budget)
         assert call() == want
 
 
-def test_kept_tables_stay_within_the_budget_at_a_long_horizon(monkeypatch):
+def test_kept_tables_stay_within_the_budget_at_a_long_horizon(empty_store):
     # 20,000 step samplers are over the budget on their own, so the table
     # is not kept; it held 36 MB when the last call's table was kept whole
-    _empty_store(monkeypatch)
+    kept = empty_store()
     tracemalloc.start()
     try:
         run_ensemble(scenario_model("Ex9ii"), 20000, 200, 1)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
-        weights = sum(map(simulator._kept_weights, simulator._kept.values()))
-        simulator._kept.clear()
+        weights = kept.total
+        empty_store()
+        del kept
         gc.collect()
         held -= tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert weights <= simulator.MEMO_WEIGHTS
-    assert held <= 8 * simulator.MEMO_WEIGHTS
+    assert weights <= MEMO_WEIGHTS
+    assert held <= 8 * MEMO_WEIGHTS
 
 
-def test_model_that_cannot_be_a_key_builds_its_own_table(monkeypatch):
-    # a parameter no sequence reads may be given as a list in a model file;
-    # such a model is simulated as an equal hashable one, and not kept
-    spec = scenario_model("Ex2").a_seq.to_dict()
-    spec["params"]["unused"] = [1]
-    listed = EnvSequence.from_dict(spec)
-    model = scenario_model("Ex2")
-    want = run_ensemble(model, 40, 300, 5)
-    _empty_store(monkeypatch)
-    got = run_ensemble(dataclasses.replace(model, a_seq=listed), 40, 300, 5)
-    assert got == want and not simulator._kept
-
-
-def test_kept_table_holds_no_sampler_past_its_first_cutoff(monkeypatch):
-    _empty_store(monkeypatch)
+def test_kept_table_holds_no_sampler_past_its_first_cutoff(monkeypatch,
+                                                          empty_store):
+    empty_store()
     cutoffs = []
 
     def recording_extend(pmf, cutoff):
@@ -1517,19 +1507,20 @@ def test_kept_table_holds_no_sampler_past_its_first_cutoff(monkeypatch):
     # direct draws extend F_n's sampler, which is dropped the same way
     got = sample_zn(model, 20, range(400))
     assert all(len(s.pmf.weights) <= 64 + 1 for s in _kept_samplers())
-    _empty_store(monkeypatch)
+    empty_store()
     assert sample_zn(model, 20, range(400)) == got
 
 
-def test_kept_table_drops_a_block_that_fails_validation(monkeypatch):
+def test_kept_table_drops_a_block_that_fails_validation(monkeypatch,
+                                                        empty_store):
     # a_12 < 0 fails the block 1..20; the kept table holds only the laws
     # built one by one before it, and a repeat raises the same error
-    _empty_store(monkeypatch)
+    empty_store()
     model = validate_model(1.0, 1.0,
                            EnvSequence.from_table([1.0] * 11 + [-1.0]),
                            EnvSequence.constant(0.5), check_horizon=5)
     got = [_trajectory_or_error(model, 20, seed) for seed in range(100)]
-    table = simulator._kept[model, DEFAULT_MAX_CUTOFF]
+    table = dict(simulator._kept.items())[model, DEFAULT_MAX_CUTOFF]
     assert set(table.step) <= set(range(1, 12))
     errors = [g for g in got if not isinstance(g, Trajectory)]
     assert errors and len(errors) < len(got)
@@ -1543,7 +1534,7 @@ def test_kept_table_warm_ensembles_match_across_workers(monkeypatch):
     monkeypatch.setattr(simulator, "CHUNK", 512)
     model = scenario_model("Ex10ii")
     run_ensemble(model, 30, 600, 4, max_cutoff=2 ** 12)     # warm the table
-    assert (model, 2 ** 12) in simulator._kept
+    assert (model, 2 ** 12) in _kept_keys()
     one = run_ensemble(model, 30, 1500, 5, max_cutoff=2 ** 12)
     three = run_ensemble(model, 30, 1500, 5, workers=3, max_cutoff=2 ** 12)
     assert one == three
